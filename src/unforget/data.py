@@ -69,8 +69,9 @@ class LabeledDataset:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate sample ids")
         for s in samples:
-            if s.features.min() < 0.0 or s.features.max() > 1.0:
-                raise ValueError(f"sample {s.id} features outside [0, 1]")
+            # Written so that NaN, which fails every comparison, is rejected.
+            if not (s.features.min() >= 0.0 and s.features.max() <= 1.0):
+                raise ValueError(f"sample {s.id} features outside [0, 1] or not finite")
             if task_kind == "single_label":
                 if not (0 <= int(s.label) < num_outputs):
                     raise ValueError(f"sample {s.id} class {s.label} out of range")

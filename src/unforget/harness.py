@@ -33,7 +33,7 @@ from .data import (
     split_train_val_test,
 )
 from .metrics import EvalResult, evaluate, rank_difficulty
-from .nn_core import ArchSpec, ModelState, arch_from_json, arch_to_json
+from .nn_core import ArchSpec, ModelState, arch_from_json, arch_to_json, check_keys
 from .optim import TrainConfig, train_from_scratch
 from .seeding import derive_seed
 from .unlearn import (
@@ -175,6 +175,7 @@ def spec_to_dict(spec: SyntheticSpec) -> dict:
 
 
 def spec_from_dict(doc: dict) -> SyntheticSpec:
+    check_keys(doc, "dataset spec", optional=[f.name for f in fields(SyntheticSpec)])
     kwargs = dict(doc)
     for key in ("class_weights", "group_proportions", "feature_shape", "separations"):
         if kwargs.get(key) is not None:
@@ -211,8 +212,36 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _as_is(value):
+    return value
+
+
+# Optional config keys and the conversion applied to each: top-level keys
+# set the ExperimentConfig field of the same name, "train" keys the
+# TrainConfig field, "unlearn" keys the unlearn_<key> field. An omitted key
+# keeps the dataclass default.
+_CONFIG_KEYS = {
+    "split_fractions": tuple,
+    "forget_fractions": tuple,
+    "forget_grouping": _as_is,
+    "algorithms": tuple,
+    "lr_grid": tuple,
+    "threshold_grid": tuple,
+    "relabel_policy": _as_is,
+    "repeats": int,
+    "base_seed": int,
+    "group_names": tuple,
+}
+_TRAIN_KEYS = {"epochs": int, "batch_size": int, "lr0": float}
+_UNLEARN_KEYS = ("epochs", "batch_size")
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Inverse of ``config_to_dict``. Omitted keys take the ``ExperimentConfig``
+    defaults; unknown keys raise ValueError."""
+    check_keys(doc, "config", ("dataset", "arch"), ("train", "unlearn", *_CONFIG_KEYS))
     dataset_doc = doc["dataset"]
+    check_keys(dataset_doc, "config dataset", optional=("spec", "path"))
     if "spec" in dataset_doc:
         dataset = spec_from_dict(dataset_doc["spec"])
     elif "path" in dataset_doc:
@@ -220,27 +249,20 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     else:
         raise ValueError("config dataset needs either 'spec' or 'path'")
     train_doc = doc.get("train", {})
+    check_keys(train_doc, "config train", optional=_TRAIN_KEYS)
     unlearn_doc = doc.get("unlearn", {})
+    check_keys(unlearn_doc, "config unlearn", optional=_UNLEARN_KEYS)
+    kwargs = {key: convert(doc[key]) for key, convert in _CONFIG_KEYS.items() if key in doc}
+    kwargs.update({f"unlearn_{key}": int(value) for key, value in unlearn_doc.items()})
+    train_cfg = replace(
+        ExperimentConfig.train_cfg,
+        **{key: _TRAIN_KEYS[key](value) for key, value in train_doc.items()},
+    )
     cfg = ExperimentConfig(
         dataset=dataset,
         arch=arch_from_json(json.dumps(doc["arch"])),
-        train_cfg=TrainConfig(
-            epochs=int(train_doc.get("epochs", 6)),
-            batch_size=int(train_doc.get("batch_size", 32)),
-            lr0=float(train_doc.get("lr0", 1e-3)),
-        ),
-        split_fractions=tuple(doc.get("split_fractions", (0.6, 0.05, 0.35))),
-        forget_fractions=tuple(doc.get("forget_fractions", (0.05, 0.15, 0.30))),
-        forget_grouping=doc.get("forget_grouping", "patient_level"),
-        algorithms=tuple(doc.get("algorithms", ("exact", "relabel", "salun"))),
-        unlearn_epochs=int(unlearn_doc.get("epochs", 2)),
-        unlearn_batch_size=int(unlearn_doc.get("batch_size", 32)),
-        lr_grid=tuple(doc.get("lr_grid", (1e-4, 5e-4, 1e-3, 5e-3))),
-        threshold_grid=tuple(doc.get("threshold_grid", (2e-4, 1e-3))),
-        relabel_policy=doc.get("relabel_policy"),
-        repeats=int(doc.get("repeats", 3)),
-        base_seed=int(doc.get("base_seed", 0)),
-        group_names=tuple(doc.get("group_names", ("male", "female"))),
+        train_cfg=train_cfg,
+        **kwargs,
     )
     cfg.validate()
     return cfg

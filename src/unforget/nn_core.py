@@ -13,9 +13,11 @@ Gradient vectors are plain 1-D float64 ndarrays aligned with
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
@@ -82,26 +84,128 @@ class Tensor:
 
 
 # --------------------------------------------------------------------------
-# Architecture description
+# Layers
+#
+# Each layer type is one frozen dataclass that owns everything the engine
+# knows about it:
+#   tag                          name in the arch JSON (a ClassVar, not a field)
+#   out_shape(shape)             per-sample output shape; ValueError on mismatch
+#   param_shapes()               {role: shape} of its parameters, in layout order
+#   fan_in                       inputs per output unit (layers with weights)
+#   forward(x, params, mode, stats) -> (out, cache)
+#   backward(d, params, cache, grads, need_dx) -> dx
+# ``params`` and ``grads`` are tuples of shaped views into the flat parameter
+# and gradient vectors, one per role; backward writes its parameter gradients
+# into ``grads``. A layer may return None for dx when ``need_dx`` is False.
+# ``stats`` is a BatchNorm layer's running (mean, var), read in eval mode and
+# smoothed in place in train mode; None when train mode must not update it.
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Dense:
     in_dim: int
     out_dim: int
+    tag: ClassVar[str] = "dense"
+
+    @property
+    def fan_in(self) -> int:
+        return self.in_dim
+
+    def out_shape(self, shape):
+        if shape != (self.in_dim,):
+            raise ValueError(f"Dense expects ({self.in_dim},), got {shape}")
+        return (self.out_dim,)
+
+    def param_shapes(self):
+        return {"weight": (self.in_dim, self.out_dim), "bias": (self.out_dim,)}
+
+    def forward(self, x, params, mode, stats):
+        w, b = params
+        return x @ w + b, x
+
+    def backward(self, d, params, x, grads, need_dx):
+        grads[0][...] = x.T @ d
+        grads[1][...] = d.sum(axis=0)
+        return d @ params[0].T if need_dx else None
 
 
 @dataclass(frozen=True)
 class Conv2D:
+    """Valid (unpadded), strided convolution, computed as one product of the
+    im2col patch matrix with the weight matrix."""
+
     in_ch: int
     out_ch: int
     kernel: int
     stride: int = 1
+    tag: ClassVar[str] = "conv2d"
+
+    @property
+    def fan_in(self) -> int:
+        return self.in_ch * self.kernel * self.kernel
+
+    def out_shape(self, shape):
+        if len(shape) != 3 or shape[0] != self.in_ch:
+            raise ValueError(f"Conv2D expects (={self.in_ch}, H, W), got {shape}")
+        if self.kernel < 1 or self.stride < 1:
+            raise ValueError("Conv2D kernel/stride must be >= 1")
+        _, h, w = shape
+        if h < self.kernel or w < self.kernel:
+            raise ValueError(f"Conv2D kernel {self.kernel} exceeds input {h}x{w}")
+        k, s = self.kernel, self.stride
+        return (self.out_ch, (h - k) // s + 1, (w - k) // s + 1)
+
+    def param_shapes(self):
+        # The (out_ch, in_ch, k, k) kernel, stored row-major as the matrix the
+        # patch product uses.
+        return {"weight": (self.out_ch, self.fan_in), "bias": (self.out_ch,)}
+
+    def forward(self, x, params, mode, stats):
+        w, b = params
+        k, s = self.kernel, self.stride
+        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+        windows = windows[:, :, ::s, ::s]  # (B, C, H_out, W_out, k, k)
+        bsz, _, h_out, w_out = windows.shape[:4]
+        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h_out * w_out, -1)
+        out = (cols @ w.T + b).reshape(bsz, h_out, w_out, self.out_ch)
+        return out.transpose(0, 3, 1, 2), (x.shape, cols)
+
+    def backward(self, d, params, cache, grads, need_dx):
+        x_shape, cols = cache
+        d2 = d.transpose(0, 2, 3, 1).reshape(-1, self.out_ch)
+        grads[0][...] = d2.T @ cols
+        grads[1][...] = d.sum(axis=(0, 2, 3))
+        if not need_dx:
+            return None
+        k, s = self.kernel, self.stride
+        bsz, _, h_out, w_out = d.shape
+        dcols = (d2 @ params[0]).reshape(bsz, h_out, w_out, self.in_ch, k, k)
+        # col2im: scatter-add each kernel offset's patch gradients back.
+        dx = np.zeros(x_shape)
+        for ki in range(k):
+            for kj in range(k):
+                dx[:, :, ki : ki + s * h_out : s, kj : kj + s * w_out : s] += (
+                    dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+                )
+        return dx
 
 
 @dataclass(frozen=True)
 class ReLU:
-    pass
+    tag: ClassVar[str] = "relu"
+
+    def out_shape(self, shape):
+        return shape
+
+    def param_shapes(self):
+        return {}
+
+    def forward(self, x, params, mode, stats):
+        out = np.maximum(x, 0.0)
+        return out, out
+
+    def backward(self, d, params, out, grads, need_dx):
+        return d * (out > 0)
 
 
 @dataclass(frozen=True)
@@ -109,20 +213,102 @@ class BatchNorm:
     num_features: int
     momentum: float = 0.1
     epsilon: float = 1e-5
+    tag: ClassVar[str] = "batchnorm"
+
+    def out_shape(self, shape):
+        if shape[0] != self.num_features:
+            raise ValueError(
+                f"BatchNorm({self.num_features}) mismatches feature dim {shape[0]}"
+            )
+        return shape
+
+    def param_shapes(self):
+        return {"scale": (self.num_features,), "shift": (self.num_features,)}
+
+    def forward(self, x, params, mode, stats):
+        scale, shift = params
+        axes = _bn_axes(x)
+        if mode == "train":
+            mu = x.mean(axis=axes)
+            var = x.var(axis=axes)
+            if stats is not None:
+                run_mu, run_var = stats
+                m = self.momentum
+                run_mu *= 1.0 - m
+                run_mu += m * mu
+                run_var *= 1.0 - m
+                run_var += m * var
+        else:
+            mu, var = stats
+        inv_std = 1.0 / np.sqrt(var + self.epsilon)
+        xhat = (x - _bn_expand(mu, x.ndim)) * _bn_expand(inv_std, x.ndim)
+        out = _bn_expand(scale, x.ndim) * xhat + _bn_expand(shift, x.ndim)
+        return out, (xhat, inv_std, mode)
+
+    def backward(self, d, params, cache, grads, need_dx):
+        xhat, inv_std, mode = cache
+        axes = _bn_axes(xhat)
+        grads[0][...] = (d * xhat).sum(axis=axes)
+        grads[1][...] = d.sum(axis=axes)
+        dxhat = d * _bn_expand(params[0], d.ndim)
+        if mode == "eval":
+            return dxhat * _bn_expand(inv_std, d.ndim)
+        mean_dxhat = _bn_expand(dxhat.mean(axis=axes), d.ndim)
+        mean_dxhat_xhat = _bn_expand((dxhat * xhat).mean(axis=axes), d.ndim)
+        return _bn_expand(inv_std, d.ndim) * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+
+
+def _bn_axes(x: np.ndarray) -> tuple[int, ...]:
+    return (0,) if x.ndim == 2 else (0, 2, 3)
+
+
+def _bn_expand(v: np.ndarray, ndim: int) -> np.ndarray:
+    return v if ndim == 2 else v[:, None, None]
 
 
 @dataclass(frozen=True)
 class GlobalAvgPool:
-    pass
+    tag: ClassVar[str] = "global_avg_pool"
+
+    def out_shape(self, shape):
+        if len(shape) != 3:
+            raise ValueError(f"GlobalAvgPool expects (C, H, W), got {shape}")
+        return (shape[0],)
+
+    def param_shapes(self):
+        return {}
+
+    def forward(self, x, params, mode, stats):
+        return x.mean(axis=(2, 3)), x.shape
+
+    def backward(self, d, params, shape, grads, need_dx):
+        return np.broadcast_to(d[:, :, None, None], shape) / (shape[2] * shape[3])
 
 
 @dataclass(frozen=True)
 class Flatten:
-    pass
+    tag: ClassVar[str] = "flatten"
+
+    def out_shape(self, shape):
+        return (int(np.prod(shape)),)
+
+    def param_shapes(self):
+        return {}
+
+    def forward(self, x, params, mode, stats):
+        return x.reshape(x.shape[0], -1), x.shape
+
+    def backward(self, d, params, shape, grads, need_dx):
+        return d.reshape(shape)
 
 
 Layer = Union[Dense, Conv2D, ReLU, BatchNorm, GlobalAvgPool, Flatten]
+_LAYER_BY_TAG = {cls.tag: cls for cls in get_args(Layer)}
 
+
+# --------------------------------------------------------------------------
+# Architecture description
+# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ArchSpec:
@@ -150,7 +336,10 @@ class ArchSpec:
         shapes = []
         shape = self.input_shape
         for i, layer in enumerate(self.layers):
-            shape = _layer_output_shape(layer, shape, i)
+            try:
+                shape = layer.out_shape(shape)
+            except ValueError as e:
+                raise ValueError(f"layer {i} {e}") from None
             shapes.append(shape)
         if shape != (self.output_dim,):
             raise ValueError(
@@ -159,80 +348,61 @@ class ArchSpec:
         return shapes
 
 
-def _layer_output_shape(layer: Layer, shape: tuple[int, ...], i: int) -> tuple[int, ...]:
-    if isinstance(layer, Dense):
-        if shape != (layer.in_dim,):
-            raise ValueError(f"layer {i} Dense expects ({layer.in_dim},), got {shape}")
-        return (layer.out_dim,)
-    if isinstance(layer, Conv2D):
-        if len(shape) != 3 or shape[0] != layer.in_ch:
-            raise ValueError(f"layer {i} Conv2D expects (={layer.in_ch}, H, W), got {shape}")
-        if layer.kernel < 1 or layer.stride < 1:
-            raise ValueError(f"layer {i} Conv2D kernel/stride must be >= 1")
-        c, h, w = shape
-        if h < layer.kernel or w < layer.kernel:
-            raise ValueError(f"layer {i} Conv2D kernel {layer.kernel} exceeds input {h}x{w}")
-        h_out = (h - layer.kernel) // layer.stride + 1
-        w_out = (w - layer.kernel) // layer.stride + 1
-        return (layer.out_ch, h_out, w_out)
-    if isinstance(layer, ReLU):
-        return shape
-    if isinstance(layer, BatchNorm):
-        if shape[0] != layer.num_features:
-            raise ValueError(
-                f"layer {i} BatchNorm({layer.num_features}) mismatches feature dim {shape[0]}"
-            )
-        return shape
-    if isinstance(layer, GlobalAvgPool):
-        if len(shape) != 3:
-            raise ValueError(f"layer {i} GlobalAvgPool expects (C, H, W), got {shape}")
-        return (shape[0],)
-    if isinstance(layer, Flatten):
-        return (int(np.prod(shape)),)
-    raise TypeError(f"unknown layer type {type(layer).__name__}")
-
-
-_LAYER_TAGS = {
-    Dense: "dense",
-    Conv2D: "conv2d",
-    ReLU: "relu",
-    BatchNorm: "batchnorm",
-    GlobalAvgPool: "global_avg_pool",
-    Flatten: "flatten",
-}
-
-
 def arch_to_json(arch: ArchSpec) -> str:
     """Canonical JSON encoding (sorted keys, no whitespace); stable across runs."""
-    layers = []
-    for layer in arch.layers:
-        entry = {"type": _LAYER_TAGS[type(layer)]}
-        for name in getattr(layer, "__dataclass_fields__", {}):
-            entry[name] = getattr(layer, name)
-        layers.append(entry)
     doc = {
         "input_shape": list(arch.input_shape),
-        "layers": layers,
+        "layers": [{"type": layer.tag, **asdict(layer)} for layer in arch.layers],
         "output_dim": arch.output_dim,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def check_keys(doc, where: str, required=(), optional=()) -> None:
+    """Raise ValueError unless ``doc`` is a JSON object holding every key in
+    ``required`` and no key outside ``required`` and ``optional``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ValueError(f"{where} is missing key {missing[0]!r}")
+    unknown = sorted(set(doc) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{where} has unknown key {unknown[0]!r}")
+
+
+# JSON value types a layer field of each annotated type accepts.
+_FIELD_TYPES = {"int": int, "float": (int, float)}
+
+
 def arch_from_json(text: str) -> ArchSpec:
     doc = json.loads(text)
-    by_tag = {tag: cls for cls, tag in _LAYER_TAGS.items()}
+    check_keys(doc, "arch", required=("input_shape", "layers", "output_dim"))
+    if not isinstance(doc["layers"], list):
+        raise ValueError("arch layers must be a JSON list")
     layers = []
-    for entry in doc["layers"]:
-        cls = by_tag.get(entry.get("type"))
+    for i, entry in enumerate(doc["layers"]):
+        where = f"arch layer {i}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be a JSON object, got {entry!r}")
+        cls = _LAYER_BY_TAG.get(str(entry.get("type")))
         if cls is None:
             raise ValueError(f"unknown layer type {entry.get('type')!r}")
         kwargs = {k: v for k, v in entry.items() if k != "type"}
+        check_keys(
+            kwargs,
+            where,
+            required=[f.name for f in fields(cls) if f.default is MISSING],
+            optional=[f.name for f in fields(cls)],
+        )
+        for f in fields(cls):
+            if not isinstance(kwargs.get(f.name, f.default), _FIELD_TYPES[f.type]):
+                raise ValueError(f"{where} {f.name} must be {f.type}, got {kwargs[f.name]!r}")
         layers.append(cls(**kwargs))
-    arch = ArchSpec(
-        input_shape=tuple(doc["input_shape"]),
-        layers=tuple(layers),
-        output_dim=int(doc["output_dim"]),
-    )
+    shape, out = doc["input_shape"], doc["output_dim"]
+    if not isinstance(shape, list) or not all(isinstance(d, int) for d in shape + [out]):
+        raise ValueError("arch input_shape must be a list of ints and output_dim an int")
+    arch = ArchSpec(input_shape=tuple(shape), layers=tuple(layers), output_dim=out)
     arch.validate()
     return arch
 
@@ -254,22 +424,11 @@ def param_layout(arch: ArchSpec) -> tuple[LayoutRecord, ...]:
     scale before shift; offsets are cumulative and non-overlapping."""
     records = []
     offset = 0
-
-    def add(layer_index, role, length):
-        nonlocal offset
-        records.append(LayoutRecord(layer_index, role, offset, length))
-        offset += length
-
     for i, layer in enumerate(arch.layers):
-        if isinstance(layer, Dense):
-            add(i, "weight", layer.in_dim * layer.out_dim)
-            add(i, "bias", layer.out_dim)
-        elif isinstance(layer, Conv2D):
-            add(i, "weight", layer.out_ch * layer.in_ch * layer.kernel * layer.kernel)
-            add(i, "bias", layer.out_ch)
-        elif isinstance(layer, BatchNorm):
-            add(i, "scale", layer.num_features)
-            add(i, "shift", layer.num_features)
+        for role, shape in layer.param_shapes().items():
+            length = math.prod(shape)
+            records.append(LayoutRecord(i, role, offset, length))
+            offset += length
     return tuple(records)
 
 
@@ -299,6 +458,18 @@ class ModelState:
         raise KeyError(f"no parameter ({layer_index}, {role}) in layout")
 
 
+def _layer_views(model: ModelState, flat: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Per layer, the shaped views of ``flat`` (parameters or a gradient
+    vector) in ``param_shapes`` order, located by one pass over the layout."""
+    views = [[] for _ in model.arch.layers]
+    for rec in model.layout:
+        views[rec.layer_index].append(flat[rec.offset : rec.offset + rec.length])
+    return [
+        tuple(v.reshape(shape) for v, shape in zip(vs, layer.param_shapes().values()))
+        for vs, layer in zip(views, model.arch.layers)
+    ]
+
+
 def _kaiming_bound(fan_in: int) -> float:
     # He-uniform for ReLU nets: U(-sqrt(6/fan_in), +sqrt(6/fan_in)).
     return float(np.sqrt(6.0 / fan_in))
@@ -313,13 +484,9 @@ def init_model(arch: ArchSpec, seed: int) -> ModelState:
     params = np.zeros(total, dtype=np.float64)
     rng = np.random.default_rng(seed)
     for rec in layout:
-        layer = arch.layers[rec.layer_index]
         view = params[rec.offset : rec.offset + rec.length]
         if rec.role == "weight":
-            if isinstance(layer, Dense):
-                bound = _kaiming_bound(layer.in_dim)
-            else:
-                bound = _kaiming_bound(layer.in_ch * layer.kernel * layer.kernel)
+            bound = _kaiming_bound(arch.layers[rec.layer_index].fan_in)
             view[:] = rng.uniform(-bound, bound, size=rec.length)
         elif rec.role == "scale":
             view[:] = 1.0
@@ -361,14 +528,6 @@ def _check_finite(arr: np.ndarray, where: str):
         raise FloatingPointError(f"non-finite values after {where}")
 
 
-def _reshape_weight(layer: Layer, flat: np.ndarray) -> np.ndarray:
-    if isinstance(layer, Dense):
-        return flat.reshape(layer.in_dim, layer.out_dim)
-    if isinstance(layer, Conv2D):
-        return flat.reshape(layer.out_ch, layer.in_ch, layer.kernel, layer.kernel)
-    raise TypeError(f"{type(layer).__name__} has no weight")
-
-
 def _forward_raw(
     model: ModelState,
     x: np.ndarray,
@@ -391,151 +550,26 @@ def _forward_raw(
         raise ValueError(f"batch shape {x.shape} does not match input {expected}")
     _check_finite(x, "input")
 
+    params = _layer_views(model, model.params)
+    stats = model.batchnorm_stats if mode == "eval" or update_stats else {}
     for i, layer in enumerate(model.arch.layers):
-        if isinstance(layer, Dense):
-            w = _reshape_weight(layer, model.slice(i, "weight"))
-            b = model.slice(i, "bias")
-            out = x @ w + b
-            if cache is not None:
-                cache.append(("dense", x, w))
-        elif isinstance(layer, Conv2D):
-            out = _conv2d_forward(x, layer, model, i, cache)
-        elif isinstance(layer, ReLU):
-            out = np.maximum(x, 0.0)
-            if cache is not None:
-                cache.append(("relu", x > 0))
-        elif isinstance(layer, BatchNorm):
-            out = _batchnorm_forward(x, layer, model, i, mode, cache, update_stats)
-        elif isinstance(layer, GlobalAvgPool):
-            out = x.mean(axis=(2, 3))
-            if cache is not None:
-                cache.append(("gap", x.shape))
-        elif isinstance(layer, Flatten):
-            out = x.reshape(x.shape[0], -1)
-            if cache is not None:
-                cache.append(("flatten", x.shape))
-        else:
-            raise TypeError(f"unknown layer {type(layer).__name__}")
-        _check_finite(out, f"layer {i} ({type(layer).__name__})")
-        x = out
+        x, layer_cache = layer.forward(x, params[i], mode, stats.get(i))
+        _check_finite(x, f"layer {i} ({type(layer).__name__})")
+        if cache is not None:
+            cache.append(layer_cache)
     return x
 
 
-def _im2col(x: np.ndarray, k: int, s: int, h_out: int, w_out: int) -> np.ndarray:
-    """Patch matrix (B*H_out*W_out, C*k*k) for direct valid convolution."""
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::s, ::s]  # (B, C, H_out, W_out, k, k)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5)
-    return cols.reshape(x.shape[0] * h_out * w_out, -1)
-
-
-def _conv2d_forward(x, layer: Conv2D, model, i, cache):
-    # Direct (valid, strided) convolution as one patch-matrix product.
-    w = _reshape_weight(layer, model.slice(i, "weight"))
-    b = model.slice(i, "bias")
-    s, k = layer.stride, layer.kernel
-    bsz, _, h, wd = x.shape
-    h_out = (h - k) // s + 1
-    w_out = (wd - k) // s + 1
-    cols = _im2col(x, k, s, h_out, w_out)
-    w2 = w.reshape(layer.out_ch, -1)
-    out = (cols @ w2.T + b).reshape(bsz, h_out, w_out, layer.out_ch)
-    out = out.transpose(0, 3, 1, 2)
-    if cache is not None:
-        cache.append(("conv2d", x.shape, cols, w, (s, k, h_out, w_out)))
-    return out
-
-
-def _bn_axes(x: np.ndarray) -> tuple[int, ...]:
-    return (0,) if x.ndim == 2 else (0, 2, 3)
-
-
-def _bn_expand(v: np.ndarray, ndim: int) -> np.ndarray:
-    return v if ndim == 2 else v[:, None, None]
-
-
-def _batchnorm_forward(x, layer: BatchNorm, model, i, mode, cache, update_stats):
-    scale = model.slice(i, "scale")
-    shift = model.slice(i, "shift")
-    axes = _bn_axes(x)
-    if mode == "train":
-        mu = x.mean(axis=axes)
-        var = x.var(axis=axes)
-        if update_stats:
-            run_mu, run_var = model.batchnorm_stats[i]
-            m = layer.momentum
-            run_mu *= 1.0 - m
-            run_mu += m * mu
-            run_var *= 1.0 - m
-            run_var += m * var
-    else:
-        mu, var = model.batchnorm_stats[i]
-    inv_std = 1.0 / np.sqrt(var + layer.epsilon)
-    xhat = (x - _bn_expand(mu, x.ndim)) * _bn_expand(inv_std, x.ndim)
-    out = _bn_expand(scale, x.ndim) * xhat + _bn_expand(shift, x.ndim)
-    if cache is not None:
-        cache.append(("batchnorm", xhat, inv_std, scale, mode))
-    return out
-
-
 def _backward_raw(model: ModelState, cache: list, dlogits: np.ndarray) -> np.ndarray:
-    """Walk the cached stack in reverse, producing the flat gradient vector."""
+    """Walk the cached stack in reverse, producing the flat gradient vector.
+    The input gradient of layer 0 is never needed, so it is not computed."""
     grad = np.zeros_like(model.params)
+    params = _layer_views(model, model.params)
+    grads = _layer_views(model, grad)
     d = dlogits
     for i in range(len(model.arch.layers) - 1, -1, -1):
-        entry = cache[i]
-        kind = entry[0]
-        if kind == "dense":
-            _, x, w = entry
-            _store(model, grad, i, "weight", x.T @ d)
-            _store(model, grad, i, "bias", d.sum(axis=0))
-            d = d @ w.T
-        elif kind == "conv2d":
-            _, x_shape, cols, w, (s, k, h_out, w_out) = entry
-            out_ch = w.shape[0]
-            d2 = d.transpose(0, 2, 3, 1).reshape(-1, out_ch)
-            _store(model, grad, i, "weight", d2.T @ cols)
-            _store(model, grad, i, "bias", d.sum(axis=(0, 2, 3)))
-            dcols = (d2 @ w.reshape(out_ch, -1)).reshape(
-                x_shape[0], h_out, w_out, x_shape[1], k, k
-            )
-            dx = np.zeros(x_shape)
-            for ki in range(k):
-                for kj in range(k):
-                    dx[:, :, ki : ki + s * h_out : s, kj : kj + s * w_out : s] += (
-                        dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-                    )
-            d = dx
-        elif kind == "relu":
-            d = d * entry[1]
-        elif kind == "batchnorm":
-            _, xhat, inv_std, scale, mode = entry
-            axes = _bn_axes(xhat)
-            _store(model, grad, i, "scale", (d * xhat).sum(axis=axes))
-            _store(model, grad, i, "shift", d.sum(axis=axes))
-            dxhat = d * _bn_expand(scale, d.ndim)
-            if mode == "train":
-                mean_dxhat = _bn_expand(dxhat.mean(axis=axes), d.ndim)
-                mean_dxhat_xhat = _bn_expand((dxhat * xhat).mean(axis=axes), d.ndim)
-                d = _bn_expand(inv_std, d.ndim) * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
-            else:
-                d = dxhat * _bn_expand(inv_std, d.ndim)
-        elif kind == "gap":
-            shape = entry[1]
-            d = np.broadcast_to(d[:, :, None, None], shape) / (shape[2] * shape[3])
-        elif kind == "flatten":
-            d = d.reshape(entry[1])
-        else:
-            raise RuntimeError(f"corrupt backward cache entry {kind!r}")
+        d = model.arch.layers[i].backward(d, params[i], cache[i], grads[i], i > 0)
     return grad
-
-
-def _store(model: ModelState, grad: np.ndarray, layer_index: int, role: str, value):
-    for rec in model.layout:
-        if rec.layer_index == layer_index and rec.role == role:
-            grad[rec.offset : rec.offset + rec.length] = np.asarray(value).ravel()
-            return
-    raise KeyError(f"no layout record ({layer_index}, {role})")
 
 
 def forward(model: ModelState, batch: Tensor | np.ndarray, mode: str = "eval") -> Tensor:
@@ -626,15 +660,20 @@ def _write_array(fh, arr: np.ndarray):
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated model file while reading {what}")
-    return data
+    # Check a declared length against the file before reading, so a corrupt
+    # length fails here instead of asking for an absurd allocation.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ValueError(f"truncated model file while reading {what}: needs {n} bytes, {left} left")
+    return fh.read(n)
 
 
 def _read_array(fh, what: str) -> np.ndarray:
     (n,) = struct.unpack("<Q", _read_exact(fh, 8, f"{what} length"))
-    return np.frombuffer(_read_exact(fh, 8 * n, what), dtype="<f8").astype(np.float64)
+    arr = np.frombuffer(_read_exact(fh, 8 * n, what), dtype="<f8").astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"model file has non-finite values in {what}")
+    return arr
 
 
 def save_model(model: ModelState, path) -> None:

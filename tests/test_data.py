@@ -322,6 +322,13 @@ class TestDatasetContainer:
         with pytest.raises(ValueError, match="duplicate"):
             LabeledDataset(samples, "single_label", 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_features_outside_unit_interval_rejected(self, bad):
+        features = np.full((1, 2, 2), 0.5)
+        features[0, 1, 0] = bad
+        with pytest.raises(ValueError, match="outside"):
+            LabeledDataset([Sample(0, features, 0, 0, 0)], "single_label", 2)
+
     def test_subset_preserves_order(self):
         ds = generate_synthetic(small_spec())
         ids = [s.id for s in ds.samples][10:40:3]

@@ -13,6 +13,7 @@ from unforget.harness import (
     UnlearnReport,
     config_from_dict,
     config_to_dict,
+    default_config,
     emit_report,
     load_report,
     run_experiment,
@@ -187,6 +188,25 @@ class TestConfigSerialization:
         cfg = tiny_config()
         doc = json.loads(json.dumps(config_to_dict(cfg)))
         assert config_from_dict(doc) == cfg
+
+    def test_omitted_keys_take_dataclass_defaults(self):
+        doc = config_to_dict(default_config())
+        for key in ("train", "unlearn", "lr_grid", "threshold_grid", "repeats"):
+            del doc[key]
+        assert config_from_dict(doc) == default_config()
+
+    @pytest.mark.parametrize(
+        "path,key",
+        [((), "lr_grdi"), (("train",), "lr"), (("unlearn",), "epochz"), (("dataset", "spec"), "sed")],
+    )
+    def test_unknown_key_rejected(self, path, key):
+        doc = config_to_dict(tiny_config())
+        section = doc
+        for name in path:
+            section = section[name]
+        section[key] = 5
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            config_from_dict(doc)
 
     def test_validation_catches_bad_fraction(self):
         with pytest.raises(ValueError, match="fraction"):

@@ -2,6 +2,8 @@
 correctness against finite differences, losses, and the model file format.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -27,6 +29,7 @@ from unforget.nn_core import (
     param_layout,
     save_model,
 )
+from unforget.harness import default_arch
 
 
 def dense_arch(widths=(5, 4, 3), with_bn=False):
@@ -79,6 +82,31 @@ def assert_gradients_close(analytic, numeric, rtol=1e-4, atol=1e-8):
     )
 
 
+# SHA-256 of the engine's outputs on default_arch (see test_engine_pin).
+# Any change to a float operation or its order moves it; refactors must not.
+ENGINE_PIN = "eb9fa80b00bc156b588e952020a568c23ebd477b3924a671de12b73361a4d923"
+
+
+def test_engine_pin():
+    """Train- and eval-mode loss and gradient, eval logits and the BatchNorm
+    running statistics they leave behind are bit-identical to the pin."""
+    model = init_model(default_arch(), 0)
+    rng = np.random.default_rng(0)
+    x = rng.random((32, 1, 16, 16))
+    y = rng.integers(3, size=32)
+    digest = hashlib.sha256()
+    for mode in ("train", "eval"):
+        loss, grad = loss_and_grad(model, x, y, "ce", bn_mode=mode)
+        digest.update(np.float64(loss).tobytes())
+        digest.update(grad.tobytes())
+    digest.update(forward(model, x).array.tobytes())
+    for i in sorted(model.batchnorm_stats):
+        mean, var = model.batchnorm_stats[i]
+        digest.update(mean.tobytes())
+        digest.update(var.tobytes())
+    assert digest.hexdigest() == ENGINE_PIN
+
+
 class TestTensor:
     def test_shape_value_consistency(self):
         t = Tensor((2, 3), np.arange(6.0))
@@ -126,6 +154,24 @@ class TestArchAndLayout:
     def test_arch_json_round_trip(self):
         arch = conv_arch()
         assert arch_from_json(arch_to_json(arch)) == arch
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda doc: doc.pop("output_dim"), "missing key 'output_dim'"),
+            (lambda doc: doc["layers"][0].pop("kernel"), "missing key 'kernel'"),
+            (lambda doc: doc["layers"][0].update(hn_ch=1), "unknown key 'hn_ch'"),
+            (lambda doc: doc.update(extra=1), "unknown key 'extra'"),
+            (lambda doc: doc["layers"].__setitem__(2, "relu"), "JSON object"),
+            (lambda doc: doc["layers"][0].update(kernel="3"), "kernel must be int"),
+            (lambda doc: doc.update(input_shape=8), "input_shape"),
+        ],
+    )
+    def test_malformed_arch_json_rejected(self, edit, message):
+        doc = json.loads(arch_to_json(conv_arch()))
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            arch_from_json(json.dumps(doc))
 
 
 class TestInitModel:
@@ -346,6 +392,35 @@ class TestModelFile:
         path = tmp_path / "bad.unfg"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
+            load_model(path)
+
+    def test_every_byte_flip_and_truncation_loads_or_raises_value_error(self, tmp_path):
+        model = init_model(conv_arch(), 13)
+        path = tmp_path / "model.unfg"
+        save_model(model, path)
+        blob = path.read_bytes()
+        corrupt = [blob[:n] for n in range(len(blob))]
+        # Flip bytes of the header, the arch JSON and the parameter count;
+        # every payload byte pattern is some float and loads.
+        arch_len = int.from_bytes(blob[8:16], "little")
+        for i in range(16 + arch_len + 8):
+            for mask in (0x01, 0x20, 0x80):
+                flipped = bytearray(blob)
+                flipped[i] ^= mask
+                corrupt.append(bytes(flipped))
+        for data in corrupt:
+            path.write_bytes(data)
+            try:
+                load_model(path)
+            except ValueError:
+                pass
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        model = init_model(conv_arch(), 13)
+        model.params[0] = np.nan
+        path = tmp_path / "model.unfg"
+        save_model(model, path)
+        with pytest.raises(ValueError, match="non-finite"):
             load_model(path)
 
     def test_truncated_rejected(self, tmp_path):
