@@ -9,7 +9,6 @@ set sizes, class difficulty, group fairness, and compute cost.
 
 from .data import (
     LabeledDataset,
-    Sample,
     SplitPlan,
     SyntheticSpec,
     apply_u_one,

@@ -2,10 +2,11 @@
 splitting, forget/retain partitioning, the unknown-label policy, and a
 binary dataset file format.
 
-A dataset is an ordered list of samples, each carrying image-like features
-scaled to [0, 1], a label (class index, or a 0/1 vector where -1 marks an
-unknown entry), a patient id, and a categorical group attribute. Datasets
-are immutable after construction and safe to share across runs.
+A dataset is a set of columns with one row per sample: ids, image-like
+features scaled to [0, 1], labels (class indices, or 0/1 vectors where -1
+marks an unknown entry), patient ids and a categorical group attribute.
+Every column is a read-only array, so datasets are immutable after
+construction and safe to share across runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "UNKNOWN",
-    "Sample",
     "LabeledDataset",
     "SplitPlan",
     "SyntheticSpec",
@@ -41,109 +41,133 @@ DATASET_FORMAT_VERSION = 1
 _NOISE_SCALE = 0.1
 
 
-@dataclass(frozen=True)
-class Sample:
-    id: int
-    features: np.ndarray  # (C, H, W) float64 in [0, 1]
-    label: object  # int class index, or int8 vector over {0, 1, UNKNOWN}
-    patient_id: int
-    group: int
+def _readonly(values, dtype) -> np.ndarray:
+    """Read-only contiguous array of ``values`` as ``dtype``; copies only to
+    convert, and refuses an integer conversion that changes a value (an int8
+    cast would turn a label of 255 into UNKNOWN)."""
+    raw = np.asarray(values)
+    col = np.ascontiguousarray(raw, dtype=dtype).view()
+    if col.dtype.kind == "i" and not np.array_equal(col, raw):
+        raise ValueError(f"column values do not fit {col.dtype}")
+    col.flags.writeable = False
+    return col
+
+
+def _check_rows(ids: np.ndarray, ok: np.ndarray, problem: str) -> None:
+    """Raise ValueError naming the first sample whose row fails ``ok``."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(f"sample {ids[bad[0]]} {problem}")
 
 
 class LabeledDataset:
-    """Ordered samples with a homogeneous task kind.
+    """Ordered samples with a homogeneous task kind, stored as columns.
 
-    ``task_kind`` is "single_label" (labels are class indices below
-    ``num_outputs``) or "multi_label" (labels are int8 vectors of length
-    ``num_outputs`` over {0, 1, UNKNOWN}).
+    ``ids``, ``patients`` and ``groups`` are int64 ``(N,)``; ``features`` is
+    float64 ``(N, C, H, W)``. ``task_kind`` is "single_label" (``labels`` is
+    int64 ``(N,)`` of class indices below ``num_outputs``) or "multi_label"
+    (``labels`` is int8 ``(N, num_outputs)`` over {0, 1, UNKNOWN}). An
+    argument already of the right dtype and layout is not copied, so the
+    caller must not write to it afterwards.
     """
 
-    def __init__(self, samples, task_kind: str, num_outputs: int, provenance: str = ""):
+    def __init__(
+        self, ids, features, labels, patients, groups,
+        task_kind: str, num_outputs: int, provenance: str = "",
+    ):
         if task_kind not in ("single_label", "multi_label"):
             raise ValueError(f"unknown task_kind {task_kind!r}")
-        min_outputs = 2 if task_kind == "single_label" else 1
+        multi = task_kind == "multi_label"
+        min_outputs = 1 if multi else 2
         if num_outputs < min_outputs:
             raise ValueError(f"{task_kind} needs num_outputs >= {min_outputs}")
-        samples = tuple(samples)
-        ids = [s.id for s in samples]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate sample ids")
-        for s in samples:
-            # Written so that NaN, which fails every comparison, is rejected.
-            if not (s.features.min() >= 0.0 and s.features.max() <= 1.0):
-                raise ValueError(f"sample {s.id} features outside [0, 1] or not finite")
-            if task_kind == "single_label":
-                if not (0 <= int(s.label) < num_outputs):
-                    raise ValueError(f"sample {s.id} class {s.label} out of range")
-            else:
-                vec = np.asarray(s.label)
-                if vec.shape != (num_outputs,):
-                    raise ValueError(f"sample {s.id} label vector length != {num_outputs}")
-                if not np.isin(vec, (0, 1, UNKNOWN)).all():
-                    raise ValueError(f"sample {s.id} label entries must be 0/1/UNKNOWN")
-        self.samples = samples
+        self._ids = _readonly(ids, np.int64)
+        self._features = _readonly(features, np.float64)
+        self._labels = _readonly(labels, np.int8 if multi else np.int64)
+        self._patients = _readonly(patients, np.int64)
+        self._groups = _readonly(groups, np.int64)
+        n = len(self._ids)
+        shapes = [c.shape for c in (self._ids, self._patients, self._groups, self._labels)]
+        if shapes != [(n,)] * 3 + [(n, num_outputs) if multi else (n,)] or (
+            self._features.ndim != 4 or len(self._features) != n
+        ):
+            raise ValueError(f"column shapes {shapes} and features {self._features.shape} "
+                             f"do not describe {n} samples of {num_outputs} outputs")
+        ordered = np.sort(self._ids)
+        duplicated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if duplicated.size:
+            raise ValueError(f"duplicate sample id {duplicated[0]}")
+        # Written so that NaN, which fails every comparison, is rejected.
+        lo, hi = self._features.min(axis=(1, 2, 3)), self._features.max(axis=(1, 2, 3))
+        _check_rows(self._ids, (lo >= 0.0) & (hi <= 1.0), "features outside [0, 1] or not finite")
+        if multi:
+            ok = np.isin(self._labels, (0, 1, UNKNOWN)).all(axis=1)
+            _check_rows(self._ids, ok, "label entries must be 0/1/UNKNOWN")
+        else:
+            ok = (self._labels >= 0) & (self._labels < num_outputs)
+            _check_rows(self._ids, ok, f"class out of range [0, {num_outputs})")
         self.task_kind = task_kind
         self.num_outputs = num_outputs
         self.provenance = provenance
-        self._features = None
+
+    def _columns(self) -> tuple:
+        """The columns in constructor order."""
+        return self._ids, self._features, self._labels, self._patients, self._groups
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._ids)
 
     @property
     def feature_shape(self) -> tuple[int, ...]:
-        return tuple(self.samples[0].features.shape)
+        return self._features.shape[1:]
 
     def ids(self) -> list[int]:
-        return [s.id for s in self.samples]
+        return self._ids.tolist()
 
     def feature_array(self) -> np.ndarray:
-        """(N, C, H, W) stack; built once and cached (datasets are immutable)."""
-        if self._features is None:
-            self._features = np.stack([s.features for s in self.samples])
+        """(N, C, H, W) read-only features."""
         return self._features
 
     def label_array(self) -> np.ndarray:
         if self.task_kind == "single_label":
-            return np.array([int(s.label) for s in self.samples], dtype=np.int64)
-        mat = np.stack([np.asarray(s.label, dtype=np.int8) for s in self.samples])
-        if (mat == UNKNOWN).any():
+            return self._labels
+        if self.has_unknown():
             raise ValueError("unknown label entries remain; apply the u-one policy first")
-        return mat.astype(np.float64)
+        return self._labels.astype(np.float64)
 
     def group_array(self) -> np.ndarray:
-        return np.array([s.group for s in self.samples], dtype=np.int64)
+        return self._groups
 
     def patient_array(self) -> np.ndarray:
-        return np.array([s.patient_id for s in self.samples], dtype=np.int64)
+        return self._patients
 
     def has_unknown(self) -> bool:
-        if self.task_kind != "multi_label":
-            return False
-        return any((np.asarray(s.label) == UNKNOWN).any() for s in self.samples)
+        return self.task_kind == "multi_label" and bool((self._labels == UNKNOWN).any())
 
     def subset(self, ids) -> "LabeledDataset":
         """New dataset with the given sample ids, preserving original order."""
-        wanted = set(ids)
-        picked = [s for s in self.samples if s.id in wanted]
-        if len(picked) != len(wanted):
+        wanted = np.unique(np.fromiter(ids, dtype=np.int64))
+        rows = np.isin(self._ids, wanted)
+        if rows.sum() != wanted.size:
             raise KeyError("subset ids not all present in dataset")
-        return LabeledDataset(picked, self.task_kind, self.num_outputs, self.provenance)
+        return LabeledDataset(
+            *(c[rows] for c in self._columns()), self.task_kind, self.num_outputs, self.provenance
+        )
 
-    def with_labels(self, labels_by_id: dict) -> "LabeledDataset":
-        """Copy with labels replaced; features, ids, patients, groups untouched."""
-        new = [
-            Sample(s.id, s.features, labels_by_id.get(s.id, s.label), s.patient_id, s.group)
-            for s in self.samples
-        ]
-        return LabeledDataset(new, self.task_kind, self.num_outputs, self.provenance)
+    def with_labels(self, labels) -> "LabeledDataset":
+        """Copy with the label column replaced; the other columns are shared."""
+        return LabeledDataset(
+            self._ids, self._features, labels, self._patients, self._groups,
+            self.task_kind, self.num_outputs, self.provenance,
+        )
 
 
 def concat_datasets(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
     if a.task_kind != b.task_kind or a.num_outputs != b.num_outputs:
         raise ValueError("cannot concatenate datasets with different task kinds")
     return LabeledDataset(
-        a.samples + b.samples, a.task_kind, a.num_outputs, a.provenance or b.provenance
+        *(np.concatenate(pair) for pair in zip(a._columns(), b._columns())),
+        a.task_kind, a.num_outputs, a.provenance or b.provenance,
     )
 
 
@@ -161,7 +185,7 @@ def apply_u_one(labels) -> np.ndarray:
 def apply_u_one_dataset(ds: LabeledDataset) -> LabeledDataset:
     if ds.task_kind != "multi_label":
         raise ValueError("the unknown-label policy applies to multi-label datasets")
-    return ds.with_labels({s.id: apply_u_one(s.label) for s in ds.samples})
+    return ds.with_labels(apply_u_one(ds._labels))
 
 
 # --------------------------------------------------------------------------
@@ -203,6 +227,10 @@ class SyntheticSpec:
             raise ValueError("set exactly one of num_classes / num_labels")
         if self.num_patients < 1:
             raise ValueError("num_patients must be >= 1")
+        spp = self.samples_per_patient
+        lo, hi = (spp, spp) if isinstance(spp, int) else spp
+        if not 1 <= lo <= hi:
+            raise ValueError(f"samples_per_patient must be >= 1, or a range 1 <= lo <= hi; got {spp}")
         if self.num_outputs < (2 if self.num_classes is not None else 1):
             raise ValueError("too few classes/labels")
         if self.class_weights is not None:
@@ -247,13 +275,12 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
     templates -= templates.mean(axis=(1, 2, 3), keepdims=True)
     templates /= templates.std(axis=(1, 2, 3), keepdims=True)
 
-    samples = []
-    next_id = 0
+    group_of, counts, features, labels = [], [], [], []
     groups = np.arange(len(spec.group_proportions))
-    for patient in range(spec.num_patients):
-        group = int(rng.choice(groups, p=np.asarray(spec.group_proportions)))
-        count = _samples_per_patient(spec, rng)
-        for _ in range(count):
+    for _ in range(spec.num_patients):
+        group_of.append(int(rng.choice(groups, p=np.asarray(spec.group_proportions))))
+        counts.append(_samples_per_patient(spec, rng))
+        for _ in range(counts[-1]):
             # Features always come from the true class; label noise corrupts
             # only the recorded annotation.
             if spec.num_classes is not None:
@@ -272,11 +299,14 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
             noise = rng.standard_normal(spec.feature_shape)
             pixels = 0.5 + _NOISE_SCALE * (signal + noise)
             # Quantize through float32 so the f32 file format round-trips exactly.
-            features = np.clip(pixels, 0.0, 1.0).astype(np.float32).astype(np.float64)
-            samples.append(Sample(next_id, features, label, patient, group))
-            next_id += 1
+            features.append(np.clip(pixels, 0.0, 1.0).astype(np.float32))
+            labels.append(label)
     return LabeledDataset(
-        samples,
+        np.arange(len(labels)),
+        np.array(features, dtype=np.float64),
+        labels,
+        np.repeat(np.arange(spec.num_patients), counts),
+        np.repeat(group_of, counts),
         spec.task_kind,
         k,
         provenance=f"synthetic(seed={spec.seed}, patients={spec.num_patients})",
@@ -286,6 +316,23 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
 # --------------------------------------------------------------------------
 # Splitting
 # --------------------------------------------------------------------------
+
+def check_grouping(grouping: str) -> None:
+    if grouping not in ("sample_level", "patient_level"):
+        raise ValueError(f"unknown grouping {grouping!r}")
+
+
+def check_split_fractions(fractions, allow_empty: bool) -> np.ndarray:
+    """The train/val/test fractions as an array; raises ValueError unless they
+    are three non-negative values summing to 1, and positive unless
+    ``allow_empty``."""
+    f = np.asarray(fractions, dtype=np.float64)
+    if f.size != 3 or (f < 0).any() or abs(f.sum() - 1.0) > 1e-9:
+        raise ValueError(f"fractions must be three non-negative values summing to 1, got {fractions}")
+    if (f == 0).any() and not allow_empty:
+        raise ValueError("zero fractions need allow_empty=True")
+    return f
+
 
 @dataclass(frozen=True)
 class SplitPlan:
@@ -301,8 +348,7 @@ class SplitPlan:
     seed: int
 
     def __post_init__(self):
-        if self.grouping not in ("sample_level", "patient_level"):
-            raise ValueError(f"unknown grouping {self.grouping!r}")
+        check_grouping(self.grouping)
         if (
             self.train_ids & self.val_ids
             or self.train_ids & self.test_ids
@@ -315,6 +361,18 @@ class SplitPlan:
     @property
     def retain_ids(self) -> frozenset:
         return self.train_ids - self.forget_ids
+
+
+def _placed_before(patients: np.ndarray, rng) -> np.ndarray:
+    """For each sample, how many samples a walk over whole patients places
+    before its patient; the walk visits the sorted distinct patients in the
+    order ``rng.permutation`` gives."""
+    distinct, patient_row = np.unique(patients, return_inverse=True)
+    sizes = np.bincount(patient_row, minlength=distinct.size)
+    order = rng.permutation(distinct.size)
+    before = np.empty(distinct.size, dtype=np.int64)
+    before[order] = np.cumsum(sizes[order]) - sizes[order]
+    return before[patient_row]
 
 
 def split_train_val_test(
@@ -330,41 +388,19 @@ def split_train_val_test(
     one patient's worth of samples per boundary. Splits with a positive
     fraction must end up non-empty; zero fractions require ``allow_empty``.
     """
-    f = np.asarray(fractions, dtype=np.float64)
-    if f.size != 3 or (f < 0).any() or abs(f.sum() - 1.0) > 1e-9:
-        raise ValueError(f"fractions must be three non-negative values summing to 1, got {fractions}")
-    if (f == 0).any() and not allow_empty:
-        raise ValueError("zero fractions need allow_empty=True")
-
-    by_patient: dict[int, list[int]] = {}
-    for s in ds.samples:
-        by_patient.setdefault(s.patient_id, []).append(s.id)
-    patients = sorted(by_patient)
-    order = np.random.default_rng(seed).permutation(len(patients))
-
+    f = check_split_fractions(fractions, allow_empty)
+    placed = _placed_before(ds._patients, np.random.default_rng(seed))
     n = len(ds)
-    train_cut = f[0] * n
-    val_cut = (f[0] + f[1]) * n
-    buckets: tuple[list[int], list[int], list[int]] = ([], [], [])
-    placed = 0
-    for j in order:
-        pid = patients[j]
-        if placed < train_cut:
-            bucket = 0
-        elif placed < val_cut:
-            bucket = 1
-        else:
-            bucket = 2
-        buckets[bucket].extend(by_patient[pid])
-        placed += len(by_patient[pid])
+    bucket_of = np.searchsorted((f[0] * n, (f[0] + f[1]) * n), placed, side="right")
+    buckets = [ds._ids[bucket_of == b] for b in range(3)]
 
     for name, frac, bucket in zip(("train", "val", "test"), f, buckets):
-        if frac > 0 and not bucket:
+        if frac > 0 and not bucket.size:
             raise ValueError(f"too few patients to populate the {name} split")
     return SplitPlan(
-        train_ids=frozenset(buckets[0]),
-        val_ids=frozenset(buckets[1]),
-        test_ids=frozenset(buckets[2]),
+        train_ids=frozenset(buckets[0].tolist()),
+        val_ids=frozenset(buckets[1].tolist()),
+        test_ids=frozenset(buckets[2].tolist()),
         forget_ids=frozenset(),
         forget_fraction=0.0,
         grouping="sample_level",
@@ -387,39 +423,30 @@ def split_forget_retain(
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"forget fraction must lie in (0, 1), got {fraction}")
-    if grouping not in ("sample_level", "patient_level"):
-        raise ValueError(f"unknown grouping {grouping!r}")
-    train = sorted(plan.train_ids)
-    if not train:
+    check_grouping(grouping)
+    train = np.array(sorted(plan.train_ids), dtype=np.int64)
+    if not train.size:
         raise ValueError("plan has an empty train set")
-    target = round(fraction * len(train))
+    target = round(fraction * train.size)
     rng = np.random.default_rng(seed)
 
     if grouping == "sample_level":
-        order = rng.permutation(len(train))
-        forget = [train[j] for j in order[:target]]
+        forget = train[rng.permutation(train.size)[:target]]
     else:
-        patient_of = {s.id: s.patient_id for s in dataset.samples}
-        by_patient: dict[int, list[int]] = {}
-        for sid in train:
-            by_patient.setdefault(patient_of[sid], []).append(sid)
-        patients = sorted(by_patient)
-        order = rng.permutation(len(patients))
-        forget = []
-        for j in order:
-            if len(forget) >= target:
-                break
-            forget.extend(by_patient[patients[j]])
+        rows = np.isin(dataset._ids, train)
+        if rows.sum() != train.size:
+            raise KeyError("plan train ids not all present in dataset")
+        forget = dataset._ids[rows][_placed_before(dataset._patients[rows], rng) < target]
 
-    if not forget:
+    if not forget.size:
         raise ValueError(f"fraction {fraction} yields an empty forget set")
-    if len(forget) >= len(train):
+    if forget.size >= train.size:
         raise ValueError(f"fraction {fraction} yields an empty retain set")
     return SplitPlan(
         train_ids=plan.train_ids,
         val_ids=plan.val_ids,
         test_ids=plan.test_ids,
-        forget_ids=frozenset(forget),
+        forget_ids=frozenset(forget.tolist()),
         forget_fraction=fraction,
         grouping=grouping,
         seed=seed,
@@ -430,72 +457,71 @@ def split_forget_retain(
 # Dataset file format
 # --------------------------------------------------------------------------
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated dataset file while reading {what}")
-    return data
+# Header: magic, format version, task-kind tag (0 single-label, 1 multi-label),
+# output count, sample count, then C, H, W of the feature shape.
+_HEADER = struct.Struct("<4sIBIQIII")
+
+
+def _record_dtype(task_kind: str, num_outputs: int, feature_size: int) -> np.dtype:
+    """One packed little-endian record per sample, shared by save and load."""
+    label = ("<u4", ()) if task_kind == "single_label" else ("i1", (num_outputs,))
+    return np.dtype([
+        ("id", "<u8"),
+        ("patient", "<u8"),
+        ("group", "u1"),
+        ("label", *label),
+        ("feature_len", "<u8"),
+        ("features", "<f4", (feature_size,)),
+    ])
 
 
 def save_dataset(ds: LabeledDataset, path) -> None:
-    """Binary dataset file: header, then one record per sample (id, patient,
-    group, label payload, f32 feature array). All integers little-endian."""
+    """Binary dataset file: the ``_HEADER`` fields, then one ``_record_dtype``
+    record per sample."""
     c, h, w = ds.feature_shape
+    if (ds._ids < 0).any() or (ds._patients < 0).any() or not np.isin(ds._groups, range(256)).all():
+        raise ValueError("dataset files hold ids and patients >= 0 and groups in [0, 255]")
+    records = np.empty(len(ds), dtype=_record_dtype(ds.task_kind, ds.num_outputs, c * h * w))
+    records["id"], records["patient"], records["group"] = ds._ids, ds._patients, ds._groups
+    records["label"] = ds._labels
+    records["feature_len"] = c * h * w
+    records["features"] = ds._features.reshape(len(ds), c * h * w)
+    tag = 0 if ds.task_kind == "single_label" else 1
     with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<I", DATASET_FORMAT_VERSION))
-        fh.write(struct.pack("<B", 0 if ds.task_kind == "single_label" else 1))
-        fh.write(struct.pack("<I", ds.num_outputs))
-        fh.write(struct.pack("<Q", len(ds)))
-        fh.write(struct.pack("<III", c, h, w))
-        for s in ds.samples:
-            fh.write(struct.pack("<QQB", s.id, s.patient_id, s.group))
-            if ds.task_kind == "single_label":
-                fh.write(struct.pack("<I", int(s.label)))
-            else:
-                fh.write(np.asarray(s.label, dtype=np.int8).tobytes())
-            data = s.features.astype("<f4")
-            fh.write(struct.pack("<Q", data.size))
-            fh.write(data.tobytes())
+        fh.write(_HEADER.pack(DATASET_MAGIC, DATASET_FORMAT_VERSION, tag, ds.num_outputs, len(ds), c, h, w))
+        fh.write(records.tobytes())
 
 
 def load_dataset(path) -> LabeledDataset:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError("truncated dataset file header")
+        magic, version, tag, num_outputs, count, c, h, w = _HEADER.unpack(header)
         if magic != DATASET_MAGIC:
             raise ValueError(f"not a dataset file (magic {magic!r})")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
         if version != DATASET_FORMAT_VERSION:
             raise ValueError(f"unsupported dataset format version {version}")
-        (tag,) = struct.unpack("<B", _read_exact(fh, 1, "task kind"))
         if tag not in (0, 1):
             raise ValueError(f"unknown task-kind tag {tag}")
-        task_kind = "single_label" if tag == 0 else "multi_label"
-        (num_outputs,) = struct.unpack("<I", _read_exact(fh, 4, "output count"))
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "sample count"))
         if count == 0:
             raise ValueError("dataset file contains no samples")
-        c, h, w = struct.unpack("<III", _read_exact(fh, 12, "feature shape"))
-        feature_size = c * h * w
-        samples = []
-        for _ in range(count):
-            sid, pid, group = struct.unpack("<QQB", _read_exact(fh, 17, "sample header"))
-            if task_kind == "single_label":
-                (label,) = struct.unpack("<I", _read_exact(fh, 4, "label"))
-                label = int(label)
-            else:
-                label = np.frombuffer(
-                    _read_exact(fh, num_outputs, "label vector"), dtype=np.int8
-                ).copy()
-            (flen,) = struct.unpack("<Q", _read_exact(fh, 8, "feature length"))
-            if flen != feature_size:
-                raise ValueError(f"sample {sid} feature length {flen} != {feature_size}")
-            features = (
-                np.frombuffer(_read_exact(fh, 4 * flen, "features"), dtype="<f4")
-                .astype(np.float64)
-                .reshape(c, h, w)
-            )
-            samples.append(Sample(int(sid), features, label, int(pid), int(group)))
-        if fh.read(1):
-            raise ValueError("trailing bytes after dataset payload")
-    return LabeledDataset(samples, task_kind, num_outputs, provenance=str(path))
+        task_kind = "single_label" if tag == 0 else "multi_label"
+        try:
+            dtype = _record_dtype(task_kind, num_outputs, c * h * w)
+        except ValueError:
+            raise ValueError(f"dataset record of {num_outputs} outputs and {c}x{h}x{w} "
+                             "features is too large") from None
+        payload = fh.read()
+    if len(payload) < count * dtype.itemsize:
+        raise ValueError(f"truncated dataset file: {count} records need {count * dtype.itemsize} bytes")
+    if len(payload) > count * dtype.itemsize:
+        raise ValueError("trailing bytes after dataset payload")
+    records = np.frombuffer(payload, dtype=dtype)
+    ids = records["id"]
+    _check_rows(ids, records["feature_len"] == c * h * w, f"feature length != {c * h * w}")
+    _check_rows(ids, (ids < 2**63) & (records["patient"] < 2**63), "id or patient >= 2**63")
+    return LabeledDataset(
+        ids, records["features"].reshape(count, c, h, w), records["label"], records["patient"],
+        records["group"], task_kind, num_outputs, provenance=str(path),
+    )

@@ -27,6 +27,8 @@ from .data import (
     LabeledDataset,
     SyntheticSpec,
     apply_u_one_dataset,
+    check_grouping,
+    check_split_fractions,
     generate_synthetic,
     load_dataset,
     split_forget_retain,
@@ -106,6 +108,13 @@ class ExperimentConfig:
                 raise ValueError("lr_grid must be non-empty for approximate algorithms")
         if "salun" in self.algorithms and not self.threshold_grid:
             raise ValueError("threshold_grid must be non-empty for salun")
+        if not all(lr > 0 for lr in self.lr_grid):
+            raise ValueError(f"lr_grid values must be > 0, got {self.lr_grid}")
+        # A threshold of 0 means "no mask".
+        if not all(t >= 0 for t in self.threshold_grid):
+            raise ValueError(f"threshold_grid values must be >= 0, got {self.threshold_grid}")
+        check_grouping(self.forget_grouping)
+        check_split_fractions(self.split_fractions, allow_empty=True)
         if isinstance(self.dataset, SyntheticSpec):
             self.dataset.validate()
 
@@ -216,6 +225,18 @@ def _as_is(value):
     return value
 
 
+def _convert(convert, value, key: str):
+    """Apply a key's conversion; an ``int`` key refuses a fractional part (or
+    a non-number) with a ValueError naming the key, instead of truncating."""
+    if convert is not int:
+        return convert(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 # Optional config keys and the conversion applied to each: top-level keys
 # set the ExperimentConfig field of the same name, "train" keys the
 # TrainConfig field, "unlearn" keys the unlearn_<key> field. An omitted key
@@ -233,7 +254,7 @@ _CONFIG_KEYS = {
     "group_names": tuple,
 }
 _TRAIN_KEYS = {"epochs": int, "batch_size": int, "lr0": float}
-_UNLEARN_KEYS = ("epochs", "batch_size")
+_UNLEARN_KEYS = {"epochs": int, "batch_size": int}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -252,11 +273,18 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     check_keys(train_doc, "config train", optional=_TRAIN_KEYS)
     unlearn_doc = doc.get("unlearn", {})
     check_keys(unlearn_doc, "config unlearn", optional=_UNLEARN_KEYS)
-    kwargs = {key: convert(doc[key]) for key, convert in _CONFIG_KEYS.items() if key in doc}
-    kwargs.update({f"unlearn_{key}": int(value) for key, value in unlearn_doc.items()})
+    kwargs = {
+        key: _convert(convert, doc[key], key)
+        for key, convert in _CONFIG_KEYS.items()
+        if key in doc
+    }
+    kwargs.update({
+        f"unlearn_{key}": _convert(_UNLEARN_KEYS[key], value, f"unlearn.{key}")
+        for key, value in unlearn_doc.items()
+    })
     train_cfg = replace(
         ExperimentConfig.train_cfg,
-        **{key: _TRAIN_KEYS[key](value) for key, value in train_doc.items()},
+        **{key: _convert(_TRAIN_KEYS[key], value, f"train.{key}") for key, value in train_doc.items()},
     )
     cfg = ExperimentConfig(
         dataset=dataset,
@@ -321,7 +349,7 @@ def sweep_hparams(
             model = _run_algorithm(algorithm, pretrained, forget, retain, ucfg)
             forget_eval = evaluate(model, forget, "forget")
             test_eval = evaluate(model, test, "test")
-        except Exception as exc:  # noqa: BLE001 — a failed point must not kill the sweep
+        except (ValueError, FloatingPointError) as exc:  # a diverging lr must not kill the sweep
             errors.append(f"{point}: {exc}")
             continue
         seconds = time.perf_counter() - started
@@ -339,7 +367,7 @@ def sweep_hparams(
         if best is None or key < best[0]:
             best = (key, ucfg, model, row)
     if best is None:
-        raise RuntimeError(f"all grid points failed: {errors}")
+        raise ValueError(f"all grid points failed: {errors}")
     return best[1], best[2], table
 
 
@@ -418,8 +446,9 @@ def run_experiment(cfg: ExperimentConfig) -> UnlearnReport:
     pretrain, rank class difficulty, then per forget fraction: carve
     forget/retain, run exact unlearning (always computed — it is the tuning
     reference), sweep and run each requested approximate algorithm, and
-    evaluate every produced model on retain/forget/test. Failures abort only
-    their own (algorithm, fraction, repeat) cell and are recorded.
+    evaluate every produced model on retain/forget/test. A ValueError or
+    FloatingPointError (a diverging lr) aborts only its own (algorithm,
+    fraction, repeat) cell and is recorded; any other exception propagates.
     """
     cfg.validate()
     report = UnlearnReport(
@@ -506,7 +535,7 @@ def run_experiment(cfg: ExperimentConfig) -> UnlearnReport:
                                 "timing": {"unlearn_seconds": exact_seconds},
                             }
                         )
-                except Exception as exc:  # noqa: BLE001 — cell isolation
+                except (ValueError, FloatingPointError) as exc:  # numeric and data failures only
                     report.incomplete.append(
                         {"repeat": r, "fraction": fraction, "algorithm": "exact", "error": str(exc)}
                     )
@@ -560,7 +589,7 @@ def run_experiment(cfg: ExperimentConfig) -> UnlearnReport:
                             },
                         }
                     )
-                except Exception as exc:  # noqa: BLE001 — cell isolation
+                except (ValueError, FloatingPointError) as exc:  # numeric and data failures only
                     report.incomplete.append(
                         {"repeat": r, "fraction": fraction, "algorithm": alg, "error": str(exc)}
                     )

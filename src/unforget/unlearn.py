@@ -136,24 +136,21 @@ def random_relabel(forget: LabeledDataset, policy: str, seed: int) -> LabeledDat
         raise ValueError("empty forget set")
     if policy not in RELABEL_POLICIES:
         raise ValueError(f"unknown relabel_policy {policy!r}")
-    k = forget.num_outputs
+    k, n = forget.num_outputs, len(forget)
     rng = np.random.default_rng(seed)
-    new_labels = {}
     if policy == "bitwise_flip":
         if forget.task_kind != "multi_label":
             raise ValueError("bitwise_flip applies to multi-label datasets")
-        for s in forget.samples:
-            new_labels[s.id] = rng.integers(0, 2, size=k).astype(np.int8)
+        new_labels = rng.integers(0, 2, size=(n, k)).astype(np.int8)
     else:
         if forget.task_kind != "single_label":
             raise ValueError(f"{policy} applies to single-label datasets")
         if policy == "exclude_original" and k < 2:
             raise ValueError("exclude_original needs at least 2 classes")
-        for s in forget.samples:
-            if policy == "exclude_original":
-                new_labels[s.id] = (int(s.label) + 1 + int(rng.integers(k - 1))) % k
-            else:
-                new_labels[s.id] = int(rng.integers(k))
+        if policy == "exclude_original":
+            new_labels = (forget.label_array() + 1 + rng.integers(k - 1, size=n)) % k
+        else:
+            new_labels = rng.integers(k, size=n)
     return forget.with_labels(new_labels)
 
 

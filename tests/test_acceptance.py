@@ -243,7 +243,7 @@ def test_criterion_04_split_integrity():
         assert not (plan.train_ids & plan.val_ids)
         assert not (plan.train_ids & plan.test_ids)
         assert not (plan.val_ids & plan.test_ids)
-        patient_of = {s.id: s.patient_id for s in ds.samples}
+        patient_of = dict(zip(ds.ids(), ds.patient_array().tolist()))
         split_of = {}
         for name, ids in (("train", plan.train_ids), ("val", plan.val_ids), ("test", plan.test_ids)):
             for sid in ids:

@@ -1,6 +1,8 @@
 """Dataset tests: synthetic generation, unknown-label policy, patient-level
 splitting, forget/retain partitioning, and the dataset file format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 from unforget.data import (
     UNKNOWN,
     LabeledDataset,
-    Sample,
     SplitPlan,
     SyntheticSpec,
     apply_u_one,
@@ -41,14 +42,22 @@ def small_spec(**overrides):
 def datasets_equal(a: LabeledDataset, b: LabeledDataset) -> bool:
     if (a.task_kind, a.num_outputs, len(a)) != (b.task_kind, b.num_outputs, len(b)):
         return False
-    for sa, sb in zip(a.samples, b.samples):
-        if (sa.id, sa.patient_id, sa.group) != (sb.id, sb.patient_id, sb.group):
-            return False
-        if not np.array_equal(np.asarray(sa.label), np.asarray(sb.label)):
-            return False
-        if not np.array_equal(sa.features, sb.features):
-            return False
-    return True
+    return all(np.array_equal(ca, cb) for ca, cb in zip(a._columns(), b._columns()))
+
+
+def constant_dataset(labels, task_kind, num_outputs, value=0.5, ids=None, patients=None, groups=0):
+    """One row per label; features all ``value`` over a 1x2x2 image."""
+    n = len(labels)
+    ids = np.arange(n) if ids is None else ids
+    return LabeledDataset(
+        ids,
+        np.full((n, 1, 2, 2), value),
+        labels,
+        ids if patients is None else patients,
+        np.broadcast_to(groups, n),
+        task_kind,
+        num_outputs,
+    )
 
 
 class TestGenerateSynthetic:
@@ -77,7 +86,7 @@ class TestGenerateSynthetic:
     def test_groups_shared_within_patient(self):
         ds = generate_synthetic(small_spec())
         for pid in set(ds.patient_array().tolist()):
-            groups = {s.group for s in ds.samples if s.patient_id == pid}
+            groups = set(ds.group_array()[ds.patient_array() == pid].tolist())
             assert len(groups) == 1
 
     def test_huge_separation_linearly_separable(self):
@@ -121,6 +130,9 @@ class TestGenerateSynthetic:
             SyntheticSpec(num_patients=5).validate()  # neither classes nor labels
         with pytest.raises(ValueError):
             small_spec(separations=(1.0, -1.0, 0.5)).validate()
+        for samples_per_patient in (0, (0, 3), (4, 2)):
+            with pytest.raises(ValueError, match="samples_per_patient"):
+                small_spec(samples_per_patient=samples_per_patient).validate()
 
 
 class TestUOne:
@@ -142,12 +154,7 @@ class TestUOne:
         assert np.array_equal(apply_u_one(once), once)
 
     def test_dataset_level(self):
-        features = np.full((1, 2, 2), 0.5)
-        samples = [
-            Sample(0, features, np.array([1, UNKNOWN], dtype=np.int8), 0, 0),
-            Sample(1, features, np.array([UNKNOWN, 0], dtype=np.int8), 1, 1),
-        ]
-        ds = LabeledDataset(samples, "multi_label", 2)
+        ds = constant_dataset([[1, UNKNOWN], [UNKNOWN, 0]], "multi_label", 2, groups=[0, 1])
         assert ds.has_unknown()
         fixed = apply_u_one_dataset(ds)
         assert not fixed.has_unknown()
@@ -160,9 +167,8 @@ class TestSplitTrainValTest:
         plan = split_train_val_test(ds, (0.6, 0.2, 0.2), seed=4)
         membership = {}
         for name, ids in (("train", plan.train_ids), ("val", plan.val_ids), ("test", plan.test_ids)):
-            for s in ds.samples:
-                if s.id in ids:
-                    membership.setdefault(s.patient_id, set()).add(name)
+            for pid in ds.subset(ids).patient_array().tolist():
+                membership.setdefault(pid, set()).add(name)
         assert all(len(splits) == 1 for splits in membership.values())
 
     def test_achieved_fractions_close(self):
@@ -199,14 +205,9 @@ class TestSplitTrainValTest:
 
 
 def five_patient_dataset(sizes=(10, 10, 10, 10, 10)):
-    features = np.full((1, 2, 2), 0.5)
-    samples = []
-    sid = 0
-    for pid, size in enumerate(sizes):
-        for _ in range(size):
-            samples.append(Sample(sid, features, sid % 2, pid, 0))
-            sid += 1
-    return LabeledDataset(samples, "single_label", 2)
+    n = sum(sizes)
+    patients = np.repeat(np.arange(len(sizes)), sizes)
+    return constant_dataset(np.arange(n) % 2, "single_label", 2, patients=patients)
 
 
 class TestSplitForgetRetain:
@@ -224,15 +225,15 @@ class TestSplitForgetRetain:
         plan = split_train_val_test(ds, (1.0, 0.0, 0.0), seed=0, allow_empty=True)
         out = split_forget_retain(plan, 0.30, "patient_level", seed=5, dataset=ds)
         assert len(out.forget_ids) == 20
-        patients = {s.patient_id for s in ds.samples if s.id in out.forget_ids}
+        patients = set(ds.subset(out.forget_ids).patient_array().tolist())
         assert len(patients) == 2
 
     def test_patient_level_no_patient_in_both(self):
         ds = generate_synthetic(small_spec())
         plan = split_train_val_test(ds, (0.7, 0.1, 0.2), seed=2)
         out = split_forget_retain(plan, 0.25, "patient_level", seed=2, dataset=ds)
-        forget_patients = {s.patient_id for s in ds.samples if s.id in out.forget_ids}
-        retain_patients = {s.patient_id for s in ds.samples if s.id in out.retain_ids}
+        forget_patients = set(ds.subset(out.forget_ids).patient_array().tolist())
+        retain_patients = set(ds.subset(out.retain_ids).patient_array().tolist())
         assert not (forget_patients & retain_patients)
 
     def test_partition_exact(self):
@@ -273,7 +274,43 @@ class TestSplitForgetRetain:
             )
 
 
+# SHA-256 of the UNDS bytes written for small_spec() followed by those for
+# its multi-label twin; any change to the file format or the generator moves it.
+UNDS_PIN = "be1d5fb5a8eb90eb6ca103bcc4718b61ff73f75fab25b976ede7eaa724b616e0"
+
+
+def multi_label_spec(**overrides):
+    return small_spec(num_classes=None, num_labels=3, **overrides)
+
+
 class TestDatasetFile:
+    def test_bytes_pin(self, tmp_path):
+        digest = hashlib.sha256()
+        for spec in (small_spec(), multi_label_spec()):
+            path = tmp_path / "data.unds"
+            save_dataset(generate_synthetic(spec), path)
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == UNDS_PIN
+
+    @pytest.mark.parametrize("spec", [small_spec, multi_label_spec])
+    def test_every_byte_flip_and_truncation_loads_or_raises_value_error(self, tmp_path, spec):
+        ds = generate_synthetic(spec(num_patients=2, samples_per_patient=3, feature_shape=(1, 2, 2)))
+        path = tmp_path / "data.unds"
+        save_dataset(ds, path)
+        blob = path.read_bytes()
+        corrupt = [blob[:n] for n in range(len(blob))]
+        for i in range(len(blob)):
+            for mask in (0x01, 0x20, 0x80):
+                flipped = bytearray(blob)
+                flipped[i] ^= mask
+                corrupt.append(bytes(flipped))
+        for data in corrupt:
+            path.write_bytes(data)
+            try:
+                load_dataset(path)
+            except ValueError:
+                pass
+
     def test_round_trip_single_label(self, tmp_path):
         ds = generate_synthetic(small_spec())
         path = tmp_path / "data.unds"
@@ -281,12 +318,10 @@ class TestDatasetFile:
         assert datasets_equal(ds, load_dataset(path))
 
     def test_round_trip_multi_label_with_unknowns(self, tmp_path):
-        features = np.full((1, 2, 2), 0.25)
-        samples = [
-            Sample(3, features, np.array([1, UNKNOWN, 0], dtype=np.int8), 7, 1),
-            Sample(9, features, np.array([0, 0, UNKNOWN], dtype=np.int8), 8, 0),
-        ]
-        ds = LabeledDataset(samples, "multi_label", 3)
+        ds = constant_dataset(
+            [[1, UNKNOWN, 0], [0, 0, UNKNOWN]], "multi_label", 3,
+            value=0.25, ids=[3, 9], patients=[7, 8], groups=[1, 0],
+        )
         path = tmp_path / "data.unds"
         save_dataset(ds, path)
         assert datasets_equal(ds, load_dataset(path))
@@ -315,32 +350,53 @@ class TestDatasetFile:
             load_dataset(path)
 
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "data.unds"
+        save_dataset(generate_synthetic(small_spec()), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_dataset(path)
+
+    def test_id_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "data.unds"
+        save_dataset(generate_synthetic(small_spec()), path)
+        blob = bytearray(path.read_bytes())
+        blob[33 + 7] |= 0x80  # top byte of the first record's u64 id, after the 33-byte header
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("column,value", [("ids", -1), ("patients", -1), ("groups", 256)])
+    def test_value_the_format_cannot_hold_rejected(self, tmp_path, column, value):
+        ds = constant_dataset([0], "single_label", 2, **{column: [value]})
+        with pytest.raises(ValueError, match="dataset files hold"):
+            save_dataset(ds, tmp_path / "data.unds")
+
+
 class TestDatasetContainer:
     def test_duplicate_ids_rejected(self):
-        features = np.full((1, 2, 2), 0.5)
-        samples = [Sample(1, features, 0, 0, 0), Sample(1, features, 1, 1, 0)]
         with pytest.raises(ValueError, match="duplicate"):
-            LabeledDataset(samples, "single_label", 2)
+            constant_dataset([0, 1], "single_label", 2, ids=[1, 1], patients=[0, 1])
 
     @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
     def test_features_outside_unit_interval_rejected(self, bad):
-        features = np.full((1, 2, 2), 0.5)
-        features[0, 1, 0] = bad
+        features = np.full((1, 1, 2, 2), 0.5)
+        features[0, 0, 1, 0] = bad
         with pytest.raises(ValueError, match="outside"):
-            LabeledDataset([Sample(0, features, 0, 0, 0)], "single_label", 2)
+            LabeledDataset([0], features, [0], [0], [0], "single_label", 2)
+
+    @pytest.mark.parametrize("labels", [[[255, 0]], [[0.5, 1]]])
+    def test_label_values_that_do_not_fit_rejected(self, labels):
+        with pytest.raises(ValueError, match="do not fit"):
+            constant_dataset(np.array(labels), "multi_label", 2)
 
     def test_subset_preserves_order(self):
         ds = generate_synthetic(small_spec())
-        ids = [s.id for s in ds.samples][10:40:3]
+        ids = ds.ids()[10:40:3]
         sub = ds.subset(ids)
-        assert [s.id for s in sub.samples] == sorted(ids)
+        assert sub.ids() == sorted(ids)
 
     def test_label_array_rejects_unknowns(self):
-        features = np.full((1, 2, 2), 0.5)
-        ds = LabeledDataset(
-            [Sample(0, features, np.array([UNKNOWN, 1], dtype=np.int8), 0, 0)],
-            "multi_label",
-            2,
-        )
+        ds = constant_dataset([[UNKNOWN, 1]], "multi_label", 2)
         with pytest.raises(ValueError, match="u-one"):
             ds.label_array()

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from unforget import harness
 from unforget.data import SyntheticSpec, generate_synthetic, split_forget_retain, split_train_val_test
 from unforget.harness import (
     ExperimentConfig,
@@ -208,6 +209,47 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "path,key",
+        [
+            ((), "repeats"),
+            ((), "base_seed"),
+            (("train",), "epochs"),
+            (("train",), "batch_size"),
+            (("unlearn",), "epochs"),
+            (("unlearn",), "batch_size"),
+        ],
+    )
+    def test_fractional_integer_rejected(self, path, key):
+        doc = config_to_dict(tiny_config())
+        section = doc
+        for name in path:
+            section = section[name]
+        section[key] = 2.0  # integral: accepted as 2
+        cfg = config_from_dict(doc)
+        assert 2 in (cfg.repeats, cfg.base_seed, cfg.train_cfg.epochs, cfg.train_cfg.batch_size,
+                     cfg.unlearn_epochs, cfg.unlearn_batch_size)
+        section[key] = 2.7
+        with pytest.raises(ValueError, match=f"'{'.'.join((*path, key))}'"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "overrides,match",
+        [
+            (dict(forget_grouping="bogus"), "grouping"),
+            (dict(lr_grid=(-1e-3,)), "lr_grid"),
+            (dict(threshold_grid=(-1.0,)), "threshold_grid"),
+            (dict(split_fractions=(0.5, 0.2, 0.2)), "fractions"),
+        ],
+    )
+    def test_bad_config_rejected_before_data(self, overrides, match, monkeypatch):
+        def no_data(spec):
+            raise AssertionError("data generated before validation")
+
+        monkeypatch.setattr(harness, "generate_synthetic", no_data)
+        with pytest.raises(ValueError, match=match):
+            run_experiment(tiny_config(**overrides))
+
     def test_validation_catches_bad_fraction(self):
         with pytest.raises(ValueError, match="fraction"):
             tiny_config(forget_fractions=(1.5,)).validate()
@@ -285,6 +327,28 @@ class TestRunExperiment:
         assert set(report.summary) == {"exact", "relabel", "salun"}
         chosen = report.summary["relabel"]["0.25"]["chosen"][0]
         assert chosen["lr"] in cfg.lr_grid
+
+
+class TestCellFailures:
+    @staticmethod
+    def relabel_raising(monkeypatch, exc):
+        def raise_exc(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(harness, "relabel_unlearn", raise_exc)
+        return tiny_config(algorithms=("relabel",), repeats=1)
+
+    def test_programming_error_escapes(self, monkeypatch):
+        cfg = self.relabel_raising(monkeypatch, TypeError("a bug"))
+        with pytest.raises(TypeError, match="a bug"):
+            run_experiment(cfg)
+
+    def test_diverging_run_filed_incomplete(self, monkeypatch):
+        cfg = self.relabel_raising(monkeypatch, FloatingPointError("non-finite loss"))
+        report = run_experiment(cfg)
+        assert not report.cells
+        assert [c["algorithm"] for c in report.incomplete] == ["relabel"]
+        assert "non-finite loss" in report.incomplete[0]["error"]
 
 
 class TestEmitReport:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unforget.data import LabeledDataset, Sample
+from unforget.data import LabeledDataset
 from unforget.metrics import (
     auroc_binary,
     evaluate,
@@ -87,13 +87,13 @@ class TestAurocBinary:
 
 def toy_dataset(n=60, num_classes=3, seed=0):
     rng = np.random.default_rng(seed)
-    samples = []
+    features = np.empty((n, 1, 2, 2))
+    labels = np.empty(n, dtype=np.int64)
     for i in range(n):
-        features = rng.random((1, 2, 2))
-        samples.append(
-            Sample(i, features, int(rng.integers(num_classes)), patient_id=i // 3, group=i % 2)
-        )
-    return LabeledDataset(samples, "single_label", num_classes)
+        features[i] = rng.random((1, 2, 2))
+        labels[i] = rng.integers(num_classes)
+    ids = np.arange(n)
+    return LabeledDataset(ids, features, labels, ids // 3, ids % 2, "single_label", num_classes)
 
 
 def toy_model(num_classes=3, seed=0):
@@ -139,17 +139,16 @@ class TestEvaluate:
         ds = toy_dataset(n=200, seed=9)
         result = evaluate(model, ds)
         for g in (0, 1):
-            ids = [s.id for s in ds.samples if s.group == g]
+            ids = np.array(ds.ids())[ds.group_array() == g]
             direct = evaluate(model, ds.subset(ids))
             assert result.per_group[g] == pytest.approx(direct.macro_auroc, abs=1e-15)
 
     def test_missing_polarity_class_skipped(self):
         rng = np.random.default_rng(1)
-        samples = [
-            Sample(i, rng.random((1, 2, 2)), int(i % 2), patient_id=i, group=0)
-            for i in range(20)
-        ]  # class 2 never appears
-        ds = LabeledDataset(samples, "single_label", 3)
+        ids = np.arange(20)
+        features = np.array([rng.random((1, 2, 2)) for _ in ids])
+        # class 2 never appears
+        ds = LabeledDataset(ids, features, ids % 2, ids, np.zeros(20), "single_label", 3)
         model = toy_model(seed=1)
         result = evaluate(model, ds)
         assert 2 not in result.per_class
@@ -157,11 +156,12 @@ class TestEvaluate:
 
     def test_multi_label_macro(self):
         rng = np.random.default_rng(2)
-        samples = [
-            Sample(i, rng.random((1, 2, 2)), rng.integers(0, 2, 4).astype(np.int8), i, 0)
-            for i in range(40)
-        ]
-        ds = LabeledDataset(samples, "multi_label", 4)
+        ids = np.arange(40)
+        features, labels = np.empty((40, 1, 2, 2)), np.empty((40, 4), dtype=np.int8)
+        for i in ids:
+            features[i] = rng.random((1, 2, 2))
+            labels[i] = rng.integers(0, 2, 4)
+        ds = LabeledDataset(ids, features, labels, ids, np.zeros(40), "multi_label", 4)
         model = init_model(ArchSpec((1, 2, 2), (Flatten(), Dense(4, 4)), 4), 2)
         result = evaluate(model, ds)
         assert 0.0 <= result.macro_auroc <= 1.0

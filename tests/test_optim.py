@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unforget.data import LabeledDataset, Sample
+from unforget.data import LabeledDataset
 from unforget.nn_core import ArchSpec, Dense, Flatten, ReLU, init_model
 from unforget.optim import (
     AdamState,
@@ -23,12 +23,11 @@ def blob_dataset(n=200, seed=0, noise=0.05):
     """Two linearly separable clusters inside [0, 1]^2, stored as 2x1x1 images."""
     rng = np.random.default_rng(seed)
     centers = {0: 0.25, 1: 0.75}
-    samples = []
+    features = np.empty((n, 2, 1, 1))
     for i in range(n):
-        label = int(i % 2)
-        xy = np.clip(centers[label] + rng.normal(0, noise, 2), 0.0, 1.0)
-        samples.append(Sample(i, xy.reshape(2, 1, 1), label, patient_id=i, group=i % 2))
-    return LabeledDataset(samples, "single_label", 2)
+        features[i] = np.clip(centers[i % 2] + rng.normal(0, noise, 2), 0.0, 1.0).reshape(2, 1, 1)
+    ids = np.arange(n)
+    return LabeledDataset(ids, features, ids % 2, ids, ids % 2, "single_label", 2)
 
 
 def blob_arch():
@@ -154,7 +153,7 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         model = init_model(blob_arch(), 0)
         with pytest.raises(ValueError, match="num_outputs|empty"):
-            train(model, LabeledDataset([], "single_label", 2), TrainConfig(loss_kind="ce"))
+            train(model, blob_dataset().subset([]), TrainConfig(loss_kind="ce"))
 
     def test_wrong_loss_kind_rejected(self):
         model = init_model(blob_arch(), 0)

@@ -4,7 +4,7 @@ behavior, exact-retraining identities, and the degenerate compositions."""
 import numpy as np
 import pytest
 
-from unforget.data import LabeledDataset, Sample, SyntheticSpec, generate_synthetic, split_forget_retain, split_train_val_test
+from unforget.data import LabeledDataset, SyntheticSpec, generate_synthetic, split_forget_retain, split_train_val_test
 from unforget.nn_core import ArchSpec, BatchNorm, Conv2D, Dense, GlobalAvgPool, ReLU, init_model
 from unforget.optim import TrainConfig, train_from_scratch
 from unforget.unlearn import (
@@ -19,6 +19,15 @@ from unforget.unlearn import (
     relabel_unlearn,
     saliency_unlearn,
 )
+
+
+def constant_dataset(labels, task_kind, num_outputs):
+    """One sample (and patient) per label; features all 0.5 over a 1x2x2 image."""
+    n = len(labels)
+    return LabeledDataset(
+        np.arange(n), np.full((n, 1, 2, 2), 0.5), labels, np.arange(n), np.zeros(n),
+        task_kind, num_outputs,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -89,59 +98,43 @@ class TestUnlearnConfig:
 
 class TestRandomRelabel:
     def test_two_classes_forced_complement(self):
-        features = np.full((1, 2, 2), 0.5)
-        samples = [Sample(i, features, i % 2, i, 0) for i in range(20)]
-        ds = LabeledDataset(samples, "single_label", 2)
+        ds = constant_dataset(np.arange(20) % 2, "single_label", 2)
         noisy = random_relabel(ds, "exclude_original", seed=1)
-        for before, after in zip(ds.samples, noisy.samples):
-            assert after.label == 1 - before.label
+        assert np.array_equal(noisy.label_array(), 1 - ds.label_array())
 
     def test_exclude_original_uniform_over_alternatives(self):
-        features = np.full((1, 2, 2), 0.5)
-        samples = [Sample(i, features, 0, i, 0) for i in range(10_000)]
-        ds = LabeledDataset(samples, "single_label", 8)
+        ds = constant_dataset(np.zeros(10_000), "single_label", 8)
         noisy = random_relabel(ds, "exclude_original", seed=2)
-        labels = np.array([s.label for s in noisy.samples])
+        labels = noisy.label_array()
         assert 0 not in labels
         freqs = np.bincount(labels, minlength=8)[1:] / 10_000
         assert np.all(np.abs(freqs - 1 / 7) <= 0.02)
 
     def test_uniform_policy_may_keep_original(self):
-        features = np.full((1, 2, 2), 0.5)
-        samples = [Sample(i, features, 0, i, 0) for i in range(2_000)]
-        ds = LabeledDataset(samples, "single_label", 4)
+        ds = constant_dataset(np.zeros(2_000), "single_label", 4)
         noisy = random_relabel(ds, "uniform", seed=3)
-        labels = np.array([s.label for s in noisy.samples])
+        labels = noisy.label_array()
         assert (labels == 0).any()
 
     def test_bitwise_flip_hamming_distance(self):
         rng = np.random.default_rng(4)
-        features = np.full((1, 2, 2), 0.5)
-        samples = [
-            Sample(i, features, rng.integers(0, 2, 5).astype(np.int8), i, 0)
-            for i in range(4_000)
-        ]
-        ds = LabeledDataset(samples, "multi_label", 5)
+        ds = constant_dataset(rng.integers(0, 2, (4_000, 5)), "multi_label", 5)
         noisy = random_relabel(ds, "bitwise_flip", seed=5)
-        dists = [
-            np.sum(np.asarray(a.label) != np.asarray(b.label))
-            for a, b in zip(ds.samples, noisy.samples)
-        ]
+        dists = (ds.label_array() != noisy.label_array()).sum(axis=1)
         assert np.mean(dists) == pytest.approx(2.5, abs=0.1)
 
     def test_everything_but_labels_untouched(self, fixture):
         forget = fixture["forget"]
         noisy = random_relabel(forget, "exclude_original", seed=6)
-        for before, after in zip(forget.samples, noisy.samples):
-            assert before.id == after.id
-            assert before.patient_id == after.patient_id
-            assert before.group == after.group
-            assert np.array_equal(before.features, after.features)
+        assert noisy.ids() == forget.ids()
+        assert np.array_equal(noisy.patient_array(), forget.patient_array())
+        assert np.array_equal(noisy.group_array(), forget.group_array())
+        assert np.array_equal(noisy.feature_array(), forget.feature_array())
 
     def test_deterministic(self, fixture):
         a = random_relabel(fixture["forget"], "exclude_original", seed=7)
         b = random_relabel(fixture["forget"], "exclude_original", seed=7)
-        assert [s.label for s in a.samples] == [s.label for s in b.samples]
+        assert np.array_equal(a.label_array(), b.label_array())
 
     def test_policy_task_mismatch(self, fixture):
         with pytest.raises(ValueError, match="multi-label"):
@@ -228,11 +221,8 @@ class TestRelabelFinetune:
         assert moved
 
     def test_task_kind_mismatch_rejected(self, fixture):
-        features = np.full((1, 8, 8), 0.5)
         other = LabeledDataset(
-            [Sample(10_000, features, np.array([0, 1, 0], dtype=np.int8), 0, 0)],
-            "multi_label",
-            3,
+            [10_000], np.full((1, 1, 8, 8), 0.5), [[0, 1, 0]], [0], [0], "multi_label", 3
         )
         cfg = UnlearnConfig("relabel", epochs=1, lr=1e-3, seed=0)
         with pytest.raises(ValueError, match="task kinds"):
