@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -37,13 +39,18 @@ from .data import (
 from .metrics import EvalResult, evaluate, rank_difficulty
 from .nn_core import ArchSpec, ModelState, arch_from_json, arch_to_json, check_keys
 from .optim import TrainConfig, train_from_scratch
+from . import unlearn
 from .seeding import derive_seed
-from .unlearn import (
+
+# relabel_unlearn and saliency_unlearn are not called here; perfbench's
+# tracer wraps both under this module, so the names stay bound.
+from .unlearn import (  # noqa: F401
     ALGORITHMS,
     UnlearnConfig,
     exact_unlearn,
     relabel_unlearn,
     saliency_unlearn,
+    task_loss_kind,
 )
 
 __all__ = [
@@ -117,6 +124,14 @@ class ExperimentConfig:
         check_split_fractions(self.split_fractions, allow_empty=True)
         if isinstance(self.dataset, SyntheticSpec):
             self.dataset.validate()
+            self.check_group_names(len(self.dataset.group_proportions) - 1, "the dataset spec")
+
+    def check_group_names(self, top_group: int, where: str):
+        """Every group id up to ``top_group`` needs a name in the report."""
+        if top_group >= len(self.group_names):
+            raise ValueError(
+                f"group_names has {len(self.group_names)} entries, but {where} has group {top_group}"
+            )
 
 
 def default_arch() -> ArchSpec:
@@ -300,14 +315,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 # Sweeps
 # --------------------------------------------------------------------------
 
-def _run_algorithm(algorithm, pretrained, forget, retain, ucfg):
-    if algorithm == "relabel":
-        return relabel_unlearn(pretrained, forget, retain, ucfg)
-    if algorithm == "salun":
-        return saliency_unlearn(pretrained, forget, retain, ucfg)
-    raise ValueError(f"not an approximate algorithm: {algorithm!r}")
-
-
 def sweep_hparams(
     pretrained: ModelState,
     forget: LabeledDataset,
@@ -324,13 +331,27 @@ def sweep_hparams(
 ):
     """Run every grid point and pick the one whose forget macro AUROC is
     closest to exact unlearning's; ties go to higher test AUROC, then lower
-    lr, then lower threshold. Returns (best config, best model, sweep table).
+    lr, then lower threshold. Returns (best config, best model, sweep table,
+    best model's {"forget", "test"} EvalResults).
 
     Grid points are dicts with "lr" and, for salun, "threshold". All points
-    share one seed, so they differ only in hyper-parameters.
+    share one seed, so they differ only in hyper-parameters, and the work
+    that depends on neither (the noisy forget set and, for salun, the forget
+    gradient) is done once; each row's seconds include that shared set-up,
+    so a row is the cost of one run.
     """
     if not grid:
         raise ValueError("empty hyper-parameter grid")
+    if algorithm not in ("relabel", "salun"):
+        raise ValueError(f"not an approximate algorithm: {algorithm!r}")
+    started = time.perf_counter()
+    noisy = unlearn.noisy_forget_set(forget, relabel_policy, seed)
+    gradient = (
+        unlearn.forget_gradient(pretrained, forget, task_loss_kind(forget))
+        if algorithm == "salun"
+        else None
+    )
+    setup_seconds = time.perf_counter() - started
     table = []
     best = None
     errors = []
@@ -346,13 +367,14 @@ def sweep_hparams(
         )
         started = time.perf_counter()
         try:
-            model = _run_algorithm(algorithm, pretrained, forget, retain, ucfg)
+            mask = None if gradient is None else unlearn.mask_from_gradient(gradient, ucfg.threshold)
+            model = unlearn.relabel_finetune(pretrained, retain, noisy, ucfg, mask=mask)
             forget_eval = evaluate(model, forget, "forget")
             test_eval = evaluate(model, test, "test")
         except (ValueError, FloatingPointError) as exc:  # a diverging lr must not kill the sweep
             errors.append(f"{point}: {exc}")
             continue
-        seconds = time.perf_counter() - started
+        seconds = time.perf_counter() - started + setup_seconds
         gap = abs(forget_eval.macro_auroc - exact_reference.macro_auroc)
         row = {
             "lr": ucfg.lr,
@@ -365,10 +387,10 @@ def sweep_hparams(
         table.append(row)
         key = (gap, -test_eval.macro_auroc, ucfg.lr, ucfg.threshold or 0.0)
         if best is None or key < best[0]:
-            best = (key, ucfg, model, row)
+            best = (key, ucfg, model, {"forget": forget_eval, "test": test_eval})
     if best is None:
         raise ValueError(f"all grid points failed: {errors}")
-    return best[1], best[2], table
+    return best[1], best[2], table, best[3]
 
 
 # --------------------------------------------------------------------------
@@ -425,6 +447,7 @@ def _dataset_for_repeat(cfg: ExperimentConfig, r: int):
         ds = generate_synthetic(spec)
     else:
         ds = load_dataset(cfg.dataset)
+        cfg.check_group_names(int(ds.group_array().max()), f"dataset {cfg.dataset}")
     if ds.task_kind == "multi_label" and ds.has_unknown():
         ds = apply_u_one_dataset(ds)
     return ds
@@ -467,7 +490,7 @@ def run_experiment(cfg: ExperimentConfig) -> UnlearnReport:
         test_ds = ds.subset(plan.test_ids)
         train_cfg = replace(
             cfg.train_cfg,
-            loss_kind="ce" if ds.task_kind == "single_label" else "bce",
+            loss_kind=task_loss_kind(ds),
         )
 
         started = time.perf_counter()
@@ -562,7 +585,7 @@ def run_experiment(cfg: ExperimentConfig) -> UnlearnReport:
                 else:
                     grid = [{"lr": lr} for lr in cfg.lr_grid]
                 try:
-                    best_cfg, best_model, table = sweep_hparams(
+                    best_cfg, best_model, table, best_evals = sweep_hparams(
                         pretrained, forget_ds, retain_ds, test_ds, alg, grid,
                         exact_eval_forget,
                         epochs=cfg.unlearn_epochs,
@@ -579,7 +602,10 @@ def run_experiment(cfg: ExperimentConfig) -> UnlearnReport:
                             "repeat": r,
                             "algorithm": alg,
                             "fraction": fraction,
-                            "evals": _eval_triplet(best_model, retain_ds, forget_ds, test_ds),
+                            "evals": {
+                                "retain": evaluate(best_model, retain_ds, "retain").to_dict(),
+                                **{k: v.to_dict() for k, v in best_evals.items()},
+                            },
                             "chosen": {"lr": best_cfg.lr, "threshold": best_cfg.threshold},
                             "sweep": table,
                             "timing": {
@@ -647,12 +673,7 @@ def _aggregate(report: UnlearnReport, cfg: ExperimentConfig) -> dict:
                         for c in cells
                         if g in c["evals"][set_name]["per_group"]
                     ]
-                    name = (
-                        cfg.group_names[int(g)]
-                        if int(g) < len(cfg.group_names)
-                        else f"group{g}"
-                    )
-                    per_group[name] = _mean_std(vals)
+                    per_group[cfg.group_names[int(g)]] = _mean_std(vals)
                 entry[set_name] = {
                     "macro": _mean_std(macro),
                     "per_class": per_class,
@@ -734,8 +755,17 @@ def emit_report(report: UnlearnReport, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = []
 
+    # Written to a temporary file and renamed into place, so report.json is
+    # always either the previous report or the whole new one.
     json_path = out / "report.json"
-    json_path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    fd, tmp = tempfile.mkstemp(dir=out, prefix=".report.json.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+        os.replace(tmp, json_path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     paths.append(json_path)
 
     # Only algorithms with at least one aggregated cell get table rows, so an

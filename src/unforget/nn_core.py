@@ -99,6 +99,12 @@ class Tensor:
 # into ``grads``. A layer may return None for dx when ``need_dx`` is False.
 # ``stats`` is a BatchNorm layer's running (mean, var), read in eval mode and
 # smoothed in place in train mode; None when train mode must not update it.
+#
+# Layout rule: numpy's pairwise summation follows memory order, so the same
+# values summed in another layout can differ in the last bit. Conv2D outputs
+# are NCHW views of channels-last memory and gradients flow C-contiguous.
+# Elementwise operations may write into any buffer or layout; every
+# reduction and matrix product must see the layout it always has.
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -121,7 +127,9 @@ class Dense:
 
     def forward(self, x, params, mode, stats):
         w, b = params
-        return x @ w + b, x
+        out = x @ w
+        out += b
+        return out, x
 
     def backward(self, d, params, x, grads, need_dx):
         grads[0][...] = x.T @ d
@@ -167,8 +175,11 @@ class Conv2D:
         windows = windows[:, :, ::s, ::s]  # (B, C, H_out, W_out, k, k)
         bsz, _, h_out, w_out = windows.shape[:4]
         cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h_out * w_out, -1)
-        out = (cols @ w.T + b).reshape(bsz, h_out, w_out, self.out_ch)
-        return out.transpose(0, 3, 1, 2), (x.shape, cols)
+        out = cols @ w.T
+        out += b
+        # An NCHW view of channels-last memory, as the layout rule says.
+        out = out.reshape(bsz, h_out, w_out, self.out_ch).transpose(0, 3, 1, 2)
+        return out, (x.shape, cols)
 
     def backward(self, d, params, cache, grads, need_dx):
         x_shape, cols = cache
@@ -180,14 +191,15 @@ class Conv2D:
         k, s = self.kernel, self.stride
         bsz, _, h_out, w_out = d.shape
         dcols = (d2 @ params[0]).reshape(bsz, h_out, w_out, self.in_ch, k, k)
-        # col2im: scatter-add each kernel offset's patch gradients back.
-        dx = np.zeros(x_shape)
+        # col2im: scatter-add each kernel offset's patch gradients back, into
+        # channels-last memory, which matches dcols' order; every element
+        # still sums its terms in (ki, kj) order.
+        dx = np.zeros((x_shape[0], x_shape[2], x_shape[3], x_shape[1]))
         for ki in range(k):
             for kj in range(k):
-                dx[:, :, ki : ki + s * h_out : s, kj : kj + s * w_out : s] += (
-                    dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-                )
-        return dx
+                dx[:, ki : ki + s * h_out : s, kj : kj + s * w_out : s] += dcols[..., ki, kj]
+        del dcols  # the copy below may take its memory
+        return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -205,7 +217,8 @@ class ReLU:
         return out, out
 
     def backward(self, d, params, out, grads, need_dx):
-        return d * (out > 0)
+        # The mask takes d's layout, so the product reads one layout.
+        return d * np.greater(out, 0.0, out=np.empty_like(d, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -230,7 +243,9 @@ class BatchNorm:
         axes = _bn_axes(x)
         if mode == "train":
             mu = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            # The operations ndarray.var performs, keeping the centred values.
+            centred = x - _bn_expand(mu, x.ndim)
+            var = (centred * centred).sum(axis=axes) / (x.size // self.num_features)
             if stats is not None:
                 run_mu, run_var = stats
                 m = self.momentum
@@ -240,22 +255,35 @@ class BatchNorm:
                 run_var += m * var
         else:
             mu, var = stats
+            centred = x - _bn_expand(mu, x.ndim)
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        xhat = (x - _bn_expand(mu, x.ndim)) * _bn_expand(inv_std, x.ndim)
-        out = _bn_expand(scale, x.ndim) * xhat + _bn_expand(shift, x.ndim)
+        xhat = centred
+        xhat *= _bn_expand(inv_std, x.ndim)
+        out = xhat * _bn_expand(scale, x.ndim)
+        out += _bn_expand(shift, x.ndim)
         return out, (xhat, inv_std, mode)
 
     def backward(self, d, params, cache, grads, need_dx):
         xhat, inv_std, mode = cache
         axes = _bn_axes(xhat)
+        if d.flags.c_contiguous:
+            # One copy, so every product below reads a single layout; a
+            # product with a C-contiguous d is C-ordered either way, so the
+            # sums see the same memory order.
+            xhat = np.ascontiguousarray(xhat)
         grads[0][...] = (d * xhat).sum(axis=axes)
         grads[1][...] = d.sum(axis=axes)
         dxhat = d * _bn_expand(params[0], d.ndim)
+        inv_std = _bn_expand(inv_std, d.ndim)
         if mode == "eval":
-            return dxhat * _bn_expand(inv_std, d.ndim)
+            dxhat *= inv_std
+            return dxhat
         mean_dxhat = _bn_expand(dxhat.mean(axis=axes), d.ndim)
         mean_dxhat_xhat = _bn_expand((dxhat * xhat).mean(axis=axes), d.ndim)
-        return _bn_expand(inv_std, d.ndim) * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+        dxhat -= mean_dxhat
+        dxhat -= xhat * mean_dxhat_xhat
+        dxhat *= inv_std
+        return dxhat
 
 
 def _bn_axes(x: np.ndarray) -> tuple[int, ...]:

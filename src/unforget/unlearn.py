@@ -29,6 +29,9 @@ __all__ = [
     "exact_unlearn",
     "random_relabel",
     "relabel_finetune",
+    "noisy_forget_set",
+    "forget_gradient",
+    "task_loss_kind",
     "compute_saliency_mask",
     "saliency_unlearn",
     "relabel_unlearn",
@@ -109,7 +112,8 @@ def default_relabel_policy(ds: LabeledDataset) -> str:
     return "exclude_original" if ds.task_kind == "single_label" else "bitwise_flip"
 
 
-def _loss_kind(ds: LabeledDataset) -> str:
+def task_loss_kind(ds: LabeledDataset) -> str:
+    """The loss a dataset's task trains with: "ce" or "bce"."""
     return "ce" if ds.task_kind == "single_label" else "bce"
 
 
@@ -154,6 +158,16 @@ def random_relabel(forget: LabeledDataset, policy: str, seed: int) -> LabeledDat
     return forget.with_labels(new_labels)
 
 
+def noisy_forget_set(
+    forget: LabeledDataset, relabel_policy: str | None, seed: int
+) -> LabeledDataset:
+    """The noisy forget set a relabel or salun run with this seed fine-tunes
+    on; a policy of None picks the task default. It does not depend on lr or
+    threshold, so every point of a sweep shares it."""
+    policy = relabel_policy or default_relabel_policy(forget)
+    return random_relabel(forget, policy, derive_seed(seed, "relabel"))
+
+
 def relabel_finetune(
     pretrained: ModelState,
     retain: LabeledDataset,
@@ -173,7 +187,7 @@ def relabel_finetune(
         epochs=cfg.epochs,
         batch_size=cfg.batch_size,
         lr0=cfg.lr,
-        loss_kind=_loss_kind(combined),
+        loss_kind=task_loss_kind(combined),
         seed=derive_seed(cfg.seed, "shuffle"),
         mask=mask,
     )
@@ -181,18 +195,15 @@ def relabel_finetune(
     return model
 
 
-def compute_saliency_mask(
-    pretrained: ModelState, forget: LabeledDataset, threshold: float, loss_kind: str
-) -> SaliencyMask:
-    """Threshold the forget-set gradient magnitude into a trainability mask.
-
-    The gradient is the mean over all forget samples of d(loss)/d(params),
-    accumulated over chunks with eval-mode BatchNorm (no sampling, no model
-    mutation), so the result is a deterministic function of (model, forget)."""
+def forget_gradient(
+    pretrained: ModelState, forget: LabeledDataset, loss_kind: str
+) -> np.ndarray:
+    """The mean over all forget samples of d(loss)/d(params), accumulated over
+    chunks with eval-mode BatchNorm (no sampling, no model mutation), so the
+    result is a deterministic function of (model, forget). It does not depend
+    on the saliency threshold."""
     if len(forget) == 0:
         raise ValueError("empty forget set")
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
     features = forget.feature_array()
     labels = forget.label_array()
     total = np.zeros_like(pretrained.params)
@@ -209,9 +220,19 @@ def compute_saliency_mask(
             update_stats=False,
         )
         total += grad * (stop - start)
-    mean_grad = total / n
+    return total / n
+
+
+def compute_saliency_mask(
+    pretrained: ModelState, forget: LabeledDataset, threshold: float, loss_kind: str
+) -> SaliencyMask:
+    """Threshold the forget-set gradient magnitude into a trainability mask."""
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     return mask_from_gradient(
-        mean_grad, threshold, source=f"forget_n={n},threshold={threshold}"
+        forget_gradient(pretrained, forget, loss_kind),
+        threshold,
+        source=f"forget_n={len(forget)},threshold={threshold}",
     )
 
 
@@ -225,8 +246,7 @@ def relabel_unlearn(
     fine-tune on retain plus noisy forget with all parameters trainable."""
     if cfg.algorithm != "relabel":
         raise ValueError(f"config is for {cfg.algorithm!r}, expected 'relabel'")
-    policy = cfg.relabel_policy or default_relabel_policy(forget)
-    noisy = random_relabel(forget, policy, derive_seed(cfg.seed, "relabel"))
+    noisy = noisy_forget_set(forget, cfg.relabel_policy, cfg.seed)
     return relabel_finetune(pretrained, retain, noisy, cfg, mask=None)
 
 
@@ -242,7 +262,6 @@ def saliency_unlearn(
     reproduces that run exactly."""
     if cfg.algorithm != "salun":
         raise ValueError(f"config is for {cfg.algorithm!r}, expected 'salun'")
-    mask = compute_saliency_mask(pretrained, forget, cfg.threshold, _loss_kind(forget))
-    policy = cfg.relabel_policy or default_relabel_policy(forget)
-    noisy = random_relabel(forget, policy, derive_seed(cfg.seed, "relabel"))
+    mask = compute_saliency_mask(pretrained, forget, cfg.threshold, task_loss_kind(forget))
+    noisy = noisy_forget_set(forget, cfg.relabel_policy, cfg.seed)
     return relabel_finetune(pretrained, retain, noisy, cfg, mask=mask)

@@ -1,14 +1,21 @@
 """Harness tests: seed derivation, sweep selection, config and report
 round-trips, CSV table shapes, end-to-end determinism, and completeness."""
 
+import hashlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from unforget import harness
-from unforget.data import SyntheticSpec, generate_synthetic, split_forget_retain, split_train_val_test
+from unforget import harness, unlearn
+from unforget.data import (
+    SyntheticSpec,
+    generate_synthetic,
+    save_dataset,
+    split_forget_retain,
+    split_train_val_test,
+)
 from unforget.harness import (
     ExperimentConfig,
     UnlearnReport,
@@ -104,7 +111,7 @@ def sweep_inputs():
 
 class TestSweep:
     def test_single_point_selected(self, sweep_inputs):
-        best_cfg, model, table = sweep_hparams(
+        best_cfg, model, table, _ = sweep_hparams(
             sweep_inputs["model"],
             sweep_inputs["forget"],
             sweep_inputs["retain"],
@@ -120,7 +127,7 @@ class TestSweep:
         assert model is not None
 
     def test_smallest_forget_gap_wins(self, sweep_inputs):
-        best_cfg, _, table = sweep_hparams(
+        best_cfg, _, table, _ = sweep_hparams(
             sweep_inputs["model"],
             sweep_inputs["forget"],
             sweep_inputs["retain"],
@@ -148,7 +155,7 @@ class TestSweep:
         exact, _ = train_from_scratch(default_arch(), ds.subset(plan_f.retain_ids), cfg, 4)
         exact_eval = evaluate(exact, ds.subset(plan_f.forget_ids), "forget")
         grid = [{"lr": lr, "threshold": 1e-3} for lr in (1e-4, 5e-4, 1e-3, 5e-3)]
-        best_cfg, _, table = sweep_hparams(
+        best_cfg, _, table, _ = sweep_hparams(
             model,
             ds.subset(plan_f.forget_ids),
             ds.subset(plan_f.retain_ids),
@@ -161,6 +168,31 @@ class TestSweep:
         )
         chosen = next(row for row in table if row["lr"] == best_cfg.lr)
         assert chosen["forget_gap"] <= 0.03
+
+    def test_salun_sweep_shares_its_set_up(self, sweep_inputs, monkeypatch):
+        calls = {"forget_gradient": 0, "random_relabel": 0}
+        for name in calls:
+            real = getattr(unlearn, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(unlearn, name, counted)
+        grid = [{"lr": lr, "threshold": t} for lr in (1e-3, 5e-3) for t in (1e-4, 1e-3)]
+        _, _, table, _ = sweep_hparams(
+            sweep_inputs["model"],
+            sweep_inputs["forget"],
+            sweep_inputs["retain"],
+            sweep_inputs["test"],
+            "salun",
+            grid,
+            sweep_inputs["exact_forget_eval"],
+            epochs=1,
+            seed=5,
+        )
+        assert len(table) == len(grid)
+        assert calls == {"forget_gradient": 1, "random_relabel": 1}
 
     def test_empty_grid_rejected(self, sweep_inputs):
         with pytest.raises(ValueError, match="grid"):
@@ -240,6 +272,7 @@ class TestConfigSerialization:
             (dict(lr_grid=(-1e-3,)), "lr_grid"),
             (dict(threshold_grid=(-1.0,)), "threshold_grid"),
             (dict(split_fractions=(0.5, 0.2, 0.2)), "fractions"),
+            (dict(dataset=replace(tiny_spec(), group_proportions=(0.4, 0.3, 0.3))), "group_names"),
         ],
     )
     def test_bad_config_rejected_before_data(self, overrides, match, monkeypatch):
@@ -249,6 +282,18 @@ class TestConfigSerialization:
         monkeypatch.setattr(harness, "generate_synthetic", no_data)
         with pytest.raises(ValueError, match=match):
             run_experiment(tiny_config(**overrides))
+
+    def test_unnamed_group_in_dataset_file_rejected_before_pretraining(self, tmp_path, monkeypatch):
+        ds = generate_synthetic(replace(tiny_spec(), group_proportions=(0.4, 0.3, 0.3)))
+        assert ds.group_array().max() == 2
+        save_dataset(ds, tmp_path / "three_groups.unds")
+
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("pretrained before the groups were checked")
+
+        monkeypatch.setattr(harness, "train_from_scratch", no_pretraining)
+        with pytest.raises(ValueError, match="group_names has 2 entries.*group 2"):
+            run_experiment(tiny_config(dataset=str(tmp_path / "three_groups.unds")))
 
     def test_validation_catches_bad_fraction(self):
         with pytest.raises(ValueError, match="fraction"):
@@ -307,6 +352,29 @@ class TestRunExperiment:
         for entry in small_report.difficulty:
             assert {"easy", "intermediate", "hard"} <= set(entry)
 
+    def test_cell_evals_equal_fresh_evaluations(self, monkeypatch):
+        # The cell reuses the sweep's forget and test evaluations of the
+        # chosen model; they must be what evaluating it afresh gives.
+        chosen = []
+        real = harness.sweep_hparams
+
+        def recording(*args, **kwargs):
+            result = real(*args, **kwargs)
+            chosen.append((args[4], result[1], args[1], args[2], args[3]))
+            return result
+
+        monkeypatch.setattr(harness, "sweep_hparams", recording)
+        report = run_experiment(tiny_config(repeats=1))
+        cells = {c["algorithm"]: c for c in report.cells}
+        assert len(chosen) == 2
+        for algorithm, model, forget, retain, test in chosen:
+            fresh = {
+                "retain": evaluate(model, retain, "retain").to_dict(),
+                "forget": evaluate(model, forget, "forget").to_dict(),
+                "test": evaluate(model, test, "test").to_dict(),
+            }
+            assert cells[algorithm]["evals"] == fresh
+
     def test_timing_flags_present(self, small_report):
         assert small_report.timing["approx_faster_than_exact"] in (True, False)
         assert small_report.timing["sweep_cost_exceeds_single_run"] in (True, False)
@@ -329,13 +397,28 @@ class TestRunExperiment:
         assert chosen["lr"] in cfg.lr_grid
 
 
+# SHA-256 of the stripped report for default_config(0) cut to 20 patients
+# and one repeat: 9 cells, each approximate one sweeping the full default
+# lr and threshold grids. Any change to a number the report holds moves it.
+FULL_GRID_REPORT_PIN = "d1cf4eab16fbecb93928cea914238f3ea9b855c8c28fbadf26d6f7cdf6275d56"
+
+
+def test_full_grid_report_pin():
+    cfg = default_config(0)
+    cfg = replace(cfg, dataset=replace(cfg.dataset, num_patients=20), repeats=1)
+    report = run_experiment(cfg)
+    assert len(report.cells) == 9 and not report.incomplete
+    stripped = json.dumps(strip_timing(report.to_dict()), sort_keys=True)
+    assert hashlib.sha256(stripped.encode()).hexdigest() == FULL_GRID_REPORT_PIN
+
+
 class TestCellFailures:
     @staticmethod
     def relabel_raising(monkeypatch, exc):
         def raise_exc(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(harness, "relabel_unlearn", raise_exc)
+        monkeypatch.setattr(unlearn, "relabel_finetune", raise_exc)
         return tiny_config(algorithms=("relabel",), repeats=1)
 
     def test_programming_error_escapes(self, monkeypatch):
@@ -373,6 +456,19 @@ class TestEmitReport:
         assert per_class[0].split(",")[1:4] == ["easy_retain", "easy_forget", "easy_test"]
         fairness = (tmp_path / "fairness_0.25.csv").read_text().strip().splitlines()
         assert "retain_male" in fairness[0] and "test_female" in fairness[0]
+
+    def test_report_json_replaced_whole_or_not_at_all(self, small_report, tmp_path, monkeypatch):
+        emit_report(small_report, tmp_path)
+        before = (tmp_path / "report.json").read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            emit_report(UnlearnReport(config=config_to_dict(tiny_config()), base_seed=7, repeats=0), tmp_path)
+        assert (tmp_path / "report.json").read_bytes() == before
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".report.json.")]
 
     def test_empty_report_valid_files(self, tmp_path):
         empty = UnlearnReport(

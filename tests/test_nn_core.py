@@ -82,6 +82,24 @@ def assert_gradients_close(analytic, numeric, rtol=1e-4, atol=1e-8):
     )
 
 
+def engine_digest(model, batches, loss_kind):
+    """SHA-256 over, per (x, y) batch, the train- and eval-mode loss and
+    gradient and the eval logits, then the BatchNorm running statistics the
+    train-mode passes leave behind."""
+    digest = hashlib.sha256()
+    for x, y in batches:
+        for mode in ("train", "eval"):
+            loss, grad = loss_and_grad(model, x, y, loss_kind, bn_mode=mode)
+            digest.update(np.float64(loss).tobytes())
+            digest.update(grad.tobytes())
+        digest.update(forward(model, x).array.tobytes())
+    for i in sorted(model.batchnorm_stats):
+        mean, var = model.batchnorm_stats[i]
+        digest.update(mean.tobytes())
+        digest.update(var.tobytes())
+    return digest.hexdigest()
+
+
 # SHA-256 of the engine's outputs on default_arch (see test_engine_pin).
 # Any change to a float operation or its order moves it; refactors must not.
 ENGINE_PIN = "eb9fa80b00bc156b588e952020a568c23ebd477b3924a671de12b73361a4d923"
@@ -94,17 +112,40 @@ def test_engine_pin():
     rng = np.random.default_rng(0)
     x = rng.random((32, 1, 16, 16))
     y = rng.integers(3, size=32)
-    digest = hashlib.sha256()
-    for mode in ("train", "eval"):
-        loss, grad = loss_and_grad(model, x, y, "ce", bn_mode=mode)
-        digest.update(np.float64(loss).tobytes())
-        digest.update(grad.tobytes())
-    digest.update(forward(model, x).array.tobytes())
-    for i in sorted(model.batchnorm_stats):
-        mean, var = model.batchnorm_stats[i]
-        digest.update(mean.tobytes())
-        digest.update(var.tobytes())
-    assert digest.hexdigest() == ENGINE_PIN
+    assert engine_digest(model, [(x, y)], "ce") == ENGINE_PIN
+
+
+# The same digest on shapes default_arch lacks: stride-1 convolutions (whose
+# col2im windows overlap), a 2x2 kernel, Flatten, a BatchNorm over flat
+# features, bce loss, and batches of 1 and 33.
+OTHER_SHAPES_PIN = "34e7e92ba1109b98ffb97e4085efd644622c083601556d602dfdfe99ec057aab"
+
+
+def test_engine_pin_other_shapes():
+    arch = ArchSpec(
+        (2, 7, 7),
+        (
+            Conv2D(2, 5, kernel=2, stride=1),
+            BatchNorm(5),
+            ReLU(),
+            Conv2D(5, 4, kernel=3, stride=1),
+            BatchNorm(4),
+            ReLU(),
+            Flatten(),
+            Dense(64, 8),
+            BatchNorm(8),
+            ReLU(),
+            Dense(8, 3),
+        ),
+        3,
+    )
+    model = init_model(arch, 1)
+    rng = np.random.default_rng(1)
+    batches = [
+        (rng.random((n, 2, 7, 7)), rng.integers(2, size=(n, 3)).astype(np.float64))
+        for n in (1, 33)
+    ]
+    assert engine_digest(model, batches, "bce") == OTHER_SHAPES_PIN
 
 
 class TestTensor:

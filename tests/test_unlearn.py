@@ -13,6 +13,7 @@ from unforget.unlearn import (
     compute_saliency_mask,
     default_relabel_policy,
     exact_unlearn,
+    forget_gradient,
     mask_from_gradient,
     random_relabel,
     relabel_finetune,
@@ -195,6 +196,14 @@ class TestComputeSaliencyMask:
         high = compute_saliency_mask(fixture["model"], fixture["forget"], 1e-2, "ce")
         assert high.n_trainable <= low.n_trainable
         assert np.all(low.bits >= high.bits)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-3, 2e-3])
+    def test_is_the_thresholded_forget_gradient(self, fixture, threshold):
+        # The sweep thresholds one forget gradient per cell; it must give the
+        # masks a per-run computation gives.
+        mask = compute_saliency_mask(fixture["model"], fixture["forget"], threshold, "ce")
+        grad = forget_gradient(fixture["model"], fixture["forget"], "ce")
+        assert np.array_equal(mask.bits, mask_from_gradient(grad, threshold).bits)
 
     def test_empty_forget_rejected(self, fixture):
         with pytest.raises(ValueError, match="empty"):
