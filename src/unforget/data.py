@@ -64,7 +64,9 @@ class LabeledDataset:
     """Ordered samples with a homogeneous task kind, stored as columns.
 
     ``ids``, ``patients`` and ``groups`` are int64 ``(N,)``; ``features`` is
-    float64 ``(N, C, H, W)``. ``task_kind`` is "single_label" (``labels`` is
+    ``(N, C, H, W)``, float32 when given float32 (as the generator and the
+    dataset file make it) and float64 otherwise, so no value is ever
+    rounded. ``task_kind`` is "single_label" (``labels`` is
     int64 ``(N,)`` of class indices below ``num_outputs``) or "multi_label"
     (``labels`` is int8 ``(N, num_outputs)`` over {0, 1, UNKNOWN}). An
     argument already of the right dtype and layout is not copied, so the
@@ -82,7 +84,8 @@ class LabeledDataset:
         if num_outputs < min_outputs:
             raise ValueError(f"{task_kind} needs num_outputs >= {min_outputs}")
         self._ids = _readonly(ids, np.int64)
-        self._features = _readonly(features, np.float64)
+        features = np.asarray(features)
+        self._features = _readonly(features, np.float32 if features.dtype == np.float32 else np.float64)
         self._labels = _readonly(labels, np.int8 if multi else np.int64)
         self._patients = _readonly(patients, np.int64)
         self._groups = _readonly(groups, np.int64)
@@ -163,6 +166,7 @@ class LabeledDataset:
 
 
 def concat_datasets(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
+    """``a``'s rows, then ``b``'s; float32 and float64 features give float64."""
     if a.task_kind != b.task_kind or a.num_outputs != b.num_outputs:
         raise ValueError("cannot concatenate datasets with different task kinds")
     return LabeledDataset(
@@ -233,21 +237,25 @@ class SyntheticSpec:
             raise ValueError(f"samples_per_patient must be >= 1, or a range 1 <= lo <= hi; got {spp}")
         if self.num_outputs < (2 if self.num_classes is not None else 1):
             raise ValueError("too few classes/labels")
+        # Each check is written so that NaN, which fails every comparison,
+        # is rejected here rather than turning into arbitrary draws.
         if self.class_weights is not None:
             w = np.asarray(self.class_weights, dtype=np.float64)
-            if w.size != self.num_outputs or (w < 0).any():
-                raise ValueError("class_weights must be non-negative, one per class/label")
+            if w.size != self.num_outputs or not (np.isfinite(w) & (w >= 0)).all():
+                raise ValueError("class_weights must be finite, non-negative, one per class/label")
             if self.num_classes is not None and abs(w.sum() - 1.0) > 1e-9:
                 raise ValueError("single-label class_weights must sum to 1")
         p = np.asarray(self.group_proportions, dtype=np.float64)
-        if p.size < 1 or (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("group_proportions must be non-negative and sum to 1")
+        if p.size < 1 or not (np.isfinite(p) & (p >= 0)).all() or abs(p.sum() - 1.0) > 1e-9:
+            raise ValueError("group_proportions must be finite, non-negative and sum to 1")
         if self.separations is not None:
             s = np.asarray(self.separations, dtype=np.float64)
-            if s.size != self.num_outputs or (s <= 0).any():
-                raise ValueError("separations must be positive, one per class/label")
+            if s.size != self.num_outputs or not (np.isfinite(s) & (s > 0)).all():
+                raise ValueError("separations must be finite and positive, one per class/label")
         if not (0.0 <= self.label_noise_rate < 1.0):
             raise ValueError("label_noise_rate must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _samples_per_patient(spec: SyntheticSpec, rng) -> int:
@@ -258,52 +266,79 @@ def _samples_per_patient(spec: SyntheticSpec, rng) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
+def _choice_cdf(p) -> np.ndarray:
+    """The table ``Generator.choice(len(p), p=p)`` searches: for one draw
+    ``u = rng.random()``, ``cdf.searchsorted(u, side="right")`` is the index
+    ``choice`` returns, and the stream moves on by that one double."""
+    cdf = np.cumsum(np.asarray(p, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf
+
+
 def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
-    """Deterministic synthetic dataset for the given spec (one seeded stream)."""
+    """Deterministic synthetic dataset for the given spec (one seeded stream).
+
+    The draws come in a fixed order: the templates, then for each patient its
+    group, its sample count (for a ranged ``samples_per_patient``) and, for
+    each of its samples, the class (or label bits), the label noise and the
+    pixel noise. Pixels are computed per patient and stored as float32."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     k = spec.num_outputs
+    single = spec.num_classes is not None
     seps = np.asarray(
         spec.separations if spec.separations is not None else [1.0] * k, dtype=np.float64
     )
     weights = spec.class_weights
     if weights is None:
-        weights = [1.0 / k] * k if spec.num_classes is not None else [0.5] * k
+        weights = [1.0 / k] * k if single else [0.5] * k
     weights = np.asarray(weights, dtype=np.float64)
+    shape = tuple(spec.feature_shape)
 
-    templates = rng.standard_normal((k,) + tuple(spec.feature_shape))
+    templates = rng.standard_normal((k,) + shape)
     templates -= templates.mean(axis=(1, 2, 3), keepdims=True)
     templates /= templates.std(axis=(1, 2, 3), keepdims=True)
+    group_cdf = _choice_cdf(spec.group_proportions)
+    if single:
+        class_cdf = _choice_cdf(weights)
+        scaled = seps.reshape(k, 1, 1, 1) * templates  # each class's signal
+    noise_rate = spec.label_noise_rate
 
-    group_of, counts, features, labels = [], [], [], []
-    groups = np.arange(len(spec.group_proportions))
+    group_of, counts, blocks, labels = [], [], [], []
     for _ in range(spec.num_patients):
-        group_of.append(int(rng.choice(groups, p=np.asarray(spec.group_proportions))))
-        counts.append(_samples_per_patient(spec, rng))
-        for _ in range(counts[-1]):
+        group_of.append(int(group_cdf.searchsorted(rng.random(), side="right")))
+        n = _samples_per_patient(spec, rng)
+        counts.append(n)
+        noise = np.empty((n,) + shape)
+        classes = np.empty(n, dtype=np.int64)  # single-label signal rows
+        signal = None if single else np.empty_like(noise)
+        for j in range(n):
             # Features always come from the true class; label noise corrupts
             # only the recorded annotation.
-            if spec.num_classes is not None:
-                true_class = int(rng.choice(k, p=weights))
-                signal = seps[true_class] * templates[true_class]
+            if single:
+                true_class = classes[j] = int(class_cdf.searchsorted(rng.random(), side="right"))
                 label = true_class
-                if spec.label_noise_rate > 0 and rng.random() < spec.label_noise_rate:
+                if noise_rate > 0 and rng.random() < noise_rate:
                     label = (true_class + 1 + int(rng.integers(k - 1))) % k
             else:
                 true_bits = (rng.random(k) < weights).astype(np.int8)
-                signal = np.tensordot(true_bits * seps, templates, axes=1)
+                signal[j] = np.tensordot(true_bits * seps, templates, axes=1)
                 label = true_bits
-                if spec.label_noise_rate > 0:
-                    flips = rng.random(k) < spec.label_noise_rate
+                if noise_rate > 0:
+                    flips = rng.random(k) < noise_rate
                     label = np.where(flips, 1 - true_bits, true_bits).astype(np.int8)
-            noise = rng.standard_normal(spec.feature_shape)
-            pixels = 0.5 + _NOISE_SCALE * (signal + noise)
-            # Quantize through float32 so the f32 file format round-trips exactly.
-            features.append(np.clip(pixels, 0.0, 1.0).astype(np.float32))
+            rng.standard_normal(out=noise[j])
             labels.append(label)
+        # 0.5 + scale * (signal + noise), clipped: the per-sample elementwise
+        # operations, so the same bits. Only float32 blocks are kept, which
+        # is the precision the dataset file stores.
+        noise += scaled[classes] if single else signal
+        noise *= _NOISE_SCALE
+        noise += 0.5
+        blocks.append(np.clip(noise, 0.0, 1.0, out=noise).astype(np.float32))
     return LabeledDataset(
         np.arange(len(labels)),
-        np.array(features, dtype=np.float64),
+        np.concatenate(blocks),
         labels,
         np.repeat(np.arange(spec.num_patients), counts),
         np.repeat(group_of, counts),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .nn_core import ModelState, _forward_raw
+from .nn_core import EVAL_BATCH, ModelState, _forward_raw
 
 __all__ = [
     "EvalResult",
@@ -28,8 +28,6 @@ __all__ = [
     "rank_difficulty",
     "ranking_from_per_class",
 ]
-
-_EVAL_BATCH = 256
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -97,8 +95,8 @@ def predict_scores(model: ModelState, ds: LabeledDataset) -> np.ndarray:
     sigmoid probabilities per label for multi-label data."""
     features = ds.feature_array()
     chunks = []
-    for start in range(0, len(ds), _EVAL_BATCH):
-        logits = _forward_raw(model, features[start : start + _EVAL_BATCH], "eval")
+    for start in range(0, len(ds), EVAL_BATCH):
+        logits = _forward_raw(model, features[start : start + EVAL_BATCH], "eval")
         chunks.append(logits)
     logits = np.concatenate(chunks, axis=0)
     if ds.task_kind == "single_label":

@@ -46,6 +46,11 @@ __all__ = [
 MODEL_MAGIC = b"UNFG"
 MODEL_FORMAT_VERSION = 1
 
+# Rows per eval-mode pass when a whole dataset is scored or its gradient is
+# summed. The chunking is part of the computed numbers (summation and BLAS
+# blocking follow it), so every such loop uses this one value.
+EVAL_BATCH = 256
+
 
 class Tensor:
     """Dense array of float64 values with an explicit shape.

@@ -83,12 +83,24 @@ def adam_step(
 
     t = state.step_count + 1
     # One full-vector update, identical with and without a mask; frozen
-    # coordinates then keep their old values verbatim via where().
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    stepped = params - lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    # coordinates then keep their old values verbatim via where(). In-place
+    # steps keep the operation order of
+    #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
+    #   params - (lr * m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
+    # so the bits match the expression form.
+    m = state.beta1 * state.m
+    m += (1.0 - state.beta1) * grads
+    v = state.beta2 * state.v
+    tmp = np.square(grads)
+    tmp *= 1.0 - state.beta2
+    v += tmp
+    den = np.divide(v, 1.0 - state.beta2**t, out=tmp)
+    np.sqrt(den, out=den)
+    den += state.epsilon
+    step = np.divide(m, 1.0 - state.beta1**t)
+    step *= lr
+    step /= den
+    stepped = np.subtract(params, step, out=step)
     if sel is not None:
         m = np.where(sel, m, state.m)
         v = np.where(sel, v, state.v)

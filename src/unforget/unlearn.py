@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, concat_datasets
-from .nn_core import ModelState, loss_and_grad
+from .nn_core import EVAL_BATCH, ModelState, loss_and_grad
 from .optim import TrainConfig, train, train_from_scratch
 from .seeding import derive_seed
 
@@ -208,9 +208,8 @@ def forget_gradient(
     labels = forget.label_array()
     total = np.zeros_like(pretrained.params)
     n = len(forget)
-    chunk = 256
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, n)
         _, grad = loss_and_grad(
             pretrained,
             features[start:stop],

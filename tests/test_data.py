@@ -15,6 +15,7 @@ from unforget.data import (
     SyntheticSpec,
     apply_u_one,
     apply_u_one_dataset,
+    concat_datasets,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -22,8 +23,9 @@ from unforget.data import (
     split_train_val_test,
 )
 from unforget.metrics import evaluate
-from unforget.nn_core import ArchSpec, Dense, Flatten
+from unforget.nn_core import ArchSpec, BatchNorm, Conv2D, Dense, Flatten, GlobalAvgPool, ReLU, init_model, loss_and_grad
 from unforget.optim import TrainConfig, train_from_scratch
+from unforget.unlearn import forget_gradient
 
 
 def small_spec(**overrides):
@@ -60,7 +62,94 @@ def constant_dataset(labels, task_kind, num_outputs, value=0.5, ids=None, patien
     )
 
 
+def reference_generate(spec: SyntheticSpec):
+    """The generator as a per-sample loop (one ``Generator.choice`` per draw,
+    float64 pixels cast to float32 one sample at a time): the oracle the
+    per-patient generator must match bit for bit. Returns the columns."""
+    rng = np.random.default_rng(spec.seed)
+    k = spec.num_outputs
+    seps = np.asarray(spec.separations if spec.separations is not None else [1.0] * k, dtype=np.float64)
+    weights = spec.class_weights
+    if weights is None:
+        weights = [1.0 / k] * k if spec.num_classes is not None else [0.5] * k
+    weights = np.asarray(weights, dtype=np.float64)
+    templates = rng.standard_normal((k,) + tuple(spec.feature_shape))
+    templates -= templates.mean(axis=(1, 2, 3), keepdims=True)
+    templates /= templates.std(axis=(1, 2, 3), keepdims=True)
+    group_of, counts, features, labels = [], [], [], []
+    groups = np.arange(len(spec.group_proportions))
+    for _ in range(spec.num_patients):
+        group_of.append(int(rng.choice(groups, p=np.asarray(spec.group_proportions))))
+        spp = spec.samples_per_patient
+        counts.append(spp if isinstance(spp, int) else int(rng.integers(spp[0], spp[1] + 1)))
+        for _ in range(counts[-1]):
+            if spec.num_classes is not None:
+                true_class = int(rng.choice(k, p=weights))
+                signal = seps[true_class] * templates[true_class]
+                label = true_class
+                if spec.label_noise_rate > 0 and rng.random() < spec.label_noise_rate:
+                    label = (true_class + 1 + int(rng.integers(k - 1))) % k
+            else:
+                true_bits = (rng.random(k) < weights).astype(np.int8)
+                signal = np.tensordot(true_bits * seps, templates, axes=1)
+                label = true_bits
+                if spec.label_noise_rate > 0:
+                    flips = rng.random(k) < spec.label_noise_rate
+                    label = np.where(flips, 1 - true_bits, true_bits).astype(np.int8)
+            noise = rng.standard_normal(spec.feature_shape)
+            pixels = 0.5 + 0.1 * (signal + noise)
+            features.append(np.clip(pixels, 0.0, 1.0).astype(np.float32))
+            labels.append(label)
+    patients = np.repeat(np.arange(spec.num_patients), counts)
+    return np.arange(len(labels)), np.array(features), np.array(labels), patients, np.repeat(group_of, counts)
+
+
+def tiny_conv_arch(feature_shape, outputs):
+    c = feature_shape[0]
+    return ArchSpec(
+        tuple(feature_shape),
+        (Conv2D(c, 3, 3), BatchNorm(3), ReLU(), GlobalAvgPool(), Dense(3, outputs)),
+        outputs,
+    )
+
+
+def float64_twin(ds: LabeledDataset) -> LabeledDataset:
+    """The same dataset with its features held as float64."""
+    ids, features, *rest = ds._columns()
+    return LabeledDataset(ids, features.astype(np.float64), *rest, ds.task_kind, ds.num_outputs)
+
+
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"samples_per_patient": (1, 7), "num_patients": 25},
+        {"label_noise_rate": 0.3, "feature_shape": (2, 3, 5)},
+        {"group_proportions": (0.2, 0.0, 0.8), "class_weights": (0.5, 0.3, 0.2), "label_noise_rate": 0.1},
+        {"num_classes": None, "num_labels": 4, "separations": None, "samples_per_patient": (2, 4)},
+        {"num_classes": None, "num_labels": 3, "class_weights": (0.1, 0.9, 0.5), "label_noise_rate": 0.2,
+         "group_proportions": (0.3, 0.3, 0.4)},
+    ])
+    def test_bit_equal_to_per_sample_reference(self, overrides):
+        spec = small_spec(**overrides)
+        ds = generate_synthetic(spec)
+        for got, want in zip(ds._columns(), reference_generate(spec)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert ds.feature_array().dtype == np.float32
+
+    def test_searchsorted_draw_matches_generator_choice(self):
+        # The generator replaces rng.choice(k, p=w) with one rng.random() and
+        # a search of choice's own cumulative table; both must pick the same
+        # index and leave the stream at the same place.
+        for p in ((0.5, 0.3, 0.2), (0.2, 0.0, 0.8), (0.25,) * 4, (1.0,)):
+            p = np.asarray(p)
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            a, b = np.random.default_rng(17), np.random.default_rng(17)
+            picked = [int(a.choice(len(p), p=p)) for _ in range(5_000)]
+            searched = [int(cdf.searchsorted(b.random(), side="right")) for _ in range(5_000)]
+            assert picked == searched
+            assert a.bit_generator.state == b.bit_generator.state
+
     def test_deterministic(self):
         assert datasets_equal(generate_synthetic(small_spec()), generate_synthetic(small_spec()))
 
@@ -133,6 +222,23 @@ class TestGenerateSynthetic:
         for samples_per_patient in (0, (0, 3), (4, 2)):
             with pytest.raises(ValueError, match="samples_per_patient"):
                 small_spec(samples_per_patient=samples_per_patient).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("class_weights", (np.nan, 0.5, 0.5)),
+        ("class_weights", (np.inf, 0.0, 0.0)),
+        ("group_proportions", (np.nan, 1.0)),
+        ("group_proportions", (1.0, np.nan)),
+        ("separations", (1.0, np.nan, 0.5)),
+        ("separations", (1.0, np.inf, 0.5)),
+        ("seed", -1),
+    ])
+    def test_non_finite_or_negative_spec_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            generate_synthetic(small_spec(**{field: value}))
+
+    def test_non_finite_multi_label_rate_rejected(self):
+        with pytest.raises(ValueError, match="class_weights"):
+            multi_label_spec(class_weights=(0.5, np.nan, 0.5)).validate()
 
 
 class TestUOne:
@@ -315,7 +421,12 @@ class TestDatasetFile:
         ds = generate_synthetic(small_spec())
         path = tmp_path / "data.unds"
         save_dataset(ds, path)
-        assert datasets_equal(ds, load_dataset(path))
+        loaded = load_dataset(path)
+        assert datasets_equal(ds, loaded)
+        n, (c, h, w) = len(loaded), loaded.feature_shape
+        assert loaded.feature_array().dtype == np.float32
+        assert loaded.feature_array().nbytes == n * c * h * w * 4
+        assert loaded.feature_array().flags.c_contiguous and not loaded.feature_array().flags.writeable
 
     def test_round_trip_multi_label_with_unknowns(self, tmp_path):
         ds = constant_dataset(
@@ -395,6 +506,43 @@ class TestDatasetContainer:
         ids = ds.ids()[10:40:3]
         sub = ds.subset(ids)
         assert sub.ids() == sorted(ids)
+
+    def test_features_keep_float32_and_upcast_only_when_mixed(self):
+        ds = generate_synthetic(small_spec())
+        n, (c, h, w) = len(ds), ds.feature_shape
+        assert ds.feature_array().dtype == np.float32
+        assert ds.feature_array().nbytes == n * c * h * w * 4
+        assert not ds.feature_array().flags.writeable and ds.feature_array().flags.c_contiguous
+        ids = ds.ids()
+        part = ds.subset(ids[:50])
+        assert part.feature_array().dtype == np.float32
+        assert part.with_labels(part.label_array()).feature_array().dtype == np.float32
+        assert concat_datasets(part, ds.subset(ids[50:])).feature_array().dtype == np.float32
+        mixed = concat_datasets(part, float64_twin(ds.subset(ids[50:])))
+        assert mixed.feature_array().dtype == np.float64
+        assert np.array_equal(mixed.feature_array(), ds.feature_array())
+        assert constant_dataset([0, 1], "single_label", 2).feature_array().dtype == np.float64
+
+    @pytest.mark.parametrize("spec", [small_spec, multi_label_spec])
+    def test_float32_features_compute_what_their_float64_twin_computes(self, tmp_path, spec):
+        ds = generate_synthetic(spec(num_patients=60))
+        twin = float64_twin(ds)
+        assert twin.feature_array().dtype == np.float64
+        model = init_model(tiny_conv_arch(ds.feature_shape, ds.num_outputs), 4)
+        loss_kind = "ce" if ds.task_kind == "single_label" else "bce"
+        rows = np.arange(0, len(ds), 7)
+        labels = ds.label_array()[rows]
+        for bn_mode in ("train", "eval"):
+            loss32, grad32 = loss_and_grad(model, ds.feature_array()[rows], labels, loss_kind,
+                                           bn_mode=bn_mode, update_stats=False)
+            loss64, grad64 = loss_and_grad(model, twin.feature_array()[rows], labels, loss_kind,
+                                           bn_mode=bn_mode, update_stats=False)
+            assert loss32 == loss64 and np.array_equal(grad32, grad64)
+        assert np.array_equal(forget_gradient(model, ds, loss_kind), forget_gradient(model, twin, loss_kind))
+        assert evaluate(model, ds).to_dict() == evaluate(model, twin).to_dict()
+        save_dataset(ds, tmp_path / "a.unds")
+        save_dataset(twin, tmp_path / "b.unds")
+        assert (tmp_path / "a.unds").read_bytes() == (tmp_path / "b.unds").read_bytes()
 
     def test_label_array_rejects_unknowns(self):
         ds = constant_dataset([[UNKNOWN, 1]], "multi_label", 2)

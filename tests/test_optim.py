@@ -2,6 +2,8 @@
 cosine schedule endpoints and monotonicity, deterministic training, and
 convergence on a separable fixture."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,45 @@ def blob_arch():
     return ArchSpec((2, 1, 1), (Flatten(), Dense(2, 16), ReLU(), Dense(16, 2)), 2)
 
 
+def reference_adam_step(params, grads, state, lr, mask=None):
+    """Adam as one expression per quantity: the oracle the in-place update
+    must match bit for bit."""
+    t = state.step_count + 1
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    stepped = params - lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    if mask is not None:
+        sel = np.asarray(mask) != 0
+        m = np.where(sel, m, state.m)
+        v = np.where(sel, v, state.v)
+        stepped = np.where(sel, stepped, params)
+    return stepped, replace(state, m=m, v=v, step_count=t)
+
+
 class TestAdamStep:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_bit_equal_to_reference(self, masked):
+        rng = np.random.default_rng(5)
+        n = 1000
+        mask = rng.integers(0, 2, size=n) if masked else None
+        params = ref_params = rng.normal(size=n)
+        state = ref_state = AdamState.fresh(n)
+        for _ in range(50):
+            grads = rng.normal(size=n) * 10.0 ** rng.integers(-6, 3)
+            lr = float(rng.uniform(1e-4, 1e-1))
+            old = (params, state.m, state.v)
+            kept = [a.copy() for a in old]
+            params, state = adam_step(params, grads, state, lr, mask)
+            ref_params, ref_state = reference_adam_step(ref_params, grads, ref_state, lr, mask)
+            assert np.array_equal(params, ref_params)
+            assert np.array_equal(state.m, ref_state.m) and np.array_equal(state.v, ref_state.v)
+            assert state.step_count == ref_state.step_count
+            # New arrays are returned; the inputs are left as they were.
+            assert all(np.array_equal(a, b) for a, b in zip(old, kept))
+            assert not any(np.shares_memory(a, b) for a in (params, state.m, state.v) for b in old)
+
     def test_first_step_hand_computed(self):
         # m_hat = g, v_hat = g^2 after bias correction, so the first step is
         # almost exactly lr in the direction of -sign(g).
