@@ -1,18 +1,26 @@
 """Per-layer forward and backward times of the default network.
 
-Calls the ``forward`` and ``backward`` methods of each layer of
-``unforget.harness.default_arch()`` directly, on the input and the incoming
-gradient that one pass through the whole stack hands that layer, in the two
-settings the lab runs: train mode at batch 32 (pretraining and fine-tuning)
-and eval mode at batch ``EVAL_BATCH`` = 256 (scoring a dataset and the
-saliency gradient). BLAS runs on one thread, pinned before numpy loads, as
-in the repository benchmark (``perfbench/``).
+Times each layer of ``unforget.harness.default_arch()`` in the two settings
+the lab runs: train mode at batch 32 (pretraining and fine-tuning) and eval
+mode at batch ``EVAL_BATCH`` = 256 (scoring a dataset and the saliency
+gradient), two ways:
 
-    python bench/layers.py [--repeats N]
+- isolated: the layer's ``forward`` and ``backward`` called directly, on the
+  input and the incoming gradient one pass through the whole stack hands it;
+- in-pass: the layer methods wrapped with timers inside real passes, a
+  ``loss_and_grad`` step at batch 32 and an eval ``_forward_raw`` at 256,
+  with the step's own time and its minor page faults (``ru_minflt``).
 
-Prints the numpy and BLAS build, the BLAS thread count, and one row per
-layer and setting: the median milliseconds of N timed calls, each direction
-timed after one untimed call.
+BLAS runs on one thread, pinned before numpy loads, as in the repository
+benchmark (``perfbench/``).
+
+    python bench/layers.py [--repeats N] [--json PATH]
+
+Prints the numpy and BLAS build, the BLAS thread count, one row per layer
+and setting for each table (the median milliseconds of N timed calls or
+passes, after one untimed one) and, per in-pass setting, the median step
+time, the median of the layers' summed time in a step, and the minor faults
+per step. ``--json`` also writes all of it to PATH.
 """
 
 from __future__ import annotations
@@ -24,9 +32,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import ctypes  # noqa: E402
+import json  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from collections import defaultdict  # noqa: E402
+from contextlib import contextmanager  # noqa: E402
 from dataclasses import fields  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -37,7 +49,13 @@ import numpy as np  # noqa: E402
 from run import environment  # noqa: E402  (perfbench/run.py: build provenance)
 
 from unforget.harness import default_arch  # noqa: E402
-from unforget.nn_core import EVAL_BATCH, _layer_views, init_model  # noqa: E402
+from unforget.nn_core import (  # noqa: E402
+    EVAL_BATCH,
+    _forward_raw,
+    _layer_views,
+    init_model,
+    loss_and_grad,
+)
 
 TRAIN_BATCH = 32
 SETTINGS = (("train", TRAIN_BATCH), ("eval", EVAL_BATCH))
@@ -77,8 +95,13 @@ def _median_ms(call, repeats: int) -> float:
     return 1e3 * statistics.median(times)
 
 
-def layer_times(mode: str, batch: int, repeats: int, seed: int = 0) -> list[tuple]:
-    """(index, layer, forward ms, backward ms) for each layer in one setting."""
+def _row(i, layer, forward_ms, backward_ms) -> dict:
+    return {"index": i, "layer": layer_name(layer),
+            "forward_ms": forward_ms, "backward_ms": backward_ms}
+
+
+def layer_times(mode: str, batch: int, repeats: int, seed: int = 0) -> list[dict]:
+    """The isolated forward and backward ms of each layer in one setting."""
     model = init_model(default_arch(), seed)
     layers = model.arch.layers
     params = _layer_views(model, model.params)
@@ -102,26 +125,123 @@ def layer_times(mode: str, batch: int, repeats: int, seed: int = 0) -> list[tupl
         bwd = _median_ms(
             lambda: layer.backward(incoming[i], params[i], caches[i], grads[i], i > 0), repeats
         )
-        rows.append((i, layer, fwd, bwd))
+        rows.append(_row(i, layer, fwd, bwd))
     return rows
+
+
+@contextmanager
+def timed_layers(layers, spent):
+    """Wrap ``forward`` and ``backward`` of every layer type in ``layers``,
+    adding each call's seconds to ``spent[(index, "forward"|"backward")]``;
+    the classes get their own methods back on exit."""
+    index = {id(layer): i for i, layer in enumerate(layers)}
+    patched = []
+
+    def timer(original, direction):
+        def wrapper(self, *args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return original(self, *args, **kwargs)
+            finally:
+                spent[index[id(self)], direction] += time.perf_counter() - start
+        return wrapper
+
+    try:
+        for cls in {type(layer) for layer in layers}:
+            for direction in ("forward", "backward"):
+                original = vars(cls)[direction]
+                setattr(cls, direction, timer(original, direction))
+                patched.append((cls, direction, original))
+        yield
+    finally:
+        for cls, direction, original in patched:
+            setattr(cls, direction, original)
+
+
+def in_pass_times(mode: str, batch: int, repeats: int, seed: int = 0) -> dict:
+    """Per-layer medians measured inside ``repeats`` real passes (after one
+    untimed pass): a train ``loss_and_grad`` step, or an eval forward pass."""
+    model = init_model(default_arch(), seed)
+    layers = model.arch.layers
+    rng = np.random.default_rng(seed)
+    x = rng.random((batch, *model.arch.input_shape))
+    y = rng.integers(model.arch.output_dim, size=batch)
+    if mode == "train":
+        name, step = "loss_and_grad", lambda: loss_and_grad(model, x, y, "ce")
+    else:
+        name, step = "_forward_raw", lambda: _forward_raw(model, x, "eval")
+    spent = defaultdict(float)
+    samples, step_s, faults = defaultdict(list), [], []
+    with timed_layers(layers, spent):
+        step()
+        for _ in range(repeats):
+            spent.clear()
+            faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = time.perf_counter()
+            step()
+            step_s.append(time.perf_counter() - start)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0)
+            for key, seconds in spent.items():
+                samples[key].append(seconds)
+
+    def median_ms(i, direction):
+        values = samples.get((i, direction))
+        return 1e3 * statistics.median(values) if values else None
+
+    return {
+        "batch": batch,
+        "pass": name,
+        "layers": [
+            _row(i, layer, median_ms(i, "forward"), median_ms(i, "backward"))
+            for i, layer in enumerate(layers)
+        ],
+        "step_ms": 1e3 * statistics.median(step_s),
+        "layers_ms": 1e3 * statistics.median(map(sum, zip(*samples.values()))),
+        "minflt_per_step": sum(faults) / repeats,
+        "minflt_max": max(faults),
+    }
+
+
+def _print_row(prefix, mode, batch, index, layer, forward_ms, backward_ms):
+    def ms(value):
+        return "-" if value is None else f"{value:.3f}"
+    print(f"{prefix}{mode:<6}{batch:>6}  {index:>2}  {layer:<28}{ms(forward_ms):>11}{ms(backward_ms):>12}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=200, help="timed calls per layer and direction")
+    parser.add_argument("--repeats", type=int, default=200,
+                        help="timed calls per layer and direction, and timed passes per setting")
+    parser.add_argument("--json", metavar="PATH", help="also write every table to this JSON file")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    for key, value in environment().items():
+    env, threads = environment(), blas_threads()
+    for key, value in env.items():
         print(f"env {key}: {value}")
-    print(f"BLAS threads {blas_threads()} (as the library reports), repeats {args.repeats}")
+    print(f"BLAS threads {threads} (as the library reports), repeats {args.repeats}")
     print(f"{'mode':<6}{'batch':>6}  {'#':>2}  {'layer':<28}{'forward_ms':>11}{'backward_ms':>12}")
+    isolated, in_pass = {}, {}
     for mode, batch in SETTINGS:
         rows = layer_times(mode, batch, args.repeats)
-        for i, layer, fwd, bwd in rows:
-            print(f"{mode:<6}{batch:>6}  {i:>2}  {layer_name(layer):<28}{fwd:>11.3f}{bwd:>12.3f}")
-        print(f"{mode:<6}{batch:>6}  {'':>2}  {'total':<28}"
-              f"{sum(r[2] for r in rows):>11.3f}{sum(r[3] for r in rows):>12.3f}")
+        for row in rows:
+            _print_row("", mode, batch, **row)
+        _print_row("", mode, batch, "", "total",
+                   sum(r["forward_ms"] for r in rows), sum(r["backward_ms"] for r in rows))
+        isolated[mode] = {"batch": batch, "layers": rows}
+    for mode, batch in SETTINGS:
+        table = in_pass[mode] = in_pass_times(mode, batch, args.repeats)
+        for row in table["layers"]:
+            _print_row("in-pass ", mode, batch, **row)
+        print(f"in-pass {mode:<6}{batch:>6}  step {table['pass']}: {table['step_ms']:.3f} ms "
+              f"(layers {table['layers_ms']:.3f} ms), "
+              f"{table['minflt_per_step']:.1f} minor faults per step (max {table['minflt_max']})")
+    if args.json:
+        doc = {"environment": env, "blas_threads_reported": threads, "repeats": args.repeats,
+               "isolated": isolated, "in_pass": in_pass}
+        with open(args.json, "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
     return 0
 
 

@@ -12,6 +12,7 @@ Gradient vectors are plain 1-D float64 ndarrays aligned with
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -99,6 +100,9 @@ class Tensor:
 #   fan_in                       inputs per output unit (layers with weights)
 #   forward(x, params, mode, stats) -> (out, cache)
 #   backward(d, params, cache, grads, need_dx) -> dx
+#   keeps_finite                 True when a finite input always gives a
+#                                finite output, so the forward pass need not
+#                                re-check it (a ClassVar, not a field)
 # ``params`` and ``grads`` are tuples of shaped views into the flat parameter
 # and gradient vectors, one per role; backward writes its parameter gradients
 # into ``grads``. A layer may return None for dx when ``need_dx`` is False.
@@ -117,6 +121,7 @@ class Dense:
     in_dim: int
     out_dim: int
     tag: ClassVar[str] = "dense"
+    keeps_finite: ClassVar[bool] = False
 
     @property
     def fan_in(self) -> int:
@@ -152,6 +157,7 @@ class Conv2D:
     kernel: int
     stride: int = 1
     tag: ClassVar[str] = "conv2d"
+    keeps_finite: ClassVar[bool] = False
 
     @property
     def fan_in(self) -> int:
@@ -175,15 +181,11 @@ class Conv2D:
 
     def forward(self, x, params, mode, stats):
         w, b = params
-        k, s = self.kernel, self.stride
-        windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        windows = windows[:, :, ::s, ::s]  # (B, C, H_out, W_out, k, k)
-        bsz, _, h_out, w_out = windows.shape[:4]
-        cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h_out * w_out, -1)
+        cols, h_out, w_out = _im2col(x, self.kernel, self.stride)
         out = cols @ w.T
         out += b
         # An NCHW view of channels-last memory, as the layout rule says.
-        out = out.reshape(bsz, h_out, w_out, self.out_ch).transpose(0, 3, 1, 2)
+        out = out.reshape(x.shape[0], h_out, w_out, self.out_ch).transpose(0, 3, 1, 2)
         return out, (x.shape, cols)
 
     def backward(self, d, params, cache, grads, need_dx):
@@ -207,9 +209,49 @@ class Conv2D:
         return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
 
 
+def _im2col(x: np.ndarray, k: int, s: int) -> tuple[np.ndarray, int, int]:
+    """The (B*H_out*W_out, C*k*k) patch matrix of a (B, C, H, W) batch, rows
+    in (b, oy, ox) order and columns in (c, ki, kj) order, C-contiguous.
+
+    One gather from the input's own memory: a C-contiguous batch is read as
+    is, the NCHW view of channels-last memory that Conv2D emits is read
+    through its channels-last transpose, and any other layout is copied
+    once first."""
+    bsz, c, h, w = x.shape
+    flat, channels_last = x, False
+    if not x.flags.c_contiguous:
+        flat = x.transpose(0, 2, 3, 1)
+        channels_last = flat.flags.c_contiguous
+        if not channels_last:
+            flat = np.ascontiguousarray(x)
+    idx = _im2col_index(c, h, w, channels_last, k, s)
+    h_out, w_out = (h - k) // s + 1, (w - k) // s + 1
+    cols = flat.reshape(bsz, -1).take(idx, axis=1).reshape(bsz * h_out * w_out, -1)
+    return cols, h_out, w_out
+
+
+@functools.lru_cache(maxsize=None)
+def _im2col_index(c: int, h: int, w: int, channels_last: bool, k: int, s: int) -> np.ndarray:
+    """Per-sample gather index of ``_im2col``: entry (oy*W_out + ox,
+    (ci*k + ki)*k + kj) is the position of pixel (ci, oy*s + ki, ox*s + kj)
+    in one sample's C*H*W values, stored CHW or, if ``channels_last``, HWC.
+    It does not depend on the batch size, so one cached copy serves all."""
+    h_out, w_out = (h - k) // s + 1, (w - k) // s + 1
+    ci = np.arange(c)[:, None, None]
+    ki = np.arange(k)[None, :, None]
+    kj = np.arange(k)[None, None, :]
+    row = (np.arange(h_out) * s)[:, None, None, None, None] + ki
+    col = (np.arange(w_out) * s)[None, :, None, None, None] + kj
+    idx = (row * w + col) * c + ci if channels_last else (ci * h + row) * w + col
+    idx = np.ascontiguousarray(idx.reshape(h_out * w_out, c * k * k), dtype=np.intp)
+    idx.flags.writeable = False
+    return idx
+
+
 @dataclass(frozen=True)
 class ReLU:
     tag: ClassVar[str] = "relu"
+    keeps_finite: ClassVar[bool] = True
 
     def out_shape(self, shape):
         return shape
@@ -232,6 +274,7 @@ class BatchNorm:
     momentum: float = 0.1
     epsilon: float = 1e-5
     tag: ClassVar[str] = "batchnorm"
+    keeps_finite: ClassVar[bool] = False
 
     def out_shape(self, shape):
         if shape[0] != self.num_features:
@@ -302,6 +345,8 @@ def _bn_expand(v: np.ndarray, ndim: int) -> np.ndarray:
 @dataclass(frozen=True)
 class GlobalAvgPool:
     tag: ClassVar[str] = "global_avg_pool"
+    # A mean can overflow.
+    keeps_finite: ClassVar[bool] = False
 
     def out_shape(self, shape):
         if len(shape) != 3:
@@ -321,6 +366,7 @@ class GlobalAvgPool:
 @dataclass(frozen=True)
 class Flatten:
     tag: ClassVar[str] = "flatten"
+    keeps_finite: ClassVar[bool] = True
 
     def out_shape(self, shape):
         return (int(np.prod(shape)),)
@@ -493,14 +539,22 @@ class ModelState:
 
 def _layer_views(model: ModelState, flat: np.ndarray) -> list[tuple[np.ndarray, ...]]:
     """Per layer, the shaped views of ``flat`` (parameters or a gradient
-    vector) in ``param_shapes`` order, located by one pass over the layout."""
-    views = [[] for _ in model.arch.layers]
-    for rec in model.layout:
-        views[rec.layer_index].append(flat[rec.offset : rec.offset + rec.length])
+    vector) in ``param_shapes`` order."""
     return [
-        tuple(v.reshape(shape) for v, shape in zip(vs, layer.param_shapes().values()))
-        for vs, layer in zip(views, model.arch.layers)
+        tuple(flat[start:stop].reshape(shape) for start, stop, shape in plan)
+        for plan in _view_plan(model.arch, model.layout)
     ]
+
+
+@functools.lru_cache(maxsize=None)
+def _view_plan(arch: ArchSpec, layout: tuple[LayoutRecord, ...]) -> tuple[tuple, ...]:
+    """Per layer, the (start, stop, shape) of each of its parameter roles in
+    the flat vector, located by one pass over the layout."""
+    plan = [[] for _ in arch.layers]
+    for rec in layout:
+        shape = arch.layers[rec.layer_index].param_shapes()[rec.role]
+        plan[rec.layer_index].append((rec.offset, rec.offset + rec.length, shape))
+    return tuple(map(tuple, plan))
 
 
 def _kaiming_bound(fan_in: int) -> float:
@@ -587,7 +641,8 @@ def _forward_raw(
     stats = model.batchnorm_stats if mode == "eval" or update_stats else {}
     for i, layer in enumerate(model.arch.layers):
         x, layer_cache = layer.forward(x, params[i], mode, stats.get(i))
-        _check_finite(x, f"layer {i} ({type(layer).__name__})")
+        if not layer.keeps_finite:
+            _check_finite(x, f"layer {i} ({type(layer).__name__})")
         if cache is not None:
             cache.append(layer_cache)
     return x

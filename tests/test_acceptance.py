@@ -2,11 +2,12 @@
 pass/fail line each.
 
 Criteria 5, 6, 8, 9 read the shared default-experiment report (the full
-protocol at base seed 0); criterion 10 runs that experiment a second time
-and compares bytes. The whole module takes a few minutes; run it with
+protocol at base seed 0); criterion 10 runs that experiment a second time,
+compares bytes and checks them against a pinned digest. The whole module takes a few minutes; run it with
 `pytest tests/test_acceptance.py -v -rA` to see the per-criterion lines.
 """
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -437,9 +438,22 @@ def test_criterion_09_efficiency(default_report):
 
 # -- 10 ---------------------------------------------------------------------
 
+# SHA-256 of the stripped default report (default_config(0), full scale),
+# the bytes criterion 10 compares. Any change to a number the report holds
+# moves it; an engine or harness refactor must not.
+DEFAULT_REPORT_PIN = "f8ec663b8898819dca9e0c809f0f9e054c290a2b58e759a29cf34ff9f7ad6bae"
+
+
 def test_criterion_10_determinism(default_report, default_report_rerun):
     """Running the full default experiment twice with one base seed produces
-    byte-identical JSON reports once wall-clock fields are stripped."""
+    byte-identical JSON reports once wall-clock fields are stripped, and
+    those bytes match the pinned digest."""
     a = json.dumps(strip_timing(default_report.to_dict()), sort_keys=True, indent=2)
     b = json.dumps(strip_timing(default_report_rerun.to_dict()), sort_keys=True, indent=2)
-    check(10, "end-to-end determinism", a == b, f"{len(a)} bytes compared")
+    digest = hashlib.sha256(a.encode()).hexdigest()
+    check(
+        10,
+        "end-to-end determinism",
+        a == b and digest == DEFAULT_REPORT_PIN,
+        f"{len(a)} bytes compared, sha256 {digest[:12]} (pin {DEFAULT_REPORT_PIN[:12]})",
+    )

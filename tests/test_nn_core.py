@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from unforget import nn_core
 from unforget.nn_core import (
     ArchSpec,
     BatchNorm,
@@ -19,6 +20,8 @@ from unforget.nn_core import (
     ModelState,
     ReLU,
     Tensor,
+    _im2col,
+    _im2col_index,
     arch_from_json,
     arch_to_json,
     clone_with_params,
@@ -146,6 +149,147 @@ def test_engine_pin_other_shapes():
         for n in (1, 33)
     ]
     assert engine_digest(model, batches, "bce") == OTHER_SHAPES_PIN
+
+
+def strided_im2col(x, k, s):
+    """The engine's former im2col, kept frozen as the oracle: a strided
+    window view of the batch, transposed to (b, oy, ox, c, ki, kj) and
+    copied into the patch matrix."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    windows = windows[:, :, ::s, ::s]
+    bsz, _, h_out, w_out = windows.shape[:4]
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * h_out * w_out, -1)
+
+
+def batch_in_layout(rng, shape, layout):
+    """A (B, C, H, W) batch stored C-contiguous, as the NCHW view of
+    channels-last memory, or as a slice that is neither."""
+    b, c, h, w = shape
+    if layout == "c_contiguous":
+        return rng.random(shape)
+    if layout == "channels_last":
+        return rng.random((b, h, w, c)).transpose(0, 3, 1, 2)
+    return rng.random((b, c, h, 2 * w))[..., ::2]
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("layout", ["c_contiguous", "channels_last", "sliced"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("channels", [1, 24])
+    @pytest.mark.parametrize("batch", [1, 32, 33])
+    def test_gather_equals_strided_copy_bit_for_bit(self, layout, stride, kernel, channels, batch):
+        rng = np.random.default_rng(batch * 100 + channels)
+        x = batch_in_layout(rng, (batch, channels, 9, 8), layout)
+        oracle = strided_im2col(x, kernel, stride)
+        cols, h_out, w_out = _im2col(x, kernel, stride)
+        assert (h_out, w_out) == ((9 - kernel) // stride + 1, (8 - kernel) // stride + 1)
+        assert cols.shape == oracle.shape and cols.dtype == oracle.dtype
+        assert cols.flags.c_contiguous
+        assert cols.tobytes() == oracle.tobytes()
+
+    def test_batch_layouts_reach_all_three_im2col_branches(self):
+        rng = np.random.default_rng(0)
+        shape = (4, 3, 9, 8)
+        assert batch_in_layout(rng, shape, "c_contiguous").flags.c_contiguous
+        assert batch_in_layout(rng, shape, "channels_last").transpose(0, 2, 3, 1).flags.c_contiguous
+        sliced = batch_in_layout(rng, shape, "sliced")
+        assert not sliced.flags.c_contiguous
+        assert not sliced.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    def test_cached_index_is_per_sample_and_shared_across_batch_sizes(self):
+        _im2col_index.cache_clear()
+        rng = np.random.default_rng(0)
+        _im2col(batch_in_layout(rng, (32, 24, 7, 7), "channels_last"), 3, 2)
+        idx = _im2col_index(24, 7, 7, True, 3, 2)
+        cached = _im2col_index.cache_info().currsize
+        _im2col(batch_in_layout(rng, (256, 24, 7, 7), "channels_last"), 3, 2)
+        assert _im2col_index(24, 7, 7, True, 3, 2) is idx
+        assert _im2col_index.cache_info().currsize == cached == 1
+        assert idx.shape == (3 * 3, 24 * 3 * 3)
+        assert idx.nbytes == 3 * 3 * 24 * 3 * 3 * 8
+        assert not idx.flags.writeable
+
+
+class TestFiniteGuard:
+    """The forward pass names the first layer whose output is non-finite;
+    layers that keep a finite input finite (ReLU, Flatten) are not
+    re-checked."""
+
+    @staticmethod
+    def run(model, x, mode):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if mode == "eval":
+                forward(model, x)
+            else:
+                loss_and_grad(model, x, np.zeros(x.shape[0], dtype=int), "ce", bn_mode=mode)
+
+    def test_only_relu_and_flatten_skip_the_check(self):
+        declared = {cls.__name__ for cls in nn_core._LAYER_BY_TAG.values() if cls.keeps_finite}
+        assert declared == {"ReLU", "Flatten"}
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_overflowing_dense_is_named(self, mode):
+        model = init_model(dense_arch((4, 3, 2)), 0)
+        model.slice(0, "weight")[:] = 1e308
+        with pytest.raises(FloatingPointError, match=r"after layer 0 \(Dense\)$"):
+            self.run(model, np.full((5, 4), 10.0), mode)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_overflowing_conv_is_named(self, mode):
+        arch = ArchSpec((1, 6, 6), (Conv2D(1, 2, 3, 1), ReLU(), Flatten(), Dense(32, 2)), 2)
+        model = init_model(arch, 0)
+        model.slice(0, "weight")[:] = 1e308
+        with pytest.raises(FloatingPointError, match=r"after layer 0 \(Conv2D\)$"):
+            self.run(model, np.full((3, 1, 6, 6), 10.0), mode)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_overflow_before_relu_and_flatten_names_the_layer_that_overflowed(self, mode):
+        arch = ArchSpec(
+            (1, 6, 6), (Conv2D(1, 2, 3, 1), Flatten(), Dense(32, 4), ReLU(), Dense(4, 2)), 2
+        )
+        model = init_model(arch, 0)
+        model.slice(2, "weight")[:] = 1e308
+        with pytest.raises(FloatingPointError, match=r"after layer 2 \(Dense\)$"):
+            self.run(model, np.full((3, 1, 6, 6), 10.0), mode)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_overflowing_mean_in_global_avg_pool_is_named(self, mode):
+        model = init_model(ArchSpec((2, 2, 2), (GlobalAvgPool(), Dense(2, 2)), 2), 0)
+        with pytest.raises(FloatingPointError, match=r"after layer 0 \(GlobalAvgPool\)$"):
+            self.run(model, np.full((3, 2, 2, 2), 1e308), mode)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_minus_inf_input_fails_at_input(self, mode):
+        model = init_model(conv_arch(), 0)
+        x = np.random.default_rng(0).random((4, 1, 8, 8))
+        x[2, 0, 3, 3] = -np.inf
+        with pytest.raises(FloatingPointError, match="after input$"):
+            self.run(model, x, mode)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_every_layer_but_relu_and_flatten_is_checked(self, mode, monkeypatch):
+        checked = []
+        original = nn_core._check_finite
+
+        def record(arr, where):
+            checked.append(where)
+            original(arr, where)
+
+        monkeypatch.setattr(nn_core, "_check_finite", record)
+        arch = ArchSpec(
+            (1, 8, 8),
+            (Conv2D(1, 3, 3, 2), BatchNorm(3), ReLU(), Flatten(), Dense(27, 4), ReLU(),
+             Dense(4, 3)),
+            3,
+        )
+        model = init_model(arch, 0)
+        self.run(model, np.random.default_rng(0).random((4, 1, 8, 8)), mode)
+        layer_checks = [w for w in checked if w.startswith("layer")]
+        assert layer_checks == [
+            "layer 0 (Conv2D)", "layer 1 (BatchNorm)", "layer 4 (Dense)", "layer 6 (Dense)"
+        ]
+        assert checked[0] == "input"
 
 
 class TestTensor:
