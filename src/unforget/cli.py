@@ -9,7 +9,9 @@ Exits 0 on success, 1 with the first error printed to stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import platform
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +26,27 @@ from .harness import (
 )
 from .metrics import evaluate
 from .nn_core import load_model
+
+
+# glibc's mallopt parameters, and the values its dynamic rule raises them to
+# once a large block has been freed: the largest mmap threshold on 64-bit
+# builds, and twice that as the trim threshold.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _settle_malloc() -> None:
+    """Fix glibc's mmap and trim thresholds where its dynamic rule would
+    end up, so that a fresh process does not hand every large temporary back
+    to the kernel and fault it in again until some large free raises them.
+    Does nothing on other C libraries."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def _cmd_run(args) -> int:
@@ -100,6 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Here and not at import: library callers keep their own allocator.
+    _settle_malloc()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

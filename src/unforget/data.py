@@ -11,6 +11,7 @@ construction and safe to share across runs.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -495,6 +496,8 @@ def split_forget_retain(
 # Header: magic, format version, task-kind tag (0 single-label, 1 multi-label),
 # output count, sample count, then C, H, W of the feature shape.
 _HEADER = struct.Struct("<4sIBIQIII")
+# Bytes of records ``load_dataset`` reads at a time (at least one record).
+_BLOCK_BYTES = 1 << 20
 
 
 def _record_dtype(task_kind: str, num_outputs: int, feature_size: int) -> np.dtype:
@@ -528,6 +531,12 @@ def save_dataset(ds: LabeledDataset, path) -> None:
 
 
 def load_dataset(path) -> LabeledDataset:
+    """Read a dataset file written by ``save_dataset``.
+
+    The payload size is checked against the header before anything is
+    allocated. Records are then read ``_BLOCK_BYTES`` at a time into one
+    reused buffer and copied into columns of the dtypes ``LabeledDataset``
+    keeps, so the file's samples are held once, not twice."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -547,16 +556,31 @@ def load_dataset(path) -> LabeledDataset:
         except ValueError:
             raise ValueError(f"dataset record of {num_outputs} outputs and {c}x{h}x{w} "
                              "features is too large") from None
-        payload = fh.read()
-    if len(payload) < count * dtype.itemsize:
-        raise ValueError(f"truncated dataset file: {count} records need {count * dtype.itemsize} bytes")
-    if len(payload) > count * dtype.itemsize:
-        raise ValueError("trailing bytes after dataset payload")
-    records = np.frombuffer(payload, dtype=dtype)
-    ids = records["id"]
-    _check_rows(ids, records["feature_len"] == c * h * w, f"feature length != {c * h * w}")
-    _check_rows(ids, (ids < 2**63) & (records["patient"] < 2**63), "id or patient >= 2**63")
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        truncated = f"truncated dataset file: {count} records need {count * dtype.itemsize} bytes"
+        if payload < count * dtype.itemsize:
+            raise ValueError(truncated)
+        if payload > count * dtype.itemsize:
+            raise ValueError("trailing bytes after dataset payload")
+
+        ids = np.empty(count, dtype=np.uint64)
+        patients = np.empty(count, dtype=np.uint64)
+        groups = np.empty(count, dtype=np.int64)
+        labels = np.empty((count, num_outputs), dtype=np.int8) if tag else np.empty(count, dtype=np.int64)
+        features = np.empty((count, c, h, w), dtype=np.float32)
+        flat = features.reshape(count, c * h * w)
+        block = np.empty(max(1, _BLOCK_BYTES // dtype.itemsize), dtype=dtype)
+        for start in range(0, count, len(block)):
+            part = block[: min(len(block), count - start)]
+            if fh.readinto(part.view(np.uint8)) != part.nbytes:
+                raise ValueError(truncated)  # the file shrank while being read
+            rows = slice(start, start + len(part))
+            ids[rows] = part["id"]
+            _check_rows(ids[rows], part["feature_len"] == c * h * w, f"feature length != {c * h * w}")
+            patients[rows], groups[rows] = part["patient"], part["group"]
+            labels[rows], flat[rows] = part["label"], part["features"]
+    _check_rows(ids, (ids < 2**63) & (patients < 2**63), "id or patient >= 2**63")
     return LabeledDataset(
-        ids, records["features"].reshape(count, c, h, w), records["label"], records["patient"],
-        records["group"], task_kind, num_outputs, provenance=str(path),
+        ids.view(np.int64), features, labels, patients.view(np.int64), groups,
+        task_kind, num_outputs, provenance=str(path),
     )

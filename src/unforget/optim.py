@@ -83,7 +83,7 @@ def adam_step(
 
     t = state.step_count + 1
     # One full-vector update, identical with and without a mask; frozen
-    # coordinates then keep their old values verbatim via where(). In-place
+    # coordinates then get their old values written back verbatim. In-place
     # steps keep the operation order of
     #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
     #   params - (lr * m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
@@ -102,9 +102,11 @@ def adam_step(
     step /= den
     stepped = np.subtract(params, step, out=step)
     if sel is not None:
-        m = np.where(sel, m, state.m)
-        v = np.where(sel, v, state.v)
-        stepped = np.where(sel, stepped, params)
+        # m, v and stepped are new arrays, so the inputs stay untouched.
+        frozen = np.flatnonzero(~sel)
+        m[frozen] = state.m[frozen]
+        v[frozen] = state.v[frozen]
+        stepped[frozen] = params[frozen]
     return stepped, replace(state, m=m, v=v, step_count=t)
 
 

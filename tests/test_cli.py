@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import unforget.cli
 from unforget.cli import main
 from unforget.data import generate_synthetic, load_dataset
 from unforget.harness import config_to_dict
@@ -69,6 +70,58 @@ class TestEval:
         model_file = tmp_path / "model.unfg"
         save_model(init_model(tiny_arch(), 3), model_file)
         assert main(["eval", "--model", str(model_file), "--data", str(data_file)]) == 1
+
+
+class TestMallocSettings:
+    """``main`` fixes glibc's mmap threshold at 32 MiB and its trim threshold
+    at 64 MiB (mallopt parameters -3 and -1), and touches no other C library."""
+
+    @pytest.fixture
+    def eval_argv(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        write_spec(spec_file)
+        data_file = tmp_path / "data.unds"
+        main(["gen-data", "--spec", str(spec_file), "--out", str(data_file)])
+        model_file = tmp_path / "model.unfg"
+        save_model(init_model(tiny_arch(), 3), model_file)
+        capsys.readouterr()
+        return ["eval", "--model", str(model_file), "--data", str(data_file)]
+
+    def run_with(self, monkeypatch, capsys, argv, libc):
+        calls, loaded = [], []
+
+        class FakeFunction:
+            def __call__(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        class FakeLibc:
+            mallopt = FakeFunction()
+
+        def fake_cdll(name):
+            loaded.append(name)
+            return FakeLibc()
+
+        monkeypatch.setattr(unforget.cli.ctypes, "CDLL", fake_cdll)
+        monkeypatch.setattr(unforget.cli.platform, "libc_ver", lambda *a, **k: libc)
+        assert main(argv) == 0
+        return calls, loaded, capsys.readouterr().out
+
+    def test_glibc_gets_both_thresholds_and_the_result_is_unchanged(self, monkeypatch, capsys, eval_argv):
+        assert main(eval_argv) == 0
+        plain = capsys.readouterr().out
+        calls, loaded, out = self.run_with(monkeypatch, capsys, eval_argv, ("glibc", "2.36"))
+        assert loaded == [None]
+        assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+        assert out == plain
+
+    @pytest.mark.parametrize("libc", [("", ""), ("musl", "1.2")])
+    def test_other_c_libraries_are_left_alone(self, monkeypatch, capsys, eval_argv, libc):
+        assert main(eval_argv) == 0
+        plain = capsys.readouterr().out
+        calls, loaded, out = self.run_with(monkeypatch, capsys, eval_argv, libc)
+        assert calls == [] and loaded == []
+        assert out == plain
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 splitting, forget/retain partitioning, and the dataset file format."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unforget.data import (
+    _BLOCK_BYTES,
+    _HEADER,
     UNKNOWN,
     LabeledDataset,
     SplitPlan,
@@ -21,6 +24,7 @@ from unforget.data import (
     save_dataset,
     split_forget_retain,
     split_train_val_test,
+    _record_dtype,
 )
 from unforget.metrics import evaluate
 from unforget.nn_core import ArchSpec, BatchNorm, Conv2D, Dense, Flatten, GlobalAvgPool, ReLU, init_model, loss_and_grad
@@ -482,6 +486,100 @@ class TestDatasetFile:
         ds = constant_dataset([0], "single_label", 2, **{column: [value]})
         with pytest.raises(ValueError, match="dataset files hold"):
             save_dataset(ds, tmp_path / "data.unds")
+
+
+def multi_block_file(path, task_kind):
+    """Save a dataset whose records fill three whole read blocks and part
+    of a fourth; return the dataset, its record dtype and the rows per block."""
+    multi = task_kind == "multi_label"
+    shape = (1, 16, 16)
+    dtype = _record_dtype(task_kind, 3, int(np.prod(shape)))
+    per_block = _BLOCK_BYTES // dtype.itemsize
+    n = 3 * per_block + 7
+    rng = np.random.default_rng(2)
+    ds = LabeledDataset(
+        np.arange(n) * 3 + 1,
+        rng.random((n, *shape), dtype=np.float32),
+        rng.integers(-1, 2, size=(n, 3)) if multi else rng.integers(3, size=n),
+        np.arange(n) // 4,
+        rng.integers(256, size=n),
+        task_kind,
+        3,
+    )
+    save_dataset(ds, path)
+    return ds, dtype, per_block
+
+
+def patch_record(path, dtype, row, field, value):
+    """Overwrite one u8 field of one record in a saved dataset file."""
+    offset = _HEADER.size + row * dtype.itemsize + dtype.fields[field][1]
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        fh.write(np.uint64(value).tobytes())
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize("task_kind", ["single_label", "multi_label"])
+    def test_round_trip_over_several_blocks(self, tmp_path, task_kind):
+        path = tmp_path / "data.unds"
+        ds, _, per_block = multi_block_file(path, task_kind)
+        assert len(ds) > 3 * per_block
+        loaded = load_dataset(path)
+        assert datasets_equal(ds, loaded)
+        assert [c.dtype for c in loaded._columns()] == [c.dtype for c in ds._columns()]
+
+    @pytest.mark.parametrize("field", ["id", "patient"])
+    def test_value_beyond_int64_in_last_block_names_its_sample(self, tmp_path, field):
+        path = tmp_path / "data.unds"
+        ds, dtype, _ = multi_block_file(path, "single_label")
+        row = len(ds) - 2
+        sample = ds.ids()[row]
+        patch_record(path, dtype, row, field, 2**63 + 5)
+        named = 2**63 + 5 if field == "id" else sample
+        with pytest.raises(ValueError, match=rf"^sample {named} id or patient >= 2\*\*63$"):
+            load_dataset(path)
+
+    def test_bad_feature_length_in_last_block_names_its_sample(self, tmp_path):
+        path = tmp_path / "data.unds"
+        ds, dtype, _ = multi_block_file(path, "multi_label")
+        patch_record(path, dtype, len(ds) - 1, "feature_len", 255)
+        with pytest.raises(ValueError, match=rf"^sample {ds.ids()[-1]} feature length != 256$"):
+            load_dataset(path)
+
+    def test_first_bad_feature_length_is_named(self, tmp_path):
+        path = tmp_path / "data.unds"
+        ds, dtype, per_block = multi_block_file(path, "single_label")
+        for row in (len(ds) - 1, per_block + 3):
+            patch_record(path, dtype, row, "feature_len", 0)
+        with pytest.raises(ValueError, match=rf"^sample {ds.ids()[per_block + 3]} feature length"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("id_block,length_block", [(0, 3), (3, 0)])
+    def test_feature_length_error_wins_over_an_id_error_in_another_block(
+        self, tmp_path, id_block, length_block
+    ):
+        path = tmp_path / "data.unds"
+        ds, dtype, per_block = multi_block_file(path, "single_label")
+        patch_record(path, dtype, id_block * per_block + 1, "id", 2**64 - 1)
+        length_row = length_block * per_block + 2
+        patch_record(path, dtype, length_row, "feature_len", 1)
+        with pytest.raises(ValueError, match=rf"^sample {ds.ids()[length_row]} feature length"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("task_kind", ["single_label", "multi_label"])
+    def test_peak_memory_is_the_columns_plus_two_mib(self, tmp_path, task_kind):
+        path = tmp_path / "data.unds"
+        multi_block_file(path, task_kind)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            loaded = load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = sum(c.nbytes for c in loaded._columns())
+        assert peak - before <= columns + 2 * _BLOCK_BYTES
 
 
 class TestDatasetContainer:
