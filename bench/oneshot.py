@@ -3,9 +3,9 @@
 Each reading is a new Python process running ``python -m unforget.cli``:
 
 - eval: ``unforget eval`` of an untrained ``default_arch()`` model on a
-  generated corpus (default 1,000 patients, 20,000 samples);
-- run: ``unforget run`` on the default config cut to 20 patients and one
-  repeat.
+  generated corpus of ``CORPUS_PATIENTS`` patients (20,000 samples);
+- run: ``unforget run`` on the default config cut to ``RUN_PATIENTS``
+  patients and one repeat.
 
 A fresh process is what a user's one-shot command is, and it is the case an
 in-process benchmark never sees: its allocator has no history, so a
@@ -16,13 +16,13 @@ command and in the whole process) and peak RSS (``ru_maxrss``). BLAS runs
 on one thread, pinned before numpy loads, as in the repository benchmark
 (``perfbench/``).
 
-    python bench/oneshot.py [--repeats N] [--corpus-patients N]
-                            [--run-patients N] [--json PATH]
+    python bench/oneshot.py [--repeats N] [--json PATH]
 
 Prints one line per reading (the commands alternate, eval first), the
-median of each column per command, and the numpy and BLAS build. ``--json`` also writes every reading,
-the environment and the sizes to PATH. The SHA-256 of each command's
-standard output shows that every reading computed the same answer.
+median of each column per command, and the numpy and BLAS build.
+``--json`` also writes every reading, the environment and the sizes to
+PATH. The SHA-256 of each command's standard output shows that every
+reading computed the same answer.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
+CORPUS_PATIENTS = 1000  # 20 samples each
+RUN_PATIENTS = 20
 sys.path[:0] = [str(ROOT / "perfbench")]
 
 # Linux counts the spawning process's resident set in a child's ru_maxrss
@@ -95,10 +97,10 @@ def child(code: str, *args: str) -> subprocess.CompletedProcess:
                           capture_output=True, timeout=600, check=True)
 
 
-def prepare(workdir: Path, corpus_patients: int, run_patients: int) -> tuple[dict, int]:
+def prepare(workdir: Path) -> tuple[dict, int]:
     """Write the corpus, the model and the run config; return the argv of
     each command and the corpus size."""
-    done = child(PREPARE, str(workdir), str(corpus_patients), str(run_patients))
+    done = child(PREPARE, str(workdir), str(CORPUS_PATIENTS), str(RUN_PATIENTS))
     return {
         "eval": ["eval", "--model", str(workdir / "model.unfg"),
                  "--data", str(workdir / "corpus.unds")],
@@ -121,18 +123,14 @@ def one_shot(argv: list[str], workdir: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5, help="readings per command")
-    parser.add_argument("--corpus-patients", type=int, default=1000,
-                        help="patients in the eval corpus (20 samples each)")
-    parser.add_argument("--run-patients", type=int, default=20,
-                        help="patients in the run config's dataset")
     parser.add_argument("--json", metavar="PATH", help="also write every reading to this JSON file")
     args = parser.parse_args(argv)
-    if min(args.repeats, args.corpus_patients, args.run_patients) < 1:
-        parser.error("--repeats, --corpus-patients and --run-patients must be >= 1")
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
     readings = {"eval": [], "run": []}
     with tempfile.TemporaryDirectory(prefix="oneshot-") as tmp:
-        commands, corpus_samples = prepare(Path(tmp), args.corpus_patients, args.run_patients)
-        print(f"eval corpus {corpus_samples} samples; run {args.run_patients} patients, 1 repeat")
+        commands, corpus_samples = prepare(Path(tmp))
+        print(f"eval corpus {corpus_samples} samples; run {RUN_PATIENTS} patients, 1 repeat")
         print(f"{'command':<8}{'#':>3}{'wall_s':>9}{'minflt':>9}{'total':>9}{'maxrss_mb':>11}")
         for k in range(args.repeats):
             for name, command in commands.items():
@@ -154,7 +152,7 @@ def main(argv=None) -> int:
         print(f"env {key}: {value}")
     if args.json:
         doc = {"environment": env, "repeats": args.repeats, "corpus_samples": corpus_samples,
-               "run_patients": args.run_patients, "readings": readings, "medians": medians}
+               "run_patients": RUN_PATIENTS, "readings": readings, "medians": medians}
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")

@@ -123,7 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Here and not at import: library callers keep their own allocator.
+    # Here and not at import, so a program that only imports the package
+    # keeps its allocator. The settings last for the whole process, so an
+    # in-process caller of main (perfbench's workloads, pytest after
+    # its first CLI test) runs with them from its first call on.
     _settle_malloc()
     args = build_parser().parse_args(argv)
     try:

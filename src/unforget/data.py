@@ -12,6 +12,7 @@ construction and safe to share across runs.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -533,10 +534,13 @@ def save_dataset(ds: LabeledDataset, path) -> None:
 def load_dataset(path) -> LabeledDataset:
     """Read a dataset file written by ``save_dataset``.
 
-    The payload size is checked against the header before anything is
-    allocated. Records are then read ``_BLOCK_BYTES`` at a time into one
-    reused buffer and copied into columns of the dtypes ``LabeledDataset``
-    keeps, so the file's samples are held once, not twice."""
+    For a regular file the payload size is checked against the header
+    before anything is allocated; any other input (a pipe, say) is checked
+    as it is read: a short read is a truncated file and a byte after the
+    last record is a trailing one. Records are read ``_BLOCK_BYTES`` at a
+    time into one reused buffer and copied into columns of the dtypes
+    ``LabeledDataset`` keeps, so the file's samples are held once, not
+    twice."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -556,12 +560,14 @@ def load_dataset(path) -> LabeledDataset:
         except ValueError:
             raise ValueError(f"dataset record of {num_outputs} outputs and {c}x{h}x{w} "
                              "features is too large") from None
-        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
         truncated = f"truncated dataset file: {count} records need {count * dtype.itemsize} bytes"
-        if payload < count * dtype.itemsize:
-            raise ValueError(truncated)
-        if payload > count * dtype.itemsize:
-            raise ValueError("trailing bytes after dataset payload")
+        trailing = "trailing bytes after dataset payload"
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            if st.st_size - _HEADER.size < count * dtype.itemsize:
+                raise ValueError(truncated)
+            if st.st_size - _HEADER.size > count * dtype.itemsize:
+                raise ValueError(trailing)
 
         ids = np.empty(count, dtype=np.uint64)
         patients = np.empty(count, dtype=np.uint64)
@@ -573,12 +579,14 @@ def load_dataset(path) -> LabeledDataset:
         for start in range(0, count, len(block)):
             part = block[: min(len(block), count - start)]
             if fh.readinto(part.view(np.uint8)) != part.nbytes:
-                raise ValueError(truncated)  # the file shrank while being read
+                raise ValueError(truncated)
             rows = slice(start, start + len(part))
             ids[rows] = part["id"]
             _check_rows(ids[rows], part["feature_len"] == c * h * w, f"feature length != {c * h * w}")
             patients[rows], groups[rows] = part["patient"], part["group"]
             labels[rows], flat[rows] = part["label"], part["features"]
+        if fh.read(1):
+            raise ValueError(trailing)
     _check_rows(ids, (ids < 2**63) & (patients < 2**63), "id or patient >= 2**63")
     return LabeledDataset(
         ids.view(np.int64), features, labels, patients.view(np.int64), groups,

@@ -8,15 +8,14 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "oneshot.py"
 
 
-def test_tiny_readings_and_json(tmp_path):
+def test_two_readings_each_and_json(tmp_path):
     out = tmp_path / "oneshot.json"
     run = subprocess.run(
-        [sys.executable, str(SCRIPT), "--repeats", "2", "--corpus-patients", "2",
-         "--run-patients", "15", "--json", str(out)],
+        [sys.executable, str(SCRIPT), "--repeats", "2", "--json", str(out)],
         capture_output=True, text=True, timeout=300, check=True,
     )
     doc = json.loads(out.read_text())
-    assert (doc["repeats"], doc["corpus_samples"], doc["run_patients"]) == (2, 40, 15)
+    assert (doc["repeats"], doc["corpus_samples"], doc["run_patients"]) == (2, 20_000, 20)
     assert doc["environment"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
     for name in ("eval", "run"):
         readings = doc["readings"][name]

@@ -2,6 +2,8 @@
 splitting, forget/retain partitioning, and the dataset file format."""
 
 import hashlib
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -580,6 +582,43 @@ class TestBlockReader:
             tracemalloc.stop()
         columns = sum(c.nbytes for c in loaded._columns())
         assert peak - before <= columns + 2 * _BLOCK_BYTES
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("cut,error", [
+        (0, None),
+        (-1, r"^truncated dataset file: \d+ records need \d+ bytes$"),
+        (+1, r"^trailing bytes after dataset payload$"),
+    ], ids=["whole", "short", "long"])
+    def test_pipe_is_read_and_checked_as_it_streams(self, tmp_path, cut, error):
+        """A pipe has no size up front: it loads like the file it carries,
+        and a short or long stream is named as truncated or trailing."""
+        path = tmp_path / "data.unds"
+        ds, _, _ = multi_block_file(path, "multi_label")
+        data = path.read_bytes()
+        data = data[:cut] if cut < 0 else data + b"\0" * cut
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                with open(fifo, "wb") as fh:
+                    for start in range(0, len(data), 100_003):  # short, unaligned writes
+                        fh.write(data[start:start + 100_003])
+                        fh.flush()
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            if error is None:
+                assert datasets_equal(ds, load_dataset(fifo))
+            else:
+                with pytest.raises(ValueError, match=error):
+                    load_dataset(fifo)
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
 
 
 class TestDatasetContainer:
