@@ -12,7 +12,8 @@ gradient), two ways:
   with the step's own time and its minor page faults (``ru_minflt``).
 
 BLAS runs on one thread, pinned before numpy loads, as in the repository
-benchmark (``perfbench/``).
+benchmark (``perfbench/``), and glibc's malloc thresholds are settled as the
+command-line entry point settles them.
 
     python bench/layers.py [--repeats N] [--json PATH]
 
@@ -48,6 +49,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 from run import environment  # noqa: E402  (perfbench/run.py: build provenance)
 
+from unforget.cli import _settle_malloc  # noqa: E402
 from unforget.harness import default_arch  # noqa: E402
 from unforget.nn_core import (  # noqa: E402
     EVAL_BATCH,
@@ -209,6 +211,7 @@ def _print_row(prefix, mode, batch, index, layer, forward_ms, backward_ms):
 
 
 def main(argv=None) -> int:
+    _settle_malloc()  # time the layers under the allocator settings the CLI runs with
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=200,
                         help="timed calls per layer and direction, and timed passes per setting")

@@ -75,10 +75,7 @@ class LabeledDataset:
     caller must not write to it afterwards.
     """
 
-    def __init__(
-        self, ids, features, labels, patients, groups,
-        task_kind: str, num_outputs: int, provenance: str = "",
-    ):
+    def __init__(self, ids, features, labels, patients, groups, task_kind: str, num_outputs: int):
         if task_kind not in ("single_label", "multi_label"):
             raise ValueError(f"unknown task_kind {task_kind!r}")
         multi = task_kind == "multi_label"
@@ -113,7 +110,6 @@ class LabeledDataset:
             _check_rows(self._ids, ok, f"class out of range [0, {num_outputs})")
         self.task_kind = task_kind
         self.num_outputs = num_outputs
-        self.provenance = provenance
 
     def _columns(self) -> tuple:
         """The columns in constructor order."""
@@ -155,15 +151,13 @@ class LabeledDataset:
         rows = np.isin(self._ids, wanted)
         if rows.sum() != wanted.size:
             raise KeyError("subset ids not all present in dataset")
-        return LabeledDataset(
-            *(c[rows] for c in self._columns()), self.task_kind, self.num_outputs, self.provenance
-        )
+        return LabeledDataset(*(c[rows] for c in self._columns()), self.task_kind, self.num_outputs)
 
     def with_labels(self, labels) -> "LabeledDataset":
         """Copy with the label column replaced; the other columns are shared."""
         return LabeledDataset(
             self._ids, self._features, labels, self._patients, self._groups,
-            self.task_kind, self.num_outputs, self.provenance,
+            self.task_kind, self.num_outputs,
         )
 
 
@@ -173,7 +167,7 @@ def concat_datasets(a: LabeledDataset, b: LabeledDataset) -> LabeledDataset:
         raise ValueError("cannot concatenate datasets with different task kinds")
     return LabeledDataset(
         *(np.concatenate(pair) for pair in zip(a._columns(), b._columns())),
-        a.task_kind, a.num_outputs, a.provenance or b.provenance,
+        a.task_kind, a.num_outputs,
     )
 
 
@@ -346,7 +340,6 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
         np.repeat(group_of, counts),
         spec.task_kind,
         k,
-        provenance=f"synthetic(seed={spec.seed}, patients={spec.num_patients})",
     )
 
 
@@ -589,6 +582,5 @@ def load_dataset(path) -> LabeledDataset:
             raise ValueError(trailing)
     _check_rows(ids, (ids < 2**63) & (patients < 2**63), "id or patient >= 2**63")
     return LabeledDataset(
-        ids.view(np.int64), features, labels, patients.view(np.int64), groups,
-        task_kind, num_outputs, provenance=str(path),
+        ids.view(np.int64), features, labels, patients.view(np.int64), groups, task_kind, num_outputs
     )

@@ -20,13 +20,14 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
     LabeledDataset,
+    SplitPlan,
     SyntheticSpec,
     apply_u_one_dataset,
     check_grouping,
@@ -110,6 +111,8 @@ class ExperimentConfig:
             raise ValueError("no algorithms requested")
         if self.unlearn_epochs < 1:
             raise ValueError("unlearn_epochs must be >= 1")
+        if self.unlearn_batch_size < 1:
+            raise ValueError(f"unlearn_batch_size must be >= 1, got {self.unlearn_batch_size}")
         if "relabel" in self.algorithms or "salun" in self.algorithms:
             if not self.lr_grid:
                 raise ValueError("lr_grid must be non-empty for approximate algorithms")
@@ -412,52 +415,134 @@ class UnlearnReport:
     timing: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "base_seed": self.base_seed,
-            "repeats": self.repeats,
-            "difficulty": self.difficulty,
-            "cells": self.cells,
-            "summary": self.summary,
-            "incomplete": self.incomplete,
-            "timing": self.timing,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "UnlearnReport":
-        return cls(
-            config=doc["config"],
-            base_seed=doc["base_seed"],
-            repeats=doc["repeats"],
-            difficulty=doc.get("difficulty", []),
-            cells=doc.get("cells", []),
-            summary=doc.get("summary", {}),
-            incomplete=doc.get("incomplete", []),
-            timing=doc.get("timing", {}),
-        )
+        """Inverse of ``to_dict``; a key with a default may be omitted, and a
+        missing required or an unknown key raises ValueError."""
+        required = [f.name for f in fields(cls) if f.default_factory is MISSING]
+        check_keys(doc, "report", required, [f.name for f in fields(cls)])
+        return cls(**doc)
 
 
 def _frac_key(fraction: float) -> str:
     return format(float(fraction), "g")
 
 
-def _dataset_for_repeat(cfg: ExperimentConfig, r: int):
+@dataclass(frozen=True)
+class _Repeat:
+    """One repeat's data and pretrained model, shared by all of its cells."""
+
+    r: int
+    ds: LabeledDataset
+    plan: SplitPlan
+    test: LabeledDataset
+    train_cfg: TrainConfig
+    pretrained: ModelState
+    difficulty: dict
+
+
+def _prepare_repeat(cfg: ExperimentConfig, r: int) -> tuple[_Repeat, float]:
+    """Build the repeat's data, split it by patient, pretrain and rank class
+    difficulty; returns the repeat and its pretraining seconds."""
     if isinstance(cfg.dataset, SyntheticSpec):
-        spec = replace(cfg.dataset, seed=derive_seed(cfg.base_seed, "repeat", r, "data"))
-        ds = generate_synthetic(spec)
+        ds = generate_synthetic(replace(cfg.dataset, seed=derive_seed(cfg.base_seed, "repeat", r, "data")))
     else:
         ds = load_dataset(cfg.dataset)
         cfg.check_group_names(int(ds.group_array().max()), f"dataset {cfg.dataset}")
     if ds.task_kind == "multi_label" and ds.has_unknown():
         ds = apply_u_one_dataset(ds)
-    return ds
+    plan = split_train_val_test(
+        ds, cfg.split_fractions, derive_seed(cfg.base_seed, "repeat", r, "split"), allow_empty=True
+    )
+    train_ds = ds.subset(plan.train_ids)
+    test_ds = ds.subset(plan.test_ids)
+    train_cfg = replace(cfg.train_cfg, loss_kind=task_loss_kind(ds))
+    started = time.perf_counter()
+    pretrained, _ = train_from_scratch(
+        cfg.arch, train_ds, train_cfg, derive_seed(cfg.base_seed, "repeat", r, "pretrain")
+    )
+    seconds = time.perf_counter() - started
+    try:
+        ranking = rank_difficulty(pretrained, test_ds)
+        difficulty = {
+            "repeat": r,
+            "easy": ranking.easy,
+            "intermediate": ranking.intermediate,
+            "hard": ranking.hard,
+            "order": list(ranking.order),
+            "per_class": {str(k): v for k, v in sorted(ranking.per_class.items())},
+        }
+    except ValueError as exc:
+        difficulty = {"repeat": r, "error": str(exc)}
+    return _Repeat(r, ds, plan, test_ds, train_cfg, pretrained, difficulty), seconds
 
 
-def _eval_triplet(model, retain_ds, forget_ds, test_ds) -> dict:
+def _split_forget(cfg: ExperimentConfig, rep: _Repeat, fraction: float) -> tuple:
+    """The (retain, forget) datasets of one forget fraction."""
+    plan = split_forget_retain(
+        rep.plan, fraction, cfg.forget_grouping,
+        derive_seed(cfg.base_seed, "repeat", rep.r, "forget", _frac_key(fraction)), rep.ds,
+    )
+    return rep.ds.subset(plan.retain_ids), rep.ds.subset(plan.forget_ids)
+
+
+def _run_exact(cfg: ExperimentConfig, rep: _Repeat, fraction: float, split: tuple) -> dict:
+    """The exact cell, which is also the tuning reference of the
+    (repeat, fraction)'s approximate cells."""
+    retain, forget = split
+    started = time.perf_counter()
+    model = exact_unlearn(
+        rep.pretrained, retain, rep.train_cfg,
+        derive_seed(cfg.base_seed, "repeat", rep.r, "unlearn", "exact", _frac_key(fraction)),
+    )
+    seconds = time.perf_counter() - started
     return {
-        "retain": evaluate(model, retain_ds, "retain").to_dict(),
-        "forget": evaluate(model, forget_ds, "forget").to_dict(),
-        "test": evaluate(model, test_ds, "test").to_dict(),
+        "evals": {
+            name: evaluate(model, data, name)
+            for name, data in zip(SET_NAMES, (retain, forget, rep.test))
+        },
+        "chosen": None,
+        "sweep": None,
+        "timing": {"unlearn_seconds": seconds},
+    }
+
+
+def _run_cell(
+    cfg: ExperimentConfig, rep: _Repeat, fraction: float, split: tuple,
+    reference: dict | None, algorithm: str,
+) -> dict:
+    """One approximate cell: sweep the grid against the exact reference and
+    evaluate the chosen model."""
+    if reference is None:
+        raise ValueError("no exact-unlearning reference available")
+    retain, forget = split
+    if algorithm == "salun":
+        grid = [{"lr": lr, "threshold": thr} for lr in cfg.lr_grid for thr in cfg.threshold_grid]
+    else:
+        grid = [{"lr": lr} for lr in cfg.lr_grid]
+    best_cfg, best_model, table, best_evals = sweep_hparams(
+        rep.pretrained, forget, retain, rep.test, algorithm, grid,
+        reference["evals"]["forget"],
+        epochs=cfg.unlearn_epochs,
+        batch_size=cfg.unlearn_batch_size,
+        seed=derive_seed(cfg.base_seed, "repeat", rep.r, "unlearn", algorithm, _frac_key(fraction)),
+        relabel_policy=cfg.relabel_policy,
+    )
+    chosen_row = next(
+        row for row in table
+        if row["lr"] == best_cfg.lr and row["threshold"] == best_cfg.threshold
+    )
+    return {
+        "evals": {"retain": evaluate(best_model, retain, "retain"), **best_evals},
+        "chosen": {"lr": best_cfg.lr, "threshold": best_cfg.threshold},
+        "sweep": table,
+        "timing": {
+            "unlearn_seconds": chosen_row["seconds"],
+            "sweep_seconds": sum(row["seconds"] for row in table),
+            "exact_seconds": reference["timing"]["unlearn_seconds"],
+        },
     }
 
 
@@ -467,159 +552,48 @@ def run_experiment(cfg: ExperimentConfig) -> UnlearnReport:
 
     Per repeat: derive seeds, build data, split train/val/test by patient,
     pretrain, rank class difficulty, then per forget fraction: carve
-    forget/retain, run exact unlearning (always computed — it is the tuning
-    reference), sweep and run each requested approximate algorithm, and
-    evaluate every produced model on retain/forget/test. A ValueError or
-    FloatingPointError (a diverging lr) aborts only its own (algorithm,
-    fraction, repeat) cell and is recorded; any other exception propagates.
+    forget/retain, run exact unlearning (always, as the tuning reference),
+    then sweep and run each requested approximate algorithm in config order;
+    every produced model is evaluated on retain/forget/test. A ValueError or
+    FloatingPointError (a diverging lr) fails only its own (repeat, fraction,
+    algorithm) cell, which is filed under ``incomplete``; a failed split
+    fails every cell of its fraction, and a failed exact run leaves the
+    fraction's approximate cells without a reference. Any other exception
+    propagates.
     """
     cfg.validate()
     report = UnlearnReport(
         config=config_to_dict(cfg), base_seed=cfg.base_seed, repeats=cfg.repeats
     )
-    needs_reference = any(a in cfg.algorithms for a in ("relabel", "salun"))
+    approximate = [a for a in cfg.algorithms if a != "exact"]
     pretrain_seconds = []
-
     for r in range(cfg.repeats):
-        ds = _dataset_for_repeat(cfg, r)
-        plan = split_train_val_test(
-            ds, cfg.split_fractions, derive_seed(cfg.base_seed, "repeat", r, "split"),
-            allow_empty=True,
-        )
-        train_ds = ds.subset(plan.train_ids)
-        test_ds = ds.subset(plan.test_ids)
-        train_cfg = replace(
-            cfg.train_cfg,
-            loss_kind=task_loss_kind(ds),
-        )
-
-        started = time.perf_counter()
-        pretrained, _ = train_from_scratch(
-            cfg.arch, train_ds, train_cfg, derive_seed(cfg.base_seed, "repeat", r, "pretrain")
-        )
-        pretrain_seconds.append(time.perf_counter() - started)
-
-        try:
-            ranking = rank_difficulty(pretrained, test_ds)
-            report.difficulty.append(
-                {
-                    "repeat": r,
-                    "easy": ranking.easy,
-                    "intermediate": ranking.intermediate,
-                    "hard": ranking.hard,
-                    "order": list(ranking.order),
-                    "per_class": {str(k): v for k, v in sorted(ranking.per_class.items())},
-                }
-            )
-        except ValueError as exc:
-            report.difficulty.append({"repeat": r, "error": str(exc)})
-
+        rep, seconds = _prepare_repeat(cfg, r)
+        pretrain_seconds.append(seconds)
+        report.difficulty.append(rep.difficulty)
         for fraction in cfg.forget_fractions:
-            frac = _frac_key(fraction)
-            try:
-                plan_f = split_forget_retain(
-                    plan, fraction, cfg.forget_grouping,
-                    derive_seed(cfg.base_seed, "repeat", r, "forget", frac), ds,
-                )
-            except ValueError as exc:
-                for alg in cfg.algorithms:
-                    report.incomplete.append(
-                        {"repeat": r, "fraction": fraction, "algorithm": alg, "error": str(exc)}
-                    )
-                continue
-            retain_ds = ds.subset(plan_f.retain_ids)
-            forget_ds = ds.subset(plan_f.forget_ids)
-
-            exact_eval_forget = None
-            exact_seconds = None
-            if "exact" in cfg.algorithms or needs_reference:
+            split = reference = None
+            for algorithm in ("exact", *approximate):
                 try:
-                    started = time.perf_counter()
-                    exact_model = exact_unlearn(
-                        pretrained, retain_ds, train_cfg,
-                        derive_seed(cfg.base_seed, "repeat", r, "unlearn", "exact", frac),
-                    )
-                    exact_seconds = time.perf_counter() - started
-                    exact_evals = _eval_triplet(exact_model, retain_ds, forget_ds, test_ds)
-                    exact_eval_forget = EvalResult(
-                        macro_auroc=exact_evals["forget"]["macro_auroc"],
-                        per_class={}, per_group={}, set_name="forget",
-                        n_samples=len(forget_ds),
-                    )
-                    if "exact" in cfg.algorithms:
-                        report.cells.append(
-                            {
-                                "repeat": r,
-                                "algorithm": "exact",
-                                "fraction": fraction,
-                                "evals": exact_evals,
-                                "chosen": None,
-                                "sweep": None,
-                                "timing": {"unlearn_seconds": exact_seconds},
-                            }
+                    if split is None:  # a split that fails, fails each cell alike
+                        split = _split_forget(cfg, rep, fraction)
+                    if algorithm == "exact":
+                        cell = reference = _run_exact(cfg, rep, fraction, split)
+                    else:
+                        cell = _run_cell(cfg, rep, fraction, split, reference, algorithm)
+                except (ValueError, FloatingPointError) as exc:  # numeric and data failures only
+                    # An exact failure is filed even when exact was not
+                    # requested: it is why the approximate cells have no reference.
+                    if algorithm in cfg.algorithms or split is not None:
+                        report.incomplete.append(
+                            {"repeat": r, "fraction": fraction, "algorithm": algorithm, "error": str(exc)}
                         )
-                except (ValueError, FloatingPointError) as exc:  # numeric and data failures only
-                    report.incomplete.append(
-                        {"repeat": r, "fraction": fraction, "algorithm": "exact", "error": str(exc)}
-                    )
-
-            for alg in cfg.algorithms:
-                if alg == "exact":
                     continue
-                if exact_eval_forget is None:
-                    report.incomplete.append(
-                        {
-                            "repeat": r,
-                            "fraction": fraction,
-                            "algorithm": alg,
-                            "error": "no exact-unlearning reference available",
-                        }
-                    )
-                    continue
-                if alg == "salun":
-                    grid = [
-                        {"lr": lr, "threshold": thr}
-                        for lr in cfg.lr_grid
-                        for thr in cfg.threshold_grid
-                    ]
-                else:
-                    grid = [{"lr": lr} for lr in cfg.lr_grid]
-                try:
-                    best_cfg, best_model, table, best_evals = sweep_hparams(
-                        pretrained, forget_ds, retain_ds, test_ds, alg, grid,
-                        exact_eval_forget,
-                        epochs=cfg.unlearn_epochs,
-                        batch_size=cfg.unlearn_batch_size,
-                        seed=derive_seed(cfg.base_seed, "repeat", r, "unlearn", alg, frac),
-                        relabel_policy=cfg.relabel_policy,
-                    )
-                    chosen_row = next(
-                        row for row in table
-                        if row["lr"] == best_cfg.lr and row["threshold"] == best_cfg.threshold
-                    )
-                    report.cells.append(
-                        {
-                            "repeat": r,
-                            "algorithm": alg,
-                            "fraction": fraction,
-                            "evals": {
-                                "retain": evaluate(best_model, retain_ds, "retain").to_dict(),
-                                **{k: v.to_dict() for k, v in best_evals.items()},
-                            },
-                            "chosen": {"lr": best_cfg.lr, "threshold": best_cfg.threshold},
-                            "sweep": table,
-                            "timing": {
-                                "unlearn_seconds": chosen_row["seconds"],
-                                "sweep_seconds": sum(row["seconds"] for row in table),
-                                "exact_seconds": exact_seconds,
-                            },
-                        }
-                    )
-                except (ValueError, FloatingPointError) as exc:  # numeric and data failures only
-                    report.incomplete.append(
-                        {"repeat": r, "fraction": fraction, "algorithm": alg, "error": str(exc)}
-                    )
-
+                if algorithm in cfg.algorithms:
+                    report.cells.append({
+                        "repeat": r, "algorithm": algorithm, "fraction": fraction, **cell,
+                        "evals": {name: e.to_dict() for name, e in cell["evals"].items()},
+                    })
     report.summary = _aggregate(report, cfg)
     report.timing = _timing_summary(report, pretrain_seconds)
     return report
@@ -690,9 +664,7 @@ def _aggregate(report: UnlearnReport, cfg: ExperimentConfig) -> dict:
 def _timing_summary(report: UnlearnReport, pretrain_seconds: list[float]) -> dict:
     approx_cells = [c for c in report.cells if c["algorithm"] != "exact"]
     faster = [
-        c["timing"]["unlearn_seconds"] < c["timing"]["exact_seconds"]
-        for c in approx_cells
-        if c["timing"].get("exact_seconds") is not None
+        c["timing"]["unlearn_seconds"] < c["timing"]["exact_seconds"] for c in approx_cells
     ]
     sweep_exceeds = [
         c["timing"]["sweep_seconds"] > c["timing"]["unlearn_seconds"]

@@ -133,8 +133,8 @@ def cosine_lr(schedule: LrSchedule, step: int) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Recipe for one training run. ``eta_min`` defaults to 0.1 * lr0 (the
-    schedule decays to a floor one decade below the initial rate)."""
+    """Recipe for one training run. The schedule decays to ``floor``, one
+    decade below the initial rate."""
 
     epochs: int = 6
     batch_size: int = 32
@@ -142,7 +142,6 @@ class TrainConfig:
     loss_kind: str = "ce"
     seed: int = 0
     mask: object = None
-    eta_min: float | None = None
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -156,7 +155,7 @@ class TrainConfig:
 
     @property
     def floor(self) -> float:
-        return 0.1 * self.lr0 if self.eta_min is None else self.eta_min
+        return 0.1 * self.lr0
 
 
 def train(model: ModelState, data, cfg: TrainConfig) -> tuple[ModelState, list[float]]:

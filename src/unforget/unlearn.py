@@ -50,7 +50,6 @@ class SaliencyMask:
 
     bits: np.ndarray
     threshold: float
-    source: str = ""
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=np.uint8)
@@ -65,7 +64,7 @@ class SaliencyMask:
         return int(self.bits.sum())
 
 
-def mask_from_gradient(grad: np.ndarray, threshold: float, source: str = "") -> SaliencyMask:
+def mask_from_gradient(grad: np.ndarray, threshold: float) -> SaliencyMask:
     """Bit i is 1 when |grad_i| exceeds the threshold (strictly).
 
     A threshold of exactly 0 disables masking (all bits 1): coordinates with
@@ -77,7 +76,7 @@ def mask_from_gradient(grad: np.ndarray, threshold: float, source: str = "") -> 
         bits = np.ones(grad.shape, dtype=np.uint8)
     else:
         bits = (np.abs(grad) > threshold).astype(np.uint8)
-    return SaliencyMask(bits=bits, threshold=float(threshold), source=source)
+    return SaliencyMask(bits=bits, threshold=float(threshold))
 
 
 @dataclass(frozen=True)
@@ -228,11 +227,7 @@ def compute_saliency_mask(
     """Threshold the forget-set gradient magnitude into a trainability mask."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    return mask_from_gradient(
-        forget_gradient(pretrained, forget, loss_kind),
-        threshold,
-        source=f"forget_n={len(forget)},threshold={threshold}",
-    )
+    return mask_from_gradient(forget_gradient(pretrained, forget, loss_kind), threshold)
 
 
 def relabel_unlearn(

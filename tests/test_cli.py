@@ -159,6 +159,15 @@ class TestRunAndReport:
     def test_report_missing_dir_fails(self, tmp_path, capsys):
         assert main(["report", "--in", str(tmp_path / "void"), "--format", "json"]) == 1
 
+    @pytest.mark.parametrize(
+        "text,error",
+        [("{}", "report is missing key 'config'"), ("[]", "report must be a JSON object, got []")],
+    )
+    def test_malformed_report_json_named(self, tmp_path, capsys, text, error):
+        (tmp_path / "report.json").write_text(text)
+        assert main(["report", "--in", str(tmp_path), "--format", "json"]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
     def test_base_seed_override_changes_results(self, tmp_path):
         cfg = tiny_config(repeats=1, algorithms=("exact",))
         config_file = tmp_path / "config.json"

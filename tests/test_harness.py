@@ -273,6 +273,7 @@ class TestConfigSerialization:
             (dict(threshold_grid=(-1.0,)), "threshold_grid"),
             (dict(split_fractions=(0.5, 0.2, 0.2)), "fractions"),
             (dict(dataset=replace(tiny_spec(), group_proportions=(0.4, 0.3, 0.3))), "group_names"),
+            (dict(unlearn_batch_size=0), "unlearn_batch_size must be >= 1, got 0"),
         ],
     )
     def test_bad_config_rejected_before_data(self, overrides, match, monkeypatch):
@@ -432,6 +433,44 @@ class TestCellFailures:
         assert not report.cells
         assert [c["algorithm"] for c in report.incomplete] == ["relabel"]
         assert "non-finite loss" in report.incomplete[0]["error"]
+
+    def test_empty_forget_set_fails_every_cell(self):
+        report = run_experiment(tiny_config(forget_fractions=(0.001,), repeats=1))
+        assert not report.cells
+        error = "fraction 0.001 yields an empty forget set"
+        assert report.incomplete == [
+            {"repeat": 0, "fraction": 0.001, "algorithm": alg, "error": error}
+            for alg in ("exact", "relabel", "salun")
+        ]
+
+    @staticmethod
+    def exact_raising(monkeypatch, algorithms):
+        def diverge(*args, **kwargs):
+            raise FloatingPointError("exact retraining diverged")
+
+        monkeypatch.setattr(harness, "exact_unlearn", diverge)
+        return run_experiment(tiny_config(algorithms=algorithms, repeats=1))
+
+    def test_failed_exact_leaves_no_reference(self, monkeypatch):
+        report = self.exact_raising(monkeypatch, ("exact", "relabel", "salun"))
+        assert not report.cells
+        no_reference = "no exact-unlearning reference available"
+        assert report.incomplete == [
+            {"repeat": 0, "fraction": 0.25, "algorithm": "exact", "error": "exact retraining diverged"},
+            {"repeat": 0, "fraction": 0.25, "algorithm": "relabel", "error": no_reference},
+            {"repeat": 0, "fraction": 0.25, "algorithm": "salun", "error": no_reference},
+        ]
+
+    def test_failed_reference_filed_when_exact_not_requested(self, monkeypatch):
+        # The exact model is the tuning reference even when exact is not a
+        # requested cell; its failure is the only record of why.
+        report = self.exact_raising(monkeypatch, ("relabel",))
+        assert not report.cells
+        assert report.incomplete == [
+            {"repeat": 0, "fraction": 0.25, "algorithm": "exact", "error": "exact retraining diverged"},
+            {"repeat": 0, "fraction": 0.25, "algorithm": "relabel",
+             "error": "no exact-unlearning reference available"},
+        ]
 
 
 class TestEmitReport:
