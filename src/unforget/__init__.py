@@ -36,7 +36,6 @@ from .nn_core import (
     GlobalAvgPool,
     ModelState,
     ReLU,
-    Tensor,
     clone_with_params,
     forward,
     init_model,

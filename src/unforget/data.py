@@ -204,7 +204,7 @@ class SyntheticSpec:
     """
 
     num_patients: int
-    samples_per_patient: object = 10  # int, or (lo, hi) inclusive range
+    samples_per_patient: int | tuple = 10  # or a (lo, hi) inclusive range
     num_classes: int | None = None
     num_labels: int | None = None
     class_weights: tuple | None = None
@@ -228,9 +228,14 @@ class SyntheticSpec:
         if self.num_patients < 1:
             raise ValueError("num_patients must be >= 1")
         spp = self.samples_per_patient
-        lo, hi = (spp, spp) if isinstance(spp, int) else spp
-        if not 1 <= lo <= hi:
-            raise ValueError(f"samples_per_patient must be >= 1, or a range 1 <= lo <= hi; got {spp}")
+        bounds = spp if isinstance(spp, tuple) else (spp, spp)
+        if len(bounds) != 2 or not all(map(_is_int, bounds)) or not 1 <= bounds[0] <= bounds[1]:
+            raise ValueError(
+                f"samples_per_patient must be an int >= 1, or ints (lo, hi) with 1 <= lo <= hi; got {spp}"
+            )
+        shape = self.feature_shape
+        if len(shape) != 3 or not all(_is_int(d) and d >= 1 for d in shape):
+            raise ValueError(f"feature_shape must be three positive ints (C, H, W), got {shape}")
         if self.num_outputs < (2 if self.num_classes is not None else 1):
             raise ValueError("too few classes/labels")
         # Each check is written so that NaN, which fails every comparison,
@@ -252,6 +257,10 @@ class SyntheticSpec:
             raise ValueError("label_noise_rate must lie in [0, 1)")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _samples_per_patient(spec: SyntheticSpec, rng) -> int:

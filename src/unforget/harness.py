@@ -20,7 +20,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,15 @@ from .data import (
     split_train_val_test,
 )
 from .metrics import EvalResult, evaluate, rank_difficulty
-from .nn_core import ArchSpec, ModelState, arch_from_json, arch_to_json, check_keys
+from .nn_core import (
+    ArchSpec,
+    ModelState,
+    arch_from_json,
+    arch_to_json,
+    check_keys,
+    fields_from_json,
+    fields_to_json,
+)
 from .optim import TrainConfig, train_from_scratch
 from . import unlearn
 from .seeding import derive_seed
@@ -67,7 +75,6 @@ __all__ = [
     "default_arch",
     "config_to_dict",
     "config_from_dict",
-    "spec_to_dict",
     "spec_from_dict",
 ]
 
@@ -191,124 +198,63 @@ def default_config(base_seed: int = 0) -> ExperimentConfig:
 # Config (de)serialization — mirrors the JSON config file field-for-field
 # --------------------------------------------------------------------------
 
-def spec_to_dict(spec: SyntheticSpec) -> dict:
-    out = {}
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
-
-
 def spec_from_dict(doc: dict) -> SyntheticSpec:
-    check_keys(doc, "dataset spec", optional=[f.name for f in fields(SyntheticSpec)])
-    kwargs = dict(doc)
-    for key in ("class_weights", "group_proportions", "feature_shape", "separations"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(kwargs[key])
-    if isinstance(kwargs.get("samples_per_patient"), list):
-        kwargs["samples_per_patient"] = tuple(kwargs["samples_per_patient"])
-    return SyntheticSpec(**kwargs)
+    return SyntheticSpec(**fields_from_json(SyntheticSpec, doc, "dataset spec"))
+
+
+# The TrainConfig fields a config file sets under "train" (loss_kind, seed
+# and mask are set per run), and the UnlearnConfig fields it sets under
+# "unlearn", held as ExperimentConfig.unlearn_<key>. Every other field but
+# dataset and arch is a top-level key of the same name.
+_TRAIN_KEYS = ("epochs", "batch_size", "lr0")
+_UNLEARN_KEYS = ("epochs", "batch_size")
+_TOP_LEVEL_KEYS = tuple(
+    f.name for f in fields(ExperimentConfig)
+    if f.name not in ("dataset", "arch", "train_cfg") and not f.name.startswith("unlearn_")
+)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    if isinstance(cfg.dataset, SyntheticSpec):
-        dataset = {"spec": spec_to_dict(cfg.dataset)}
-    else:
-        dataset = {"path": str(cfg.dataset)}
-    return {
-        "dataset": dataset,
-        "arch": json.loads(arch_to_json(cfg.arch)),
-        "train": {
-            "epochs": cfg.train_cfg.epochs,
-            "batch_size": cfg.train_cfg.batch_size,
-            "lr0": cfg.train_cfg.lr0,
-        },
-        "split_fractions": list(cfg.split_fractions),
-        "forget_fractions": list(cfg.forget_fractions),
-        "forget_grouping": cfg.forget_grouping,
-        "algorithms": list(cfg.algorithms),
-        "unlearn": {"epochs": cfg.unlearn_epochs, "batch_size": cfg.unlearn_batch_size},
-        "lr_grid": list(cfg.lr_grid),
-        "threshold_grid": list(cfg.threshold_grid),
-        "relabel_policy": cfg.relabel_policy,
-        "repeats": cfg.repeats,
-        "base_seed": cfg.base_seed,
-        "group_names": list(cfg.group_names),
-    }
-
-
-def _as_is(value):
-    return value
-
-
-def _convert(convert, value, key: str):
-    """Apply a key's conversion; an ``int`` key refuses a fractional part (or
-    a non-number) with a ValueError naming the key, instead of truncating."""
-    if convert is not int:
-        return convert(value)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-# Optional config keys and the conversion applied to each: top-level keys
-# set the ExperimentConfig field of the same name, "train" keys the
-# TrainConfig field, "unlearn" keys the unlearn_<key> field. An omitted key
-# keeps the dataclass default.
-_CONFIG_KEYS = {
-    "split_fractions": tuple,
-    "forget_fractions": tuple,
-    "forget_grouping": _as_is,
-    "algorithms": tuple,
-    "lr_grid": tuple,
-    "threshold_grid": tuple,
-    "relabel_policy": _as_is,
-    "repeats": int,
-    "base_seed": int,
-    "group_names": tuple,
-}
-_TRAIN_KEYS = {"epochs": int, "batch_size": int, "lr0": float}
-_UNLEARN_KEYS = {"epochs": int, "batch_size": int}
+    """The config file's JSON object, keys in field order."""
+    doc = {}
+    for key, value in fields_to_json(cfg).items():
+        if key == "dataset":
+            is_spec = isinstance(value, SyntheticSpec)
+            value = {"spec": fields_to_json(value)} if is_spec else {"path": str(value)}
+        elif key == "arch":
+            value = json.loads(arch_to_json(value))
+        elif key == "train_cfg":
+            key, value = "train", fields_to_json(value, _TRAIN_KEYS)
+        elif key.startswith("unlearn_"):
+            doc.setdefault("unlearn", {})[key.removeprefix("unlearn_")] = value
+            continue
+        doc[key] = value
+    return doc
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Inverse of ``config_to_dict``. Omitted keys take the ``ExperimentConfig``
-    defaults; unknown keys raise ValueError."""
-    check_keys(doc, "config", ("dataset", "arch"), ("train", "unlearn", *_CONFIG_KEYS))
+    defaults; unknown keys and values of the wrong type raise ValueError."""
+    check_keys(doc, "config", ("dataset", "arch"), ("train", "unlearn", *_TOP_LEVEL_KEYS))
     dataset_doc = doc["dataset"]
     check_keys(dataset_doc, "config dataset", optional=("spec", "path"))
+    if len(dataset_doc) != 1:
+        raise ValueError("config dataset needs exactly one of 'spec' and 'path'")
     if "spec" in dataset_doc:
         dataset = spec_from_dict(dataset_doc["spec"])
-    elif "path" in dataset_doc:
+    elif isinstance(dataset_doc["path"], str):
         dataset = dataset_doc["path"]
     else:
-        raise ValueError("config dataset needs either 'spec' or 'path'")
-    train_doc = doc.get("train", {})
-    check_keys(train_doc, "config train", optional=_TRAIN_KEYS)
-    unlearn_doc = doc.get("unlearn", {})
-    check_keys(unlearn_doc, "config unlearn", optional=_UNLEARN_KEYS)
-    kwargs = {
-        key: _convert(convert, doc[key], key)
-        for key, convert in _CONFIG_KEYS.items()
-        if key in doc
-    }
-    kwargs.update({
-        f"unlearn_{key}": _convert(_UNLEARN_KEYS[key], value, f"unlearn.{key}")
-        for key, value in unlearn_doc.items()
-    })
-    train_cfg = replace(
-        ExperimentConfig.train_cfg,
-        **{key: _convert(_TRAIN_KEYS[key], value, f"train.{key}") for key, value in train_doc.items()},
-    )
+        raise ValueError(f"config dataset key 'path' must be str, got {dataset_doc['path']!r}")
+    top = {key: value for key, value in doc.items() if key in _TOP_LEVEL_KEYS}
+    train = fields_from_json(TrainConfig, doc.get("train", {}), "config", "train", _TRAIN_KEYS)
+    unlearn = fields_from_json(UnlearnConfig, doc.get("unlearn", {}), "config", "unlearn", _UNLEARN_KEYS)
     cfg = ExperimentConfig(
         dataset=dataset,
         arch=arch_from_json(json.dumps(doc["arch"])),
-        train_cfg=train_cfg,
-        **kwargs,
+        train_cfg=replace(ExperimentConfig.train_cfg, **train),
+        **{f"unlearn_{key}": value for key, value in unlearn.items()},
+        **fields_from_json(ExperimentConfig, top, "config", keys=_TOP_LEVEL_KEYS),
     )
     cfg.validate()
     return cfg
@@ -415,15 +361,19 @@ class UnlearnReport:
     timing: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return fields_to_json(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "UnlearnReport":
-        """Inverse of ``to_dict``; a key with a default may be omitted, and a
-        missing required or an unknown key raises ValueError."""
-        required = [f.name for f in fields(cls) if f.default_factory is MISSING]
-        check_keys(doc, "report", required, [f.name for f in fields(cls)])
-        return cls(**doc)
+        """Inverse of ``to_dict``; a key with a default may be omitted. A
+        missing required or unknown key, a value of the wrong type or a
+        config that ``config_from_dict`` rejects raises ValueError."""
+        report = cls(**fields_from_json(cls, doc, "report"))
+        try:
+            config_from_dict(report.config)
+        except ValueError as exc:
+            raise ValueError(f"report {exc}") from None
+        return report
 
 
 def _frac_key(fraction: float) -> str:
@@ -812,4 +762,8 @@ def load_report(report_dir) -> UnlearnReport:
     path = Path(report_dir) / "report.json"
     if not path.exists():
         raise FileNotFoundError(f"no report.json in {report_dir}")
-    return UnlearnReport.from_dict(json.loads(path.read_text()))
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path} is not JSON: {exc}") from None
+    return UnlearnReport.from_dict(doc)

@@ -17,13 +17,13 @@ import json
 import math
 import os
 import struct
-from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import ClassVar, Union, get_args
+from dataclasses import MISSING, dataclass, field, fields
+from types import NoneType, UnionType
+from typing import ClassVar, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 __all__ = [
-    "Tensor",
     "Dense",
     "Conv2D",
     "ReLU",
@@ -42,6 +42,8 @@ __all__ = [
     "load_model",
     "arch_to_json",
     "arch_from_json",
+    "fields_from_json",
+    "fields_to_json",
 ]
 
 MODEL_MAGIC = b"UNFG"
@@ -51,42 +53,6 @@ MODEL_FORMAT_VERSION = 1
 # summed. The chunking is part of the computed numbers (summation and BLAS
 # blocking follow it), so every such loop uses this one value.
 EVAL_BATCH = 256
-
-
-class Tensor:
-    """Dense array of float64 values with an explicit shape.
-
-    Values are stored flat in row-major order; ``array`` exposes the shaped
-    view. Construction rejects non-finite entries.
-    """
-
-    __slots__ = ("shape", "values")
-
-    def __init__(self, shape: tuple[int, ...], values: np.ndarray):
-        shape = tuple(int(d) for d in shape)
-        if any(d <= 0 for d in shape):
-            raise ValueError(f"tensor dimensions must be positive, got {shape}")
-        values = np.ascontiguousarray(values, dtype=np.float64).ravel()
-        if values.size != int(np.prod(shape)):
-            raise ValueError(
-                f"shape {shape} needs {int(np.prod(shape))} values, got {values.size}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("tensor contains non-finite values")
-        self.shape = shape
-        self.values = values
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Tensor":
-        arr = np.asarray(arr, dtype=np.float64)
-        return cls(arr.shape, arr.ravel())
-
-    @property
-    def array(self) -> np.ndarray:
-        return self.values.reshape(self.shape)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
 
 
 # --------------------------------------------------------------------------
@@ -431,7 +397,7 @@ def arch_to_json(arch: ArchSpec) -> str:
     """Canonical JSON encoding (sorted keys, no whitespace); stable across runs."""
     doc = {
         "input_shape": list(arch.input_shape),
-        "layers": [{"type": layer.tag, **asdict(layer)} for layer in arch.layers],
+        "layers": [{"type": layer.tag, **fields_to_json(layer)} for layer in arch.layers],
         "output_dim": arch.output_dim,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -450,8 +416,56 @@ def check_keys(doc, where: str, required=(), optional=()) -> None:
         raise ValueError(f"{where} has unknown key {unknown[0]!r}")
 
 
-# JSON value types a layer field of each annotated type accepts.
-_FIELD_TYPES = {"int": int, "float": (int, float)}
+def fields_from_json(cls, doc, where: str, section: str = "", keys=None) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from the JSON object
+    ``doc``, read by the field annotations.
+
+    ``doc`` may set the fields in ``keys`` (default: all); those without a
+    default are required. A list reads as a tuple, a whole float as an int
+    and an int as a float where the annotation allows that type, and null
+    only where it allows None. An unknown key or a value of any other type
+    raises ValueError naming the key (``section.key`` inside ``section``).
+    """
+    names = [f.name for f in fields(cls)] if keys is None else keys
+    required = [
+        f.name for f in fields(cls)
+        if f.name in names and f.default is MISSING and f.default_factory is MISSING
+    ]
+    check_keys(doc, f"{where} {section}".rstrip(), required, names)
+    hints = get_type_hints(cls)
+    prefix = f"{section}." if section else ""
+    return {
+        key: _json_value(value, hints[key], f"{where} key {prefix + key!r}")
+        for key, value in doc.items()
+    }
+
+
+def _json_value(value, hint, name: str):
+    """``value`` as a type the annotation ``hint`` allows; ValueError naming
+    ``name`` when none fits."""
+    members = get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,)
+    kinds = tuple(get_origin(m) or m for m in members)  # tuple[int, ...] is a tuple
+    if isinstance(value, list) and tuple in kinds:
+        return tuple(value)
+    if not isinstance(value, bool):  # JSON true and false are never numbers
+        if int in kinds and isinstance(value, float) and value.is_integer():
+            return int(value)
+        if float in kinds and isinstance(value, int):
+            return float(value)
+        if isinstance(value, kinds):
+            return value
+    allowed = " | ".join({tuple: "list", NoneType: "null"}.get(k, k.__name__) for k in kinds)
+    raise ValueError(f"{name} must be {allowed}, got {value!r}")
+
+
+def fields_to_json(obj, keys=None) -> dict:
+    """The named fields of the dataclass ``obj`` (default: all, in order),
+    with tuples as lists: the inverse of ``fields_from_json``."""
+    out = {}
+    for name in [f.name for f in fields(obj)] if keys is None else keys:
+        value = getattr(obj, name)
+        out[name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def arch_from_json(text: str) -> ArchSpec:
@@ -468,16 +482,7 @@ def arch_from_json(text: str) -> ArchSpec:
         if cls is None:
             raise ValueError(f"unknown layer type {entry.get('type')!r}")
         kwargs = {k: v for k, v in entry.items() if k != "type"}
-        check_keys(
-            kwargs,
-            where,
-            required=[f.name for f in fields(cls) if f.default is MISSING],
-            optional=[f.name for f in fields(cls)],
-        )
-        for f in fields(cls):
-            if not isinstance(kwargs.get(f.name, f.default), _FIELD_TYPES[f.type]):
-                raise ValueError(f"{where} {f.name} must be {f.type}, got {kwargs[f.name]!r}")
-        layers.append(cls(**kwargs))
+        layers.append(cls(**fields_from_json(cls, kwargs, where)))
     shape, out = doc["input_shape"], doc["output_dim"]
     if not isinstance(shape, list) or not all(isinstance(d, int) for d in shape + [out]):
         raise ValueError("arch input_shape must be a list of ints and output_dim an int")
@@ -635,6 +640,8 @@ def _forward_raw(
     expected = model.arch.input_shape
     if x.ndim != len(expected) + 1 or x.shape[1:] != expected:
         raise ValueError(f"batch shape {x.shape} does not match input {expected}")
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
     _check_finite(x, "input")
 
     params = _layer_views(model, model.params)
@@ -660,15 +667,13 @@ def _backward_raw(model: ModelState, cache: list, dlogits: np.ndarray) -> np.nda
     return grad
 
 
-def forward(model: ModelState, batch: Tensor | np.ndarray, mode: str = "eval") -> Tensor:
+def forward(model: ModelState, batch: np.ndarray, mode: str = "eval") -> np.ndarray:
     """Logits for a batch; (batch_size, output_dim).
 
     Eval mode is a pure function of (model, batch); train mode uses batch
     statistics in BatchNorm layers and updates their running statistics.
     """
-    arr = batch.array if isinstance(batch, Tensor) else np.asarray(batch)
-    out = _forward_raw(model, arr, mode)
-    return Tensor.from_array(out)
+    return _forward_raw(model, batch, mode)
 
 
 # --------------------------------------------------------------------------
@@ -707,7 +712,7 @@ def _bce_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
 
 def loss_and_grad(
     model: ModelState,
-    batch: Tensor | np.ndarray,
+    batch: np.ndarray,
     targets: np.ndarray,
     loss_kind: str,
     bn_mode: str = "train",
@@ -719,11 +724,8 @@ def loss_and_grad(
     (elementwise binary cross-entropy with logits over 0/1 label matrices).
     BatchNorm runs in ``bn_mode``; the training path uses "train".
     """
-    arr = batch.array if isinstance(batch, Tensor) else np.asarray(batch, dtype=np.float64)
-    if arr.shape[0] == 0:
-        raise ValueError("empty batch")
     cache: list = []
-    logits = _forward_raw(model, arr, bn_mode, cache=cache, update_stats=update_stats)
+    logits = _forward_raw(model, batch, bn_mode, cache=cache, update_stats=update_stats)
     if loss_kind == "ce":
         loss, dlogits = _softmax_ce(logits, targets)
     elif loss_kind == "bce":

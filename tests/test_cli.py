@@ -161,11 +161,17 @@ class TestRunAndReport:
 
     @pytest.mark.parametrize(
         "text,error",
-        [("{}", "report is missing key 'config'"), ("[]", "report must be a JSON object, got []")],
+        [
+            ("{}", "report is missing key 'config'"),
+            ("[]", "report must be a JSON object, got []"),
+            ("not json", "{path} is not JSON: Expecting value: line 1 column 1 (char 0)"),
+            ('{"config": {}, "base_seed": 0, "repeats": 1}', "report config is missing key 'dataset'"),
+        ],
     )
     def test_malformed_report_json_named(self, tmp_path, capsys, text, error):
         (tmp_path / "report.json").write_text(text)
         assert main(["report", "--in", str(tmp_path), "--format", "json"]) == 1
+        error = error.format(path=tmp_path / "report.json")
         assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_base_seed_override_changes_results(self, tmp_path):

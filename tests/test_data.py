@@ -237,6 +237,11 @@ class TestGenerateSynthetic:
         ("separations", (1.0, np.nan, 0.5)),
         ("separations", (1.0, np.inf, 0.5)),
         ("seed", -1),
+        ("feature_shape", (16, 16)),
+        ("feature_shape", (1, 16.5, 16)),
+        ("feature_shape", (1, 0, 16)),
+        ("samples_per_patient", (3, 5.5)),
+        ("samples_per_patient", (3,)),
     ])
     def test_non_finite_or_negative_spec_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -3,6 +3,7 @@ round-trips, CSV table shapes, end-to-end determinism, and completeness."""
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,10 @@ from unforget.metrics import evaluate
 from unforget.nn_core import ArchSpec, BatchNorm, Conv2D, Dense, GlobalAvgPool, ReLU
 from unforget.optim import TrainConfig, train_from_scratch
 from unforget.seeding import derive_seed
+
+
+# Marks a parametrized key that is removed rather than set.
+DELETE = object()
 
 
 def tiny_arch():
@@ -263,6 +268,34 @@ class TestConfigSerialization:
                      cfg.unlearn_epochs, cfg.unlearn_batch_size)
         section[key] = 2.7
         with pytest.raises(ValueError, match=f"'{'.'.join((*path, key))}'"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path,key,value,message",
+        [
+            ((), "lr_grid", 0.001, "config key 'lr_grid' must be list, got 0.001"),
+            ((), "forget_fractions", "0.1", "config key 'forget_fractions' must be list, got '0.1'"),
+            (("dataset", "spec"), "num_patients", 2.5, "dataset spec key 'num_patients' must be int, got 2.5"),
+            (("dataset", "spec"), "num_patients", DELETE, "dataset spec is missing key 'num_patients'"),
+            ((), "algorithms", "exact", "config key 'algorithms' must be list, got 'exact'"),
+            (("train",), "lr0", "1e-3", "config key 'train.lr0' must be float, got '1e-3'"),
+            (("train",), "lr0", True, "config key 'train.lr0' must be float, got True"),
+            ((), "group_names", "ab", "config key 'group_names' must be list, got 'ab'"),
+            ((), "relabel_policy", 3, "config key 'relabel_policy' must be str | null, got 3"),
+            (("dataset",), "path", "x.unds", "config dataset needs exactly one of 'spec' and 'path'"),
+            ((), "dataset", {"path": 5}, "config dataset key 'path' must be str, got 5"),
+        ],
+    )
+    def test_wrong_type_rejected(self, path, key, value, message):
+        doc = config_to_dict(tiny_config())
+        section = doc
+        for name in path:
+            section = section[name]
+        if value is DELETE:
+            del section[key]
+        else:
+            section[key] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
             config_from_dict(doc)
 
     @pytest.mark.parametrize(

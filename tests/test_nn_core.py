@@ -19,7 +19,6 @@ from unforget.nn_core import (
     GlobalAvgPool,
     ModelState,
     ReLU,
-    Tensor,
     _im2col,
     _im2col_index,
     arch_from_json,
@@ -95,7 +94,7 @@ def engine_digest(model, batches, loss_kind):
             loss, grad = loss_and_grad(model, x, y, loss_kind, bn_mode=mode)
             digest.update(np.float64(loss).tobytes())
             digest.update(grad.tobytes())
-        digest.update(forward(model, x).array.tobytes())
+        digest.update(forward(model, x).tobytes())
     for i in sorted(model.batchnorm_stats):
         mean, var = model.batchnorm_stats[i]
         digest.update(mean.tobytes())
@@ -292,20 +291,6 @@ class TestFiniteGuard:
         assert checked[0] == "input"
 
 
-class TestTensor:
-    def test_shape_value_consistency(self):
-        t = Tensor((2, 3), np.arange(6.0))
-        assert t.array.shape == (2, 3)
-
-    def test_rejects_wrong_count(self):
-        with pytest.raises(ValueError, match="values"):
-            Tensor((2, 3), np.arange(5.0))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            Tensor((2,), np.array([1.0, np.nan]))
-
-
 class TestArchAndLayout:
     def test_dense_layer_parameter_count(self):
         arch = ArchSpec((4,), (Dense(4, 3),), 3)
@@ -348,7 +333,7 @@ class TestArchAndLayout:
             (lambda doc: doc["layers"][0].update(hn_ch=1), "unknown key 'hn_ch'"),
             (lambda doc: doc.update(extra=1), "unknown key 'extra'"),
             (lambda doc: doc["layers"].__setitem__(2, "relu"), "JSON object"),
-            (lambda doc: doc["layers"][0].update(kernel="3"), "kernel must be int"),
+            (lambda doc: doc["layers"][0].update(kernel="3"), "'kernel' must be int"),
             (lambda doc: doc.update(input_shape=8), "input_shape"),
         ],
     )
@@ -394,7 +379,7 @@ class TestForward:
         model = init_model(arch, 0)
         model = clone_with_params(model, np.zeros(model.num_params))
         logits = forward(model, np.random.default_rng(0).random((6, 5)))
-        assert np.array_equal(logits.array, np.zeros((6, 3)))
+        assert np.array_equal(logits, np.zeros((6, 3)))
 
     def test_logits_shape_batch_32(self):
         arch = ArchSpec((6,), (Dense(6, 8),), 8)
@@ -405,21 +390,26 @@ class TestForward:
     def test_eval_mode_pure(self):
         model = init_model(conv_arch(), 2)
         x = np.random.default_rng(2).random((5, 1, 8, 8))
-        a = forward(model, x, "eval").array
-        b = forward(model, x, "eval").array
+        a = forward(model, x, "eval")
+        b = forward(model, x, "eval")
         assert np.array_equal(a, b)
 
     def test_eval_independent_of_batch_composition(self):
         model = init_model(conv_arch(), 2)
         x = np.random.default_rng(3).random((5, 1, 8, 8))
-        full = forward(model, x, "eval").array
-        alone = forward(model, x[2:3], "eval").array
+        full = forward(model, x, "eval")
+        alone = forward(model, x[2:3], "eval")
         np.testing.assert_allclose(full[2:3], alone, rtol=0, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         model = init_model(conv_arch(), 2)
         with pytest.raises(ValueError, match="batch shape"):
             forward(model, np.zeros((4, 1, 9, 9)))
+
+    def test_empty_batch_rejected(self):
+        model = init_model(conv_arch(), 2)
+        with pytest.raises(ValueError, match="empty batch"):
+            forward(model, np.zeros((0, 1, 8, 8)))
 
     def test_train_mode_updates_running_stats(self):
         model = init_model(conv_arch(), 2)
@@ -436,7 +426,7 @@ class TestForward:
         model = clone_with_params(model, rng.normal(0, 0.5, model.num_params))
         shift = model.slice(1, "shift")
         scale = model.slice(1, "scale")
-        out = forward(model, rng.random((64, 6)), "train").array
+        out = forward(model, rng.random((64, 6)), "train")
         np.testing.assert_allclose(out.mean(axis=0), shift, atol=1e-6)
         np.testing.assert_allclose(out.var(axis=0), scale**2, atol=1e-6)
 
@@ -540,13 +530,13 @@ class TestCloneWithParams:
         model = init_model(conv_arch(), 11)
         clone = clone_with_params(model, model.params)
         x = np.random.default_rng(11).random((3, 1, 8, 8))
-        assert np.array_equal(forward(model, x).array, forward(clone, x).array)
+        assert np.array_equal(forward(model, x), forward(clone, x))
 
     def test_zeroed_params_zero_dense_outputs(self):
         arch = dense_arch((5, 4, 2))
         model = init_model(arch, 0)
         clone = clone_with_params(model, np.zeros(model.num_params))
-        assert np.array_equal(forward(clone, np.ones((2, 5))).array, np.zeros((2, 2)))
+        assert np.array_equal(forward(clone, np.ones((2, 5))), np.zeros((2, 2)))
 
     def test_wrong_length_rejected(self):
         model = init_model(conv_arch(), 0)
