@@ -432,19 +432,31 @@ def fields_from_json(cls, doc, where: str, section: str = "", keys=None) -> dict
         if f.name in names and f.default is MISSING and f.default_factory is MISSING
     ]
     check_keys(doc, f"{where} {section}".rstrip(), required, names)
-    hints = get_type_hints(cls)
-    prefix = f"{section}." if section else ""
-    return {
-        key: _json_value(value, hints[key], f"{where} key {prefix + key!r}")
-        for key, value in doc.items()
-    }
+    kinds = _field_kinds(cls)
+    out = {}
+    for key, value in doc.items():
+        try:
+            out[key] = _json_value(value, kinds[key])
+        except (TypeError, OverflowError) as exc:  # OverflowError: an int beyond float
+            name = f"{section}.{key}" if section else key
+            raise ValueError(f"{where} key {name!r} {exc}") from None
+    return out
 
 
-def _json_value(value, hint, name: str):
-    """``value`` as a type the annotation ``hint`` allows; ValueError naming
-    ``name`` when none fits."""
-    members = get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,)
-    kinds = tuple(get_origin(m) or m for m in members)  # tuple[int, ...] is a tuple
+@functools.lru_cache(maxsize=None)
+def _field_kinds(cls) -> dict[str, tuple]:
+    """Per field of ``cls``, the types its annotation allows: the members of
+    a union, a generic such as ``tuple[int, ...]`` taken as its origin.
+    Cached, as resolving annotations costs far more than reading a layer."""
+    kinds = {}
+    for name, hint in get_type_hints(cls).items():
+        members = get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,)
+        kinds[name] = tuple(get_origin(m) or m for m in members)
+    return kinds
+
+
+def _json_value(value, kinds: tuple):
+    """``value`` as a type among ``kinds``; TypeError when it fits none."""
     if isinstance(value, list) and tuple in kinds:
         return tuple(value)
     if not isinstance(value, bool):  # JSON true and false are never numbers
@@ -455,7 +467,7 @@ def _json_value(value, hint, name: str):
         if isinstance(value, kinds):
             return value
     allowed = " | ".join({tuple: "list", NoneType: "null"}.get(k, k.__name__) for k in kinds)
-    raise ValueError(f"{name} must be {allowed}, got {value!r}")
+    raise TypeError(f"must be {allowed}, got {value!r}")
 
 
 def fields_to_json(obj, keys=None) -> dict:
