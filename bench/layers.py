@@ -7,6 +7,8 @@ gradient), two ways:
 
 - isolated: the layer's ``forward`` and ``backward`` called directly, on the
   input and the incoming gradient one pass through the whole stack hands it;
+  an eval-mode ``forward`` runs as in the cache-free pass, owning its input
+  (a copy in the input's layout, made before the timer starts);
 - in-pass: the layer methods wrapped with timers inside real passes, a
   ``loss_and_grad`` step at batch 32 and an eval ``_forward_raw`` at 256,
   with the step's own time and its minor page faults (``ru_minflt``).
@@ -87,12 +89,15 @@ def layer_name(layer) -> str:
     return f"{type(layer).__name__}({','.join(str(getattr(layer, f.name)) for f in fields(layer))})"
 
 
-def _median_ms(call, repeats: int) -> float:
-    call()
+def _median_ms(call, repeats: int, prepare=tuple) -> float:
+    """Median ms of ``repeats`` timed ``call(*prepare())``, after one untimed
+    one; ``prepare`` runs outside the timer."""
+    call(*prepare())
     times = []
     for _ in range(repeats):
+        args = prepare()
         start = time.perf_counter()
-        call()
+        call(*args)
         times.append(time.perf_counter() - start)
     return 1e3 * statistics.median(times)
 
@@ -122,8 +127,12 @@ def layer_times(mode: str, batch: int, repeats: int, seed: int = 0) -> list[dict
         incoming[i] = d
         d = layers[i].backward(d, params[i], caches[i], grads[i], i > 0)
     rows = []
+    owned = mode == "eval"  # as in the cache-free pass, which may write into x
     for i, layer in enumerate(layers):
-        fwd = _median_ms(lambda: layer.forward(inputs[i], params[i], mode, stats.get(i)), repeats)
+        fwd = _median_ms(
+            lambda x: layer.forward(x, params[i], mode, stats.get(i), owned), repeats,
+            lambda: (inputs[i].copy(order="K") if owned else inputs[i],),
+        )
         bwd = _median_ms(
             lambda: layer.backward(incoming[i], params[i], caches[i], grads[i], i > 0), repeats
         )

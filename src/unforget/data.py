@@ -204,13 +204,13 @@ class SyntheticSpec:
     """
 
     num_patients: int
-    samples_per_patient: int | tuple = 10  # or a (lo, hi) inclusive range
+    samples_per_patient: int | tuple[int, ...] = 10  # or a (lo, hi) inclusive range
     num_classes: int | None = None
     num_labels: int | None = None
-    class_weights: tuple | None = None
-    group_proportions: tuple = (0.5, 0.5)
-    feature_shape: tuple = (1, 16, 16)
-    separations: tuple | None = None
+    class_weights: tuple[float, ...] | None = None
+    group_proportions: tuple[float, ...] = (0.5, 0.5)
+    feature_shape: tuple[int, ...] = (1, 16, 16)
+    separations: tuple[float, ...] | None = None
     label_noise_rate: float = 0.0
     seed: int = 0
 

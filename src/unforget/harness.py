@@ -91,18 +91,18 @@ class ExperimentConfig:
     dataset: object  # SyntheticSpec, or str/Path to a dataset file
     arch: ArchSpec
     train_cfg: TrainConfig = TrainConfig(epochs=6, batch_size=32, lr0=1e-3)
-    split_fractions: tuple = (0.6, 0.05, 0.35)
-    forget_fractions: tuple = (0.05, 0.15, 0.30)
+    split_fractions: tuple[float, ...] = (0.6, 0.05, 0.35)
+    forget_fractions: tuple[float, ...] = (0.05, 0.15, 0.30)
     forget_grouping: str = "patient_level"
-    algorithms: tuple = ("exact", "relabel", "salun")
+    algorithms: tuple[str, ...] = ("exact", "relabel", "salun")
     unlearn_epochs: int = 2
     unlearn_batch_size: int = 32
-    lr_grid: tuple = (3e-4, 1e-3, 3e-3, 1e-2)
-    threshold_grid: tuple = (1e-3, 4e-3)
+    lr_grid: tuple[float, ...] = (3e-4, 1e-3, 3e-3, 1e-2)
+    threshold_grid: tuple[float, ...] = (1e-3, 4e-3)
     relabel_policy: str | None = None
     repeats: int = 3
     base_seed: int = 0
-    group_names: tuple = ("male", "female")
+    group_names: tuple[str, ...] = ("male", "female")
 
     def validate(self):
         self.arch.validate()

@@ -64,7 +64,7 @@ EVAL_BATCH = 256
 #   out_shape(shape)             per-sample output shape; ValueError on mismatch
 #   param_shapes()               {role: shape} of its parameters, in layout order
 #   fan_in                       inputs per output unit (layers with weights)
-#   forward(x, params, mode, stats) -> (out, cache)
+#   forward(x, params, mode, stats, owned) -> (out, cache)
 #   backward(d, params, cache, grads, need_dx) -> dx
 #   keeps_finite                 True when a finite input always gives a
 #                                finite output, so the forward pass need not
@@ -74,12 +74,20 @@ EVAL_BATCH = 256
 # into ``grads``. A layer may return None for dx when ``need_dx`` is False.
 # ``stats`` is a BatchNorm layer's running (mean, var), read in eval mode and
 # smoothed in place in train mode; None when train mode must not update it.
+# ``owned`` is True only in a cache-free pass, which owns every activation
+# after its batch copy: the layer may write its output into ``x``, and its
+# cache is dropped before the next layer runs.
 #
 # Layout rule: numpy's pairwise summation follows memory order, so the same
 # values summed in another layout can differ in the last bit. Conv2D outputs
 # are NCHW views of channels-last memory and gradients flow C-contiguous.
 # Elementwise operations may write into any buffer or layout; every
-# reduction and matrix product must see the layout it always has.
+# reduction and matrix product must see the layout it always has. In a
+# cache-free pass, a per-channel operand of an elementwise operation is laid
+# out like one sample of the activation (``_like_sample``), so the operation
+# runs one long loop per sample, not one short loop per channel or pixel.
+# Passes with a cache keep the short loops: at train batch 32 the long rows
+# did not pay.
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -101,7 +109,7 @@ class Dense:
     def param_shapes(self):
         return {"weight": (self.in_dim, self.out_dim), "bias": (self.out_dim,)}
 
-    def forward(self, x, params, mode, stats):
+    def forward(self, x, params, mode, stats, owned=False):
         w, b = params
         out = x @ w
         out += b
@@ -145,11 +153,15 @@ class Conv2D:
         # patch product uses.
         return {"weight": (self.out_ch, self.fan_in), "bias": (self.out_ch,)}
 
-    def forward(self, x, params, mode, stats):
+    def forward(self, x, params, mode, stats, owned=False):
         w, b = params
         cols, h_out, w_out = _im2col(x, self.kernel, self.stride)
         out = cols @ w.T
-        out += b
+        if owned:  # the bias over each sample's whole (H_out*W_out*out_ch) row
+            rows = out.reshape(x.shape[0], -1)
+            rows += np.tile(b, h_out * w_out)
+        else:
+            out += b
         # An NCHW view of channels-last memory, as the layout rule says.
         out = out.reshape(x.shape[0], h_out, w_out, self.out_ch).transpose(0, 3, 1, 2)
         return out, (x.shape, cols)
@@ -225,8 +237,8 @@ class ReLU:
     def param_shapes(self):
         return {}
 
-    def forward(self, x, params, mode, stats):
-        out = np.maximum(x, 0.0)
+    def forward(self, x, params, mode, stats, owned=False):
+        out = np.maximum(x, 0.0, out=x if owned else None)
         return out, out
 
     def backward(self, d, params, out, grads, need_dx):
@@ -252,13 +264,17 @@ class BatchNorm:
     def param_shapes(self):
         return {"scale": (self.num_features,), "shift": (self.num_features,)}
 
-    def forward(self, x, params, mode, stats):
+    def forward(self, x, params, mode, stats, owned=False):
         scale, shift = params
         axes = _bn_axes(x)
+        if owned:
+            expand = functools.partial(_like_sample, x)
+        else:
+            expand = functools.partial(_bn_expand, ndim=x.ndim)
         if mode == "train":
             mu = x.mean(axis=axes)
             # The operations ndarray.var performs, keeping the centred values.
-            centred = x - _bn_expand(mu, x.ndim)
+            centred = np.subtract(x, expand(mu), out=x if owned else None)
             var = (centred * centred).sum(axis=axes) / (x.size // self.num_features)
             if stats is not None:
                 run_mu, run_var = stats
@@ -269,13 +285,13 @@ class BatchNorm:
                 run_var += m * var
         else:
             mu, var = stats
-            centred = x - _bn_expand(mu, x.ndim)
+            centred = np.subtract(x, expand(mu), out=x if owned else None)
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
         xhat = centred
-        xhat *= _bn_expand(inv_std, x.ndim)
-        out = xhat * _bn_expand(scale, x.ndim)
-        out += _bn_expand(shift, x.ndim)
-        return out, (xhat, inv_std, mode)
+        xhat *= expand(inv_std)
+        out = np.multiply(xhat, expand(scale), out=xhat if owned else None)
+        out += expand(shift)
+        return out, None if owned else (xhat, inv_std, mode)
 
     def backward(self, d, params, cache, grads, need_dx):
         xhat, inv_std, mode = cache
@@ -308,6 +324,19 @@ def _bn_expand(v: np.ndarray, ndim: int) -> np.ndarray:
     return v if ndim == 2 else v[:, None, None]
 
 
+def _like_sample(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The per-channel values ``v`` spread over one sample of the batch
+    ``x`` and laid out in that sample's memory order (``v`` itself for 2-D
+    ``x``): HWC for the NCHW view of channels-last memory that Conv2D
+    emits, CHW for a C-contiguous batch. An elementwise operation of ``x``
+    with it then runs one loop per sample, not one per channel."""
+    if x.ndim == 2:
+        return v
+    out = np.empty_like(x[0])  # order "K": x's memory order
+    out[...] = v[:, None, None]
+    return out
+
+
 @dataclass(frozen=True)
 class GlobalAvgPool:
     tag: ClassVar[str] = "global_avg_pool"
@@ -322,7 +351,7 @@ class GlobalAvgPool:
     def param_shapes(self):
         return {}
 
-    def forward(self, x, params, mode, stats):
+    def forward(self, x, params, mode, stats, owned=False):
         return x.mean(axis=(2, 3)), x.shape
 
     def backward(self, d, params, shape, grads, need_dx):
@@ -340,7 +369,7 @@ class Flatten:
     def param_shapes(self):
         return {}
 
-    def forward(self, x, params, mode, stats):
+    def forward(self, x, params, mode, stats, owned=False):
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, d, params, shape, grads, need_dx):
@@ -421,10 +450,12 @@ def fields_from_json(cls, doc, where: str, section: str = "", keys=None) -> dict
     ``doc``, read by the field annotations.
 
     ``doc`` may set the fields in ``keys`` (default: all); those without a
-    default are required. A list reads as a tuple, a whole float as an int
-    and an int as a float where the annotation allows that type, and null
-    only where it allows None. An unknown key or a value of any other type
-    raises ValueError naming the key (``section.key`` inside ``section``).
+    default are required. A list reads as a tuple where the annotation
+    allows ``tuple[T, ...]``, each item read as ``T``; a whole float reads as
+    an int and an int as a float where the annotation allows that type, and
+    null only where it allows None. JSON true and false are never numbers.
+    An unknown key or a value of any other type raises ValueError naming the
+    key (``section.key`` inside ``section``).
     """
     names = [f.name for f in fields(cls)] if keys is None else keys
     required = [
@@ -436,7 +467,7 @@ def fields_from_json(cls, doc, where: str, section: str = "", keys=None) -> dict
     out = {}
     for key, value in doc.items():
         try:
-            out[key] = _json_value(value, kinds[key])
+            out[key] = _json_value(value, *kinds[key])
         except (TypeError, OverflowError) as exc:  # OverflowError: an int beyond float
             name = f"{section}.{key}" if section else key
             raise ValueError(f"{where} key {name!r} {exc}") from None
@@ -444,21 +475,30 @@ def fields_from_json(cls, doc, where: str, section: str = "", keys=None) -> dict
 
 
 @functools.lru_cache(maxsize=None)
-def _field_kinds(cls) -> dict[str, tuple]:
-    """Per field of ``cls``, the types its annotation allows: the members of
-    a union, a generic such as ``tuple[int, ...]`` taken as its origin.
-    Cached, as resolving annotations costs far more than reading a layer."""
+def _field_kinds(cls) -> dict[str, tuple[tuple, type | None]]:
+    """Per field of ``cls``, the types its annotation allows (the members of
+    a union, a generic such as ``list[int]`` taken as its origin) and the
+    item type ``T`` of its ``tuple[T, ...]`` member, or None. Cached, as
+    resolving annotations costs far more than reading a layer."""
     kinds = {}
     for name, hint in get_type_hints(cls).items():
         members = get_args(hint) if get_origin(hint) in (Union, UnionType) else (hint,)
-        kinds[name] = tuple(get_origin(m) or m for m in members)
+        items = [get_args(m)[0] for m in members if get_origin(m) is tuple]
+        kinds[name] = (tuple(get_origin(m) or m for m in members), items[0] if items else None)
     return kinds
 
 
-def _json_value(value, kinds: tuple):
-    """``value`` as a type among ``kinds``; TypeError when it fits none."""
-    if isinstance(value, list) and tuple in kinds:
-        return tuple(value)
+def _json_value(value, kinds: tuple, item: type | None = None):
+    """``value`` as a type among ``kinds``, a list as a tuple of ``item``;
+    TypeError when it fits none."""
+    if isinstance(value, list) and item is not None:
+        out = []
+        for i, v in enumerate(value):
+            try:
+                out.append(_json_value(v, (item,)))
+            except TypeError as exc:
+                raise TypeError(f"item {i} {exc}") from None
+        return tuple(out)
     if not isinstance(value, bool):  # JSON true and false are never numbers
         if int in kinds and isinstance(value, float) and value.is_integer():
             return int(value)
@@ -483,10 +523,11 @@ def fields_to_json(obj, keys=None) -> dict:
 def arch_from_json(text: str) -> ArchSpec:
     doc = json.loads(text)
     check_keys(doc, "arch", required=("input_shape", "layers", "output_dim"))
-    if not isinstance(doc["layers"], list):
+    entries = doc.pop("layers")
+    if not isinstance(entries, list):
         raise ValueError("arch layers must be a JSON list")
     layers = []
-    for i, entry in enumerate(doc["layers"]):
+    for i, entry in enumerate(entries):
         where = f"arch layer {i}"
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be a JSON object, got {entry!r}")
@@ -495,10 +536,8 @@ def arch_from_json(text: str) -> ArchSpec:
             raise ValueError(f"unknown layer type {entry.get('type')!r}")
         kwargs = {k: v for k, v in entry.items() if k != "type"}
         layers.append(cls(**fields_from_json(cls, kwargs, where)))
-    shape, out = doc["input_shape"], doc["output_dim"]
-    if not isinstance(shape, list) or not all(isinstance(d, int) for d in shape + [out]):
-        raise ValueError("arch input_shape must be a list of ints and output_dim an int")
-    arch = ArchSpec(input_shape=tuple(shape), layers=tuple(layers), output_dim=out)
+    top = fields_from_json(ArchSpec, doc, "arch", keys=("input_shape", "output_dim"))
+    arch = ArchSpec(layers=tuple(layers), **top)
     arch.validate()
     return arch
 
@@ -644,11 +683,14 @@ def _forward_raw(
     ``cache`` collects per-layer context for the backward pass. In train mode
     BatchNorm normalizes with batch statistics and (if ``update_stats``)
     smooths the model's running statistics in place; eval mode reads running
-    statistics only and never mutates the model.
+    statistics only and never mutates the model. Without a cache the pass
+    copies the batch once and owns every activation from there on, so the
+    layers may write into their input; the caller's array is never written.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = np.asarray(x, dtype=np.float64)
+    owned = cache is None
+    x = np.array(x, dtype=np.float64) if owned else np.asarray(x, dtype=np.float64)
     expected = model.arch.input_shape
     if x.ndim != len(expected) + 1 or x.shape[1:] != expected:
         raise ValueError(f"batch shape {x.shape} does not match input {expected}")
@@ -659,11 +701,12 @@ def _forward_raw(
     params = _layer_views(model, model.params)
     stats = model.batchnorm_stats if mode == "eval" or update_stats else {}
     for i, layer in enumerate(model.arch.layers):
-        x, layer_cache = layer.forward(x, params[i], mode, stats.get(i))
+        x, layer_cache = layer.forward(x, params[i], mode, stats.get(i), owned)
+        if not owned:
+            cache.append(layer_cache)
+        del layer_cache  # without a cache, freed before the next layer runs
         if not layer.keeps_finite:
             _check_finite(x, f"layer {i} ({type(layer).__name__})")
-        if cache is not None:
-            cache.append(layer_cache)
     return x
 
 

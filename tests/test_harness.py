@@ -284,6 +284,15 @@ class TestConfigSerialization:
             ((), "relabel_policy", 3, "config key 'relabel_policy' must be str | null, got 3"),
             (("dataset",), "path", "x.unds", "config dataset needs exactly one of 'spec' and 'path'"),
             ((), "dataset", {"path": 5}, "config dataset key 'path' must be str, got 5"),
+            ((), "lr_grid", ["a"], "config key 'lr_grid' item 0 must be float, got 'a'"),
+            ((), "split_fractions", [0.5, "x", 0.5],
+             "config key 'split_fractions' item 1 must be float, got 'x'"),
+            (("dataset", "spec"), "class_weights", ["a", 0.3, 0.2],
+             "dataset spec key 'class_weights' item 0 must be float, got 'a'"),
+            ((), "forget_fractions", [None], "config key 'forget_fractions' item 0 must be float, got None"),
+            ((), "algorithms", [["exact"]], "config key 'algorithms' item 0 must be str, got ['exact']"),
+            ((), "threshold_grid", [True], "config key 'threshold_grid' item 0 must be float, got True"),
+            ((), "group_names", [1, 2], "config key 'group_names' item 0 must be str, got 1"),
         ],
     )
     def test_wrong_type_rejected(self, path, key, value, message):

@@ -210,6 +210,138 @@ class TestIm2col:
         assert not idx.flags.writeable
 
 
+def frozen_batchnorm(layer, x, params, mode, stats):
+    """BatchNorm's forward before cache-free passes wrote in place and laid
+    their per-channel operands out like the activation, kept frozen as the
+    oracle: returns (out, xhat, inv_std)."""
+    scale, shift = params
+    axes = (0,) if x.ndim == 2 else (0, 2, 3)
+
+    def expand(v):
+        return v if x.ndim == 2 else v[:, None, None]
+
+    if mode == "train":
+        mu = x.mean(axis=axes)
+        centred = x - expand(mu)
+        var = (centred * centred).sum(axis=axes) / (x.size // layer.num_features)
+        run_mu, run_var = stats
+        run_mu *= 1.0 - layer.momentum
+        run_mu += layer.momentum * mu
+        run_var *= 1.0 - layer.momentum
+        run_var += layer.momentum * var
+    else:
+        mu, var = stats
+        centred = x - expand(mu)
+    inv_std = 1.0 / np.sqrt(var + layer.epsilon)
+    xhat = centred
+    xhat *= expand(inv_std)
+    out = xhat * expand(scale)
+    out += expand(shift)
+    return out, xhat, inv_std
+
+
+def frozen_conv2d(layer, x, params):
+    """Conv2D's forward before cache-free passes added the bias over whole
+    sample rows, kept frozen as the oracle: returns (out, cols)."""
+    w, b = params
+    cols, h_out, w_out = _im2col(x, layer.kernel, layer.stride)
+    out = cols @ w.T
+    out += b
+    return out.reshape(x.shape[0], h_out, w_out, layer.out_ch).transpose(0, 3, 1, 2), cols
+
+
+def same_bits(a, b):
+    """Equal shape and bit-for-bit equal values (so -0.0 differs from 0.0)."""
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def input_in_layout(rng, layout):
+    if layout == "flat":
+        return rng.standard_normal((33, 6))
+    x = batch_in_layout(rng, (33, 6, 5, 4), layout)
+    x -= 0.5  # in place, which keeps the layout
+    return x
+
+
+def reference_logits(model, batch, mode):
+    """Logits from a pass with a cache, which writes into no input."""
+    model = clone_with_params(model, model.params)
+    return nn_core._forward_raw(model, batch.copy(), mode, cache=[])
+
+
+class TestCacheFreePass:
+    """Without a cache the forward pass owns its activations: it copies the
+    batch once, then BatchNorm and ReLU write into their input and the
+    per-channel operands run along whole samples. Every number stays
+    bit-identical to the layers' former code."""
+
+    @pytest.mark.parametrize(
+        "arch",
+        [
+            ArchSpec((6,), (ReLU(), Dense(6, 3)), 3),
+            ArchSpec((6,), (BatchNorm(6), ReLU(), Dense(6, 3)), 3),
+            ArchSpec((2, 3, 3), (Flatten(), BatchNorm(18), ReLU(), Dense(18, 3)), 3),
+            ArchSpec((2, 3, 3), (BatchNorm(2), ReLU(), GlobalAvgPool(), Dense(2, 3)), 3),
+        ],
+        ids=["relu_first", "flat_batchnorm_first", "flatten_then_batchnorm", "image_batchnorm_first"],
+    )
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_forward_leaves_the_batch_unchanged(self, arch, mode):
+        model = init_model(arch, 0)
+        batch = np.random.default_rng(0).standard_normal((9, *arch.input_shape))
+        assert batch.dtype == np.float64 and batch.flags.c_contiguous
+        before = batch.copy()
+        reference = reference_logits(model, batch, mode)
+        assert same_bits(forward(model, batch, mode), reference)
+        assert batch.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("layout", ["c_contiguous", "channels_last", "sliced", "flat"])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("owned", [False, True])
+    def test_batchnorm_equals_frozen_code(self, layout, mode, owned):
+        def make():  # the same values in the same layout on every call
+            return input_in_layout(np.random.default_rng(1), layout)
+
+        rng = np.random.default_rng(2)
+        layer = BatchNorm(6)
+        params = (rng.standard_normal(6), rng.standard_normal(6))
+        stats = (rng.standard_normal(6), rng.random(6) + 0.5)
+        frozen_stats = tuple(s.copy() for s in stats)
+        want, want_xhat, want_inv_std = frozen_batchnorm(layer, make(), params, mode, frozen_stats)
+        x, x_in = make(), make()
+        assert x_in.flags.c_contiguous == (layout in ("c_contiguous", "flat"))
+        out, cache = layer.forward(x_in, params, mode, stats, owned)
+        assert same_bits(out, want)
+        assert all(same_bits(s, f) for s, f in zip(stats, frozen_stats))
+        if owned:
+            assert np.shares_memory(out, x_in) and cache is None
+        else:
+            assert same_bits(x_in, x)
+            assert out.strides == want.strides
+            xhat, inv_std, cached_mode = cache
+            assert same_bits(xhat, want_xhat) and xhat.strides == want_xhat.strides
+            assert same_bits(inv_std, want_inv_std) and cached_mode == mode
+
+    @pytest.mark.parametrize("layout", ["c_contiguous", "channels_last", "sliced"])
+    @pytest.mark.parametrize("owned", [False, True])
+    def test_conv2d_equals_frozen_code(self, layout, owned):
+        rng = np.random.default_rng(3)
+        x = input_in_layout(rng, layout)
+        assert x.flags.c_contiguous == (layout == "c_contiguous")
+        layer = Conv2D(6, 7, kernel=2, stride=1)
+        params = (rng.standard_normal((7, layer.fan_in)), rng.standard_normal(7))
+        want, want_cols = frozen_conv2d(layer, x, params)
+        out, (shape, cols) = layer.forward(x, params, "eval", None, owned)
+        assert same_bits(out, want) and out.strides == want.strides
+        assert shape == x.shape and same_bits(cols, want_cols)
+
+    def test_relu_owned_writes_into_its_input(self):
+        x = np.random.default_rng(3).standard_normal((4, 6))
+        want = np.maximum(x, 0.0)
+        out, _ = ReLU().forward(x, (), "eval", None, True)
+        assert out is x and same_bits(x, want)
+
+
 class TestFiniteGuard:
     """The forward pass names the first layer whose output is non-finite;
     layers that keep a finite input finite (ReLU, Flatten) are not
@@ -335,6 +467,9 @@ class TestArchAndLayout:
             (lambda doc: doc["layers"].__setitem__(2, "relu"), "JSON object"),
             (lambda doc: doc["layers"][0].update(kernel="3"), "'kernel' must be int"),
             (lambda doc: doc.update(input_shape=8), "input_shape"),
+            (lambda doc: doc.update(input_shape=[True, 8, 8]),
+             "arch key 'input_shape' item 0 must be int, got True"),
+            (lambda doc: doc.update(output_dim=True), "arch key 'output_dim' must be int, got True"),
         ],
     )
     def test_malformed_arch_json_rejected(self, edit, message):
