@@ -444,15 +444,24 @@ class TestRunExperiment:
 # and one repeat: 9 cells, each approximate one sweeping the full default
 # lr and threshold grids. Any change to a number the report holds moves it.
 FULL_GRID_REPORT_PIN = "d1cf4eab16fbecb93928cea914238f3ea9b855c8c28fbadf26d6f7cdf6275d56"
+# SHA-256 over the CSV tables emit_report writes for that report: each
+# file's name, then its bytes, in the order emit_report returns them.
+FULL_GRID_CSV_PIN = "371067b473a88791bcf4fff678bba0c848dc544930fef3564d20c036feb45a7b"
 
 
-def test_full_grid_report_pin():
+def test_full_grid_report_pin(tmp_path):
     cfg = default_config(0)
     cfg = replace(cfg, dataset=replace(cfg.dataset, num_patients=20), repeats=1)
     report = run_experiment(cfg)
     assert len(report.cells) == 9 and not report.incomplete
     stripped = json.dumps(strip_timing(report.to_dict()), sort_keys=True)
     assert hashlib.sha256(stripped.encode()).hexdigest() == FULL_GRID_REPORT_PIN
+    digest = hashlib.sha256()
+    for path in emit_report(report, tmp_path):
+        if path.suffix == ".csv":
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == FULL_GRID_CSV_PIN
 
 
 class TestCellFailures:
