@@ -59,7 +59,6 @@ from .unlearn import (  # noqa: F401
     exact_unlearn,
     relabel_unlearn,
     saliency_unlearn,
-    task_loss_kind,
 )
 
 __all__ = [
@@ -202,8 +201,8 @@ def spec_from_dict(doc: dict) -> SyntheticSpec:
     return SyntheticSpec(**fields_from_json(SyntheticSpec, doc, "dataset spec"))
 
 
-# The TrainConfig fields a config file sets under "train" (loss_kind, seed
-# and mask are set per run), and the UnlearnConfig fields it sets under
+# The TrainConfig fields a config file sets under "train" (seed and mask
+# are set per run), and the UnlearnConfig fields it sets under
 # "unlearn", held as ExperimentConfig.unlearn_<key>. Every other field but
 # dataset and arch is a top-level key of the same name.
 _TRAIN_KEYS = ("epochs", "batch_size", "lr0")
@@ -296,7 +295,7 @@ def sweep_hparams(
     started = time.perf_counter()
     noisy = unlearn.noisy_forget_set(forget, relabel_policy, seed)
     gradient = (
-        unlearn.forget_gradient(pretrained, forget, task_loss_kind(forget))
+        unlearn.forget_gradient(pretrained, forget)
         if algorithm == "salun"
         else None
     )
@@ -388,7 +387,6 @@ class _Repeat:
     ds: LabeledDataset
     plan: SplitPlan
     test: LabeledDataset
-    train_cfg: TrainConfig
     pretrained: ModelState
     difficulty: dict
 
@@ -408,10 +406,9 @@ def _prepare_repeat(cfg: ExperimentConfig, r: int) -> tuple[_Repeat, float]:
     )
     train_ds = ds.subset(plan.train_ids)
     test_ds = ds.subset(plan.test_ids)
-    train_cfg = replace(cfg.train_cfg, loss_kind=task_loss_kind(ds))
     started = time.perf_counter()
     pretrained, _ = train_from_scratch(
-        cfg.arch, train_ds, train_cfg, derive_seed(cfg.base_seed, "repeat", r, "pretrain")
+        cfg.arch, train_ds, cfg.train_cfg, derive_seed(cfg.base_seed, "repeat", r, "pretrain")
     )
     seconds = time.perf_counter() - started
     try:
@@ -426,7 +423,7 @@ def _prepare_repeat(cfg: ExperimentConfig, r: int) -> tuple[_Repeat, float]:
         }
     except ValueError as exc:
         difficulty = {"repeat": r, "error": str(exc)}
-    return _Repeat(r, ds, plan, test_ds, train_cfg, pretrained, difficulty), seconds
+    return _Repeat(r, ds, plan, test_ds, pretrained, difficulty), seconds
 
 
 def _split_forget(cfg: ExperimentConfig, rep: _Repeat, fraction: float) -> tuple:
@@ -444,7 +441,7 @@ def _run_exact(cfg: ExperimentConfig, rep: _Repeat, fraction: float, split: tupl
     retain, forget = split
     started = time.perf_counter()
     model = exact_unlearn(
-        rep.pretrained, retain, rep.train_cfg,
+        rep.pretrained, retain, cfg.train_cfg,
         derive_seed(cfg.base_seed, "repeat", rep.r, "unlearn", "exact", _frac_key(fraction)),
     )
     seconds = time.perf_counter() - started
@@ -662,13 +659,6 @@ def _fmt_cell(stats: dict | None) -> str:
     return f"{stats['mean'] * 100:.2f}±{stats['std'] * 100:.2f}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def emit_report(report: UnlearnReport, out_dir) -> list[Path]:
     """Write report.json plus CSV tables (AUROC in percentage points,
     mean±std cells): forget-size analysis, and per-class / fairness tables
@@ -695,40 +685,30 @@ def emit_report(report: UnlearnReport, out_dir) -> list[Path]:
     algorithms = [a for a in report.config["algorithms"] if a in report.summary]
     fractions = [_frac_key(f) for f in report.config["forget_fractions"]]
 
-    header = ["algorithm"]
-    for frac in fractions:
-        header += [f"{s}@{frac}" for s in SET_NAMES]
-    rows = []
-    for alg in algorithms:
-        row = [alg]
-        for frac in fractions:
-            entry = report.summary.get(alg, {}).get(frac)
-            for set_name in SET_NAMES:
-                row.append(_fmt_cell(entry[set_name]["macro"]) if entry else "")
-        rows.append(row)
-    path = out / "forget_size.csv"
-    _write_csv(path, header, rows)
-    paths.append(path)
-
-    for frac in fractions:
-        header = ["algorithm"]
-        for role in ROLES:
-            header += [f"{role}_{s}" for s in SET_NAMES]
-        rows = []
+    def table(name: str, columns: list[tuple]):
+        """One row per algorithm; a (header, fraction, set, picker) column
+        holds the picker's stats from that set's summary at that fraction."""
+        rows = [["algorithm", *(header for header, *_ in columns)]]
         for alg in algorithms:
-            entry = report.summary.get(alg, {}).get(frac)
             row = [alg]
-            for role in ROLES:
-                for set_name in SET_NAMES:
-                    stats = (
-                        entry[set_name]["per_class"].get(role) if entry else None
-                    )
-                    row.append(_fmt_cell(stats))
+            for _, frac, set_name, pick in columns:
+                entry = report.summary[alg].get(frac)
+                row.append(_fmt_cell(pick(entry[set_name]) if entry else None))
             rows.append(row)
-        path = out / f"per_class_{frac}.csv"
-        _write_csv(path, header, rows)
+        path = out / name
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
         paths.append(path)
 
+    table("forget_size.csv", [
+        (f"{s}@{frac}", frac, s, lambda stats: stats["macro"])
+        for frac in fractions for s in SET_NAMES
+    ])
+    for frac in fractions:
+        table(f"per_class_{frac}.csv", [
+            (f"{role}_{s}", frac, s, lambda stats, role=role: stats["per_class"].get(role))
+            for role in ROLES for s in SET_NAMES
+        ])
         group_names = sorted(
             {
                 name
@@ -739,22 +719,10 @@ def emit_report(report: UnlearnReport, out_dir) -> list[Path]:
                 .get("per_group", {})
             }
         )
-        header = ["algorithm"]
-        for set_name in SET_NAMES:
-            header += [f"{set_name}_{g}" for g in group_names]
-        rows = []
-        for alg in algorithms:
-            entry = report.summary.get(alg, {}).get(frac)
-            row = [alg]
-            for set_name in SET_NAMES:
-                for g in group_names:
-                    stats = entry[set_name]["per_group"].get(g) if entry else None
-                    row.append(_fmt_cell(stats))
-            rows.append(row)
-        path = out / f"fairness_{frac}.csv"
-        _write_csv(path, header, rows)
-        paths.append(path)
-
+        table(f"fairness_{frac}.csv", [
+            (f"{s}_{g}", frac, s, lambda stats, g=g: stats["per_group"].get(g))
+            for s in SET_NAMES for g in group_names
+        ])
     return paths
 
 

@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import stat
 import struct
 from dataclasses import MISSING, dataclass, field, fields
 from types import NoneType, UnionType
@@ -48,6 +49,7 @@ __all__ = [
 
 MODEL_MAGIC = b"UNFG"
 MODEL_FORMAT_VERSION = 1
+_READ_CHUNK = 1 << 20
 
 # Rows per eval-mode pass when a whole dataset is scored or its gradient is
 # summed. The chunking is part of the computed numbers (summation and BLAS
@@ -554,6 +556,7 @@ class LayoutRecord:
     length: int
 
 
+@functools.lru_cache(maxsize=None)
 def param_layout(arch: ArchSpec) -> tuple[LayoutRecord, ...]:
     """Deterministic flat layout: layers in order, weight before bias,
     scale before shift; offsets are cumulative and non-overlapping."""
@@ -579,7 +582,6 @@ class ModelState:
 
     arch: ArchSpec
     params: np.ndarray
-    layout: tuple[LayoutRecord, ...]
     batchnorm_stats: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     @property
@@ -587,7 +589,7 @@ class ModelState:
         return self.params.size
 
     def slice(self, layer_index: int, role: str) -> np.ndarray:
-        for rec in self.layout:
+        for rec in param_layout(self.arch):
             if rec.layer_index == layer_index and rec.role == role:
                 return self.params[rec.offset : rec.offset + rec.length]
         raise KeyError(f"no parameter ({layer_index}, {role}) in layout")
@@ -598,16 +600,16 @@ def _layer_views(model: ModelState, flat: np.ndarray) -> list[tuple[np.ndarray, 
     vector) in ``param_shapes`` order."""
     return [
         tuple(flat[start:stop].reshape(shape) for start, stop, shape in plan)
-        for plan in _view_plan(model.arch, model.layout)
+        for plan in _view_plan(model.arch)
     ]
 
 
 @functools.lru_cache(maxsize=None)
-def _view_plan(arch: ArchSpec, layout: tuple[LayoutRecord, ...]) -> tuple[tuple, ...]:
+def _view_plan(arch: ArchSpec) -> tuple[tuple, ...]:
     """Per layer, the (start, stop, shape) of each of its parameter roles in
     the flat vector, located by one pass over the layout."""
     plan = [[] for _ in arch.layers]
-    for rec in layout:
+    for rec in param_layout(arch):
         shape = arch.layers[rec.layer_index].param_shapes()[rec.role]
         plan[rec.layer_index].append((rec.offset, rec.offset + rec.length, shape))
     return tuple(map(tuple, plan))
@@ -639,11 +641,11 @@ def init_model(arch: ArchSpec, seed: int) -> ModelState:
         for i, l in enumerate(arch.layers)
         if isinstance(l, BatchNorm)
     }
-    return ModelState(arch=arch, params=params, layout=layout, batchnorm_stats=stats)
+    return ModelState(arch=arch, params=params, batchnorm_stats=stats)
 
 
 def clone_with_params(model: ModelState, new_params: np.ndarray) -> ModelState:
-    """Same architecture and layout, replaced parameters, copied BN stats."""
+    """Same architecture, replaced parameters, copied BN stats."""
     new_params = np.asarray(new_params, dtype=np.float64).ravel()
     if new_params.size != model.params.size:
         raise ValueError(
@@ -653,7 +655,6 @@ def clone_with_params(model: ModelState, new_params: np.ndarray) -> ModelState:
     return ModelState(
         arch=model.arch,
         params=new_params.copy(),
-        layout=model.layout,
         batchnorm_stats=stats,
     )
 
@@ -805,12 +806,24 @@ def _write_array(fh, arr: np.ndarray):
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    # Check a declared length against the file before reading, so a corrupt
-    # length fails here instead of asking for an absurd allocation.
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise ValueError(f"truncated model file while reading {what}: needs {n} bytes, {left} left")
-    return fh.read(n)
+    # Check a declared length against a regular file before reading, so a
+    # corrupt length fails here instead of asking for an absurd allocation.
+    # Other input (a pipe) has no size up front: it is read in bounded
+    # chunks, and a short read is the truncation.
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        left = st.st_size - fh.tell()
+        if n > left:
+            raise ValueError(f"truncated model file while reading {what}: needs {n} bytes, {left} left")
+        return fh.read(n)
+    parts, got = [], 0
+    while got < n:
+        part = fh.read(min(n - got, _READ_CHUNK))
+        if not part:
+            raise ValueError(f"truncated model file while reading {what}: needs {n} bytes, {got} read")
+        parts.append(part)
+        got += len(part)
+    return b"".join(parts)
 
 
 def _read_array(fh, what: str) -> np.ndarray:
@@ -846,9 +859,8 @@ def load_model(path) -> ModelState:
             raise ValueError(f"unsupported model format version {version}")
         (arch_len,) = struct.unpack("<Q", _read_exact(fh, 8, "arch length"))
         arch = arch_from_json(_read_exact(fh, arch_len, "arch").decode("utf-8"))
-        layout = param_layout(arch)
         params = _read_array(fh, "params")
-        expected = sum(r.length for r in layout)
+        expected = sum(r.length for r in param_layout(arch))
         if params.size != expected:
             raise ValueError(f"model file has {params.size} params, arch needs {expected}")
         stats = {}
@@ -861,4 +873,4 @@ def load_model(path) -> ModelState:
                 stats[i] = (mu, var)
         if fh.read(1):
             raise ValueError("trailing bytes after model payload")
-    return ModelState(arch=arch, params=params, layout=layout, batchnorm_stats=stats)
+    return ModelState(arch=arch, params=params, batchnorm_stats=stats)

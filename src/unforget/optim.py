@@ -22,6 +22,7 @@ __all__ = [
     "TrainConfig",
     "adam_step",
     "cosine_lr",
+    "task_loss_kind",
     "train",
     "train_from_scratch",
 ]
@@ -39,13 +40,10 @@ class AdamState:
     epsilon: float = 1e-8
 
     @classmethod
-    def fresh(cls, num_params: int, beta1=0.9, beta2=0.999, epsilon=1e-8) -> "AdamState":
+    def fresh(cls, num_params: int) -> "AdamState":
         return cls(
             m=np.zeros(num_params),
             v=np.zeros(num_params),
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
         )
 
 
@@ -139,7 +137,6 @@ class TrainConfig:
     epochs: int = 6
     batch_size: int = 32
     lr0: float = 1e-3
-    loss_kind: str = "ce"
     seed: int = 0
     mask: object = None
 
@@ -150,17 +147,20 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr0 <= 0:
             raise ValueError(f"lr0 must be positive, got {self.lr0}")
-        if self.loss_kind not in ("ce", "bce"):
-            raise ValueError(f"loss_kind must be 'ce' or 'bce', got {self.loss_kind!r}")
 
     @property
     def floor(self) -> float:
         return 0.1 * self.lr0
 
 
+def task_loss_kind(ds) -> str:
+    """The loss a dataset's task trains with: "ce" or "bce"."""
+    return "ce" if ds.task_kind == "single_label" else "bce"
+
+
 def train(model: ModelState, data, cfg: TrainConfig) -> tuple[ModelState, list[float]]:
-    """Seeded mini-batch training; returns the last-epoch model and the
-    per-epoch mean loss trace.
+    """Seeded mini-batch training on the loss of the data's task kind;
+    returns the last-epoch model and the per-epoch mean loss trace.
 
     Shuffling and batching come from ``default_rng(cfg.seed)``, the schedule
     advances one cosine step per optimizer step over epochs * batches_per_epoch
@@ -169,17 +169,13 @@ def train(model: ModelState, data, cfg: TrainConfig) -> tuple[ModelState, list[f
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    expected_loss = "ce" if data.task_kind == "single_label" else "bce"
-    if cfg.loss_kind != expected_loss:
-        raise ValueError(
-            f"{data.task_kind} data needs loss_kind {expected_loss!r}, got {cfg.loss_kind!r}"
-        )
     model = clone_model(model)
     if cfg.epochs == 0:
         return model, []
 
     features = data.feature_array()
     labels = data.label_array()
+    loss_kind = task_loss_kind(data)
     n = len(data)
     batches_per_epoch = -(-n // cfg.batch_size)
     schedule = LrSchedule(cfg.lr0, cfg.floor, cfg.epochs * batches_per_epoch)
@@ -194,7 +190,7 @@ def train(model: ModelState, data, cfg: TrainConfig) -> tuple[ModelState, list[f
         for b in range(batches_per_epoch):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             lr = cosine_lr(schedule, step)
-            loss, grad = loss_and_grad(model, features[idx], labels[idx], cfg.loss_kind)
+            loss, grad = loss_and_grad(model, features[idx], labels[idx], loss_kind)
             model.params, adam = adam_step(model.params, grad, adam, lr, cfg.mask)
             epoch_losses.append(loss)
             step += 1

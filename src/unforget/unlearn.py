@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import LabeledDataset, concat_datasets
 from .nn_core import EVAL_BATCH, ModelState, loss_and_grad
-from .optim import TrainConfig, train, train_from_scratch
+from .optim import TrainConfig, task_loss_kind, train, train_from_scratch
 from .seeding import derive_seed
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "relabel_finetune",
     "noisy_forget_set",
     "forget_gradient",
-    "task_loss_kind",
     "compute_saliency_mask",
     "saliency_unlearn",
     "relabel_unlearn",
@@ -111,11 +110,6 @@ def default_relabel_policy(ds: LabeledDataset) -> str:
     return "exclude_original" if ds.task_kind == "single_label" else "bitwise_flip"
 
 
-def task_loss_kind(ds: LabeledDataset) -> str:
-    """The loss a dataset's task trains with: "ce" or "bce"."""
-    return "ce" if ds.task_kind == "single_label" else "bce"
-
-
 def exact_unlearn(
     pretrained: ModelState, retain: LabeledDataset, train_cfg: TrainConfig, seed: int
 ) -> ModelState:
@@ -186,7 +180,6 @@ def relabel_finetune(
         epochs=cfg.epochs,
         batch_size=cfg.batch_size,
         lr0=cfg.lr,
-        loss_kind=task_loss_kind(combined),
         seed=derive_seed(cfg.seed, "shuffle"),
         mask=mask,
     )
@@ -194,9 +187,7 @@ def relabel_finetune(
     return model
 
 
-def forget_gradient(
-    pretrained: ModelState, forget: LabeledDataset, loss_kind: str
-) -> np.ndarray:
+def forget_gradient(pretrained: ModelState, forget: LabeledDataset) -> np.ndarray:
     """The mean over all forget samples of d(loss)/d(params), accumulated over
     chunks with eval-mode BatchNorm (no sampling, no model mutation), so the
     result is a deterministic function of (model, forget). It does not depend
@@ -213,7 +204,7 @@ def forget_gradient(
             pretrained,
             features[start:stop],
             labels[start:stop],
-            loss_kind,
+            task_loss_kind(forget),
             bn_mode="eval",
             update_stats=False,
         )
@@ -222,12 +213,12 @@ def forget_gradient(
 
 
 def compute_saliency_mask(
-    pretrained: ModelState, forget: LabeledDataset, threshold: float, loss_kind: str
+    pretrained: ModelState, forget: LabeledDataset, threshold: float
 ) -> SaliencyMask:
     """Threshold the forget-set gradient magnitude into a trainability mask."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    return mask_from_gradient(forget_gradient(pretrained, forget, loss_kind), threshold)
+    return mask_from_gradient(forget_gradient(pretrained, forget), threshold)
 
 
 def relabel_unlearn(
@@ -256,6 +247,6 @@ def saliency_unlearn(
     reproduces that run exactly."""
     if cfg.algorithm != "salun":
         raise ValueError(f"config is for {cfg.algorithm!r}, expected 'salun'")
-    mask = compute_saliency_mask(pretrained, forget, cfg.threshold, task_loss_kind(forget))
+    mask = compute_saliency_mask(pretrained, forget, cfg.threshold)
     noisy = noisy_forget_set(forget, cfg.relabel_policy, cfg.seed)
     return relabel_finetune(pretrained, retain, noisy, cfg, mask=mask)

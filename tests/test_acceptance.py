@@ -163,7 +163,7 @@ def small_run():
     spec = replace(default_synthetic_spec(), num_patients=60, samples_per_patient=8, seed=23)
     ds = generate_synthetic(spec)
     plan = split_train_val_test(ds, (0.7, 0.05, 0.25), seed=3, allow_empty=True)
-    cfg = TrainConfig(epochs=2, batch_size=32, lr0=1e-3, loss_kind="ce")
+    cfg = TrainConfig(epochs=2, batch_size=32, lr0=1e-3)
     model, _ = train_from_scratch(default_arch(), ds.subset(plan.train_ids), cfg, 5)
     plan_f = split_forget_retain(plan, 0.3, "patient_level", seed=7, dataset=ds)
     return {
@@ -190,7 +190,7 @@ def test_criterion_03_mask_freeze(small_run):
         assert np.array_equal(out.params[frozen], model.params[frozen])
         assert not np.array_equal(out.params[~frozen], model.params[~frozen])
 
-    salun_mask = compute_saliency_mask(model, forget, 2e-3, "ce")
+    salun_mask = compute_saliency_mask(model, forget, 2e-3)
     out = saliency_unlearn(
         model, forget, retain, UnlearnConfig("salun", epochs=2, lr=1e-2, threshold=2e-3, seed=9)
     )
@@ -363,7 +363,7 @@ def test_criterion_07_difficulty_ranking():
         model, _ = train_from_scratch(
             default_arch(),
             ds.subset(plan.train_ids),
-            TrainConfig(epochs=6, batch_size=32, lr0=1e-3, loss_kind="ce"),
+            TrainConfig(epochs=6, batch_size=32, lr0=1e-3),
             derive_seed(seed, "ranking", "train"),
         )
         ranking = rank_difficulty(model, ds.subset(plan.test_ids))
@@ -399,7 +399,7 @@ def test_criterion_09_efficiency(default_report):
 
     ds = generate_synthetic(default_synthetic_spec())
     plan = split_train_val_test(ds, (0.6, 0.05, 0.35), seed=1, allow_empty=True)
-    cfg = TrainConfig(epochs=6, batch_size=32, lr0=1e-3, loss_kind="ce")
+    cfg = TrainConfig(epochs=6, batch_size=32, lr0=1e-3)
     model, _ = train_from_scratch(default_arch(), ds.subset(plan.train_ids), cfg, 2)
     plan_f = split_forget_retain(plan, 0.15, "patient_level", seed=3, dataset=ds)
     retain = ds.subset(plan_f.retain_ids)

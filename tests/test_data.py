@@ -30,7 +30,7 @@ from unforget.data import (
 )
 from unforget.metrics import evaluate
 from unforget.nn_core import ArchSpec, BatchNorm, Conv2D, Dense, Flatten, GlobalAvgPool, ReLU, init_model, loss_and_grad
-from unforget.optim import TrainConfig, train_from_scratch
+from unforget.optim import TrainConfig, task_loss_kind, train_from_scratch
 from unforget.unlearn import forget_gradient
 
 
@@ -199,7 +199,7 @@ class TestGenerateSynthetic:
         plan = split_train_val_test(ds, (0.7, 0.1, 0.2), seed=1)
         arch = ArchSpec((1, 4, 4), (Flatten(), Dense(16, 2)), 2)
         model, _ = train_from_scratch(
-            arch, ds.subset(plan.train_ids), TrainConfig(epochs=6, lr0=0.01, loss_kind="ce"), 2
+            arch, ds.subset(plan.train_ids), TrainConfig(epochs=6, lr0=0.01), 2
         )
         result = evaluate(model, ds.subset(plan.test_ids))
         assert result.macro_auroc > 0.99
@@ -671,7 +671,7 @@ class TestDatasetContainer:
         twin = float64_twin(ds)
         assert twin.feature_array().dtype == np.float64
         model = init_model(tiny_conv_arch(ds.feature_shape, ds.num_outputs), 4)
-        loss_kind = "ce" if ds.task_kind == "single_label" else "bce"
+        loss_kind = task_loss_kind(ds)
         rows = np.arange(0, len(ds), 7)
         labels = ds.label_array()[rows]
         for bn_mode in ("train", "eval"):
@@ -680,7 +680,7 @@ class TestDatasetContainer:
             loss64, grad64 = loss_and_grad(model, twin.feature_array()[rows], labels, loss_kind,
                                            bn_mode=bn_mode, update_stats=False)
             assert loss32 == loss64 and np.array_equal(grad32, grad64)
-        assert np.array_equal(forget_gradient(model, ds, loss_kind), forget_gradient(model, twin, loss_kind))
+        assert np.array_equal(forget_gradient(model, ds), forget_gradient(model, twin))
         assert evaluate(model, ds).to_dict() == evaluate(model, twin).to_dict()
         save_dataset(ds, tmp_path / "a.unds")
         save_dataset(twin, tmp_path / "b.unds")

@@ -102,7 +102,7 @@ def sweep_inputs():
     ds = generate_synthetic(tiny_spec())
     plan = split_train_val_test(ds, (0.6, 0.1, 0.3), seed=1)
     plan_f = split_forget_retain(plan, 0.25, "patient_level", seed=2, dataset=ds)
-    cfg = TrainConfig(epochs=2, batch_size=32, lr0=1e-3, loss_kind="ce")
+    cfg = TrainConfig(epochs=2, batch_size=32, lr0=1e-3)
     model, _ = train_from_scratch(tiny_arch(), ds.subset(plan.train_ids), cfg, 3)
     exact = train_from_scratch(tiny_arch(), ds.subset(plan_f.retain_ids), cfg, 4)[0]
     return {
@@ -155,7 +155,7 @@ class TestSweep:
         ds = generate_synthetic(spec)
         plan = split_train_val_test(ds, (0.6, 0.1, 0.3), seed=1)
         plan_f = split_forget_retain(plan, 0.25, "patient_level", seed=2, dataset=ds)
-        cfg = TrainConfig(epochs=6, batch_size=32, lr0=1e-3, loss_kind="ce")
+        cfg = TrainConfig(epochs=6, batch_size=32, lr0=1e-3)
         model, _ = train_from_scratch(default_arch(), ds.subset(plan.train_ids), cfg, 3)
         exact, _ = train_from_scratch(default_arch(), ds.subset(plan_f.retain_ids), cfg, 4)
         exact_eval = evaluate(exact, ds.subset(plan_f.forget_ids), "forget")

@@ -5,6 +5,8 @@ correctness against finite differences, losses, and the model file format.
 import hashlib
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -741,3 +743,41 @@ class TestModelFile:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError, match="truncated"):
             load_model(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("cut,error", [
+        (0, None),
+        (-1, r"^truncated model file while reading bn1 var: needs 24 bytes, 23 read$"),
+        (+1, r"^trailing bytes after model payload$"),
+    ], ids=["whole", "short", "long"])
+    def test_pipe_loads_like_the_file_it_carries(self, tmp_path, cut, error):
+        """A pipe has no size to check up front: a short one is named as
+        truncated where the read comes up short."""
+        model = init_model(conv_arch(), 13)
+        path = tmp_path / "model.unfg"
+        save_model(model, path)
+        data = path.read_bytes()
+        data = data[:cut] if cut < 0 else data + b"\0" * cut
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                with open(fifo, "wb") as fh:
+                    fh.write(data)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            if error is None:
+                loaded = load_model(fifo)
+                assert np.array_equal(loaded.params, model.params)
+                assert loaded.arch == model.arch
+            else:
+                with pytest.raises(ValueError, match=error):
+                    load_model(fifo)
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()

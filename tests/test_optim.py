@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unforget.data import LabeledDataset
-from unforget.nn_core import ArchSpec, Dense, Flatten, ReLU, init_model
+from unforget.nn_core import ArchSpec, Dense, Flatten, ReLU, init_model, loss_and_grad
 from unforget.optim import (
     AdamState,
     LrSchedule,
     TrainConfig,
     adam_step,
     cosine_lr,
+    task_loss_kind,
     train,
 )
 
@@ -30,6 +31,13 @@ def blob_dataset(n=200, seed=0, noise=0.05):
         features[i] = np.clip(centers[i % 2] + rng.normal(0, noise, 2), 0.0, 1.0).reshape(2, 1, 1)
     ids = np.arange(n)
     return LabeledDataset(ids, features, ids % 2, ids, ids % 2, "single_label", 2)
+
+
+def multi_label_blobs(n=200):
+    """The blobs with two label bits each: the cluster, and its complement."""
+    ids = np.arange(n)
+    bits = np.stack([ids % 2, 1 - ids % 2], axis=1)
+    return LabeledDataset(ids, blob_dataset(n).feature_array(), bits, ids, ids % 2, "multi_label", 2)
 
 
 def blob_arch():
@@ -160,13 +168,13 @@ class TestCosineSchedule:
 class TestTrain:
     def test_zero_epochs_returns_model_unchanged(self):
         model = init_model(blob_arch(), 0)
-        trained, trace = train(model, blob_dataset(), TrainConfig(epochs=0, loss_kind="ce"))
+        trained, trace = train(model, blob_dataset(), TrainConfig(epochs=0))
         assert np.array_equal(trained.params, model.params)
         assert trace == []
 
     def test_deterministic(self):
         model = init_model(blob_arch(), 0)
-        cfg = TrainConfig(epochs=2, batch_size=16, lr0=1e-2, loss_kind="ce", seed=5)
+        cfg = TrainConfig(epochs=2, batch_size=16, lr0=1e-2, seed=5)
         a, trace_a = train(model, blob_dataset(), cfg)
         b, trace_b = train(model, blob_dataset(), cfg)
         assert np.array_equal(a.params, b.params)
@@ -175,27 +183,40 @@ class TestTrain:
     def test_input_model_not_mutated(self):
         model = init_model(blob_arch(), 0)
         before = model.params.copy()
-        train(model, blob_dataset(), TrainConfig(epochs=1, lr0=1e-2, loss_kind="ce"))
+        train(model, blob_dataset(), TrainConfig(epochs=1, lr0=1e-2))
         assert np.array_equal(model.params, before)
 
     def test_converges_on_separable_blobs(self):
         model = init_model(blob_arch(), 1)
-        cfg = TrainConfig(epochs=6, batch_size=32, lr0=0.05, loss_kind="ce", seed=2)
+        cfg = TrainConfig(epochs=6, batch_size=32, lr0=0.05, seed=2)
         _, trace = train(model, blob_dataset(), cfg)
         assert trace[-1] < 0.1
 
     def test_loss_decreases_epoch_one_to_six(self):
         model = init_model(blob_arch(), 1)
-        cfg = TrainConfig(epochs=6, batch_size=32, lr0=0.05, loss_kind="ce", seed=2)
+        cfg = TrainConfig(epochs=6, batch_size=32, lr0=0.05, seed=2)
         _, trace = train(model, blob_dataset(), cfg)
         assert trace[5] < trace[0]
 
     def test_empty_dataset_rejected(self):
         model = init_model(blob_arch(), 0)
         with pytest.raises(ValueError, match="num_outputs|empty"):
-            train(model, blob_dataset().subset([]), TrainConfig(loss_kind="ce"))
+            train(model, blob_dataset().subset([]), TrainConfig())
 
-    def test_wrong_loss_kind_rejected(self):
-        model = init_model(blob_arch(), 0)
-        with pytest.raises(ValueError, match="loss_kind"):
-            train(model, blob_dataset(), TrainConfig(loss_kind="bce"))
+    @pytest.mark.parametrize("data,loss_kind", [
+        (blob_dataset, "ce"), (multi_label_blobs, "bce"),
+    ], ids=["single_label", "multi_label"])
+    def test_task_loss_kind(self, data, loss_kind):
+        assert task_loss_kind(data()) == loss_kind
+
+    def test_loss_follows_the_task_kind(self):
+        """One epoch in one batch over multi-label data traces the BCE loss
+        of that batch, in the order the shuffle seed draws it."""
+        ds = multi_label_blobs()
+        cfg = TrainConfig(epochs=1, batch_size=len(ds), seed=3)
+        _, trace = train(init_model(blob_arch(), 0), ds, cfg)
+        idx = np.random.default_rng(cfg.seed).permutation(len(ds))
+        loss, _ = loss_and_grad(
+            init_model(blob_arch(), 0), ds.feature_array()[idx], ds.label_array()[idx], "bce"
+        )
+        assert trace == [loss]

@@ -50,7 +50,7 @@ def fixture():
         (Conv2D(1, 6, 3, 2), BatchNorm(6), ReLU(), GlobalAvgPool(), Dense(6, 3)),
         3,
     )
-    cfg = TrainConfig(epochs=2, batch_size=32, lr0=1e-3, loss_kind="ce")
+    cfg = TrainConfig(epochs=2, batch_size=32, lr0=1e-3)
     model, _ = train_from_scratch(arch, ds.subset(plan.train_ids), cfg, 5)
     plan_f = split_forget_retain(plan, 0.3, "patient_level", seed=7, dataset=ds)
     return {
@@ -177,23 +177,23 @@ class TestExactUnlearn:
 
 class TestComputeSaliencyMask:
     def test_deterministic_and_batch_independent(self, fixture):
-        a = compute_saliency_mask(fixture["model"], fixture["forget"], 1e-3, "ce")
-        b = compute_saliency_mask(fixture["model"], fixture["forget"], 1e-3, "ce")
+        a = compute_saliency_mask(fixture["model"], fixture["forget"], 1e-3)
+        b = compute_saliency_mask(fixture["model"], fixture["forget"], 1e-3)
         assert np.array_equal(a.bits, b.bits)
 
     def test_does_not_mutate_model(self, fixture):
         model = fixture["model"]
         params_before = model.params.copy()
         stats_before = {i: (m.copy(), v.copy()) for i, (m, v) in model.batchnorm_stats.items()}
-        compute_saliency_mask(model, fixture["forget"], 1e-3, "ce")
+        compute_saliency_mask(model, fixture["forget"], 1e-3)
         assert np.array_equal(model.params, params_before)
         for i, (m, v) in model.batchnorm_stats.items():
             assert np.array_equal(m, stats_before[i][0])
             assert np.array_equal(v, stats_before[i][1])
 
     def test_monotone_in_threshold(self, fixture):
-        low = compute_saliency_mask(fixture["model"], fixture["forget"], 1e-4, "ce")
-        high = compute_saliency_mask(fixture["model"], fixture["forget"], 1e-2, "ce")
+        low = compute_saliency_mask(fixture["model"], fixture["forget"], 1e-4)
+        high = compute_saliency_mask(fixture["model"], fixture["forget"], 1e-2)
         assert high.n_trainable <= low.n_trainable
         assert np.all(low.bits >= high.bits)
 
@@ -201,13 +201,13 @@ class TestComputeSaliencyMask:
     def test_is_the_thresholded_forget_gradient(self, fixture, threshold):
         # The sweep thresholds one forget gradient per cell; it must give the
         # masks a per-run computation gives.
-        mask = compute_saliency_mask(fixture["model"], fixture["forget"], threshold, "ce")
-        grad = forget_gradient(fixture["model"], fixture["forget"], "ce")
+        mask = compute_saliency_mask(fixture["model"], fixture["forget"], threshold)
+        grad = forget_gradient(fixture["model"], fixture["forget"])
         assert np.array_equal(mask.bits, mask_from_gradient(grad, threshold).bits)
 
     def test_empty_forget_rejected(self, fixture):
         with pytest.raises(ValueError, match="empty"):
-            compute_saliency_mask(fixture["model"], fixture["forget"].subset([]), 0.1, "ce")
+            compute_saliency_mask(fixture["model"], fixture["forget"].subset([]), 0.1)
 
 
 class TestRelabelFinetune:
@@ -253,7 +253,7 @@ class TestSaliencyUnlearn:
 
     def test_frozen_coordinates_keep_pretrained_values(self, fixture):
         cfg = UnlearnConfig("salun", epochs=2, lr=1e-2, threshold=2e-3, seed=5)
-        mask = compute_saliency_mask(fixture["model"], fixture["forget"], cfg.threshold, "ce")
+        mask = compute_saliency_mask(fixture["model"], fixture["forget"], cfg.threshold)
         assert 0 < mask.n_trainable < mask.bits.size
         out = saliency_unlearn(fixture["model"], fixture["forget"], fixture["retain"], cfg)
         frozen = mask.bits == 0
