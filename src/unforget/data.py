@@ -382,12 +382,8 @@ class SplitPlan:
     val_ids: frozenset
     test_ids: frozenset
     forget_ids: frozenset
-    forget_fraction: float
-    grouping: str  # sample_level | patient_level
-    seed: int
 
     def __post_init__(self):
-        check_grouping(self.grouping)
         if (
             self.train_ids & self.val_ids
             or self.train_ids & self.test_ids
@@ -441,9 +437,6 @@ def split_train_val_test(
         val_ids=frozenset(buckets[1].tolist()),
         test_ids=frozenset(buckets[2].tolist()),
         forget_ids=frozenset(),
-        forget_fraction=0.0,
-        grouping="sample_level",
-        seed=seed,
     )
 
 
@@ -486,9 +479,6 @@ def split_forget_retain(
         val_ids=plan.val_ids,
         test_ids=plan.test_ids,
         forget_ids=frozenset(forget.tolist()),
-        forget_fraction=fraction,
-        grouping=grouping,
-        seed=seed,
     )
 
 
@@ -539,10 +529,12 @@ def load_dataset(path) -> LabeledDataset:
     For a regular file the payload size is checked against the header
     before anything is allocated; any other input (a pipe, say) is checked
     as it is read: a short read is a truncated file and a byte after the
-    last record is a trailing one. Records are read ``_BLOCK_BYTES`` at a
-    time into one reused buffer and copied into columns of the dtypes
-    ``LabeledDataset`` keeps, so the file's samples are held once, not
-    twice."""
+    last record is a trailing one. A pipe's record count is trusted only as
+    far as its records have arrived, so a false count fails as truncated
+    without first allocating columns for it. Records are read
+    ``_BLOCK_BYTES`` at a time into one reused buffer and copied into
+    columns of the dtypes ``LabeledDataset`` keeps, so the file's samples
+    are held once, not twice."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -565,28 +557,37 @@ def load_dataset(path) -> LabeledDataset:
         truncated = f"truncated dataset file: {count} records need {count * dtype.itemsize} bytes"
         trailing = "trailing bytes after dataset payload"
         st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode):
+        regular = stat.S_ISREG(st.st_mode)
+        if regular:
             if st.st_size - _HEADER.size < count * dtype.itemsize:
                 raise ValueError(truncated)
             if st.st_size - _HEADER.size > count * dtype.itemsize:
                 raise ValueError(trailing)
 
-        ids = np.empty(count, dtype=np.uint64)
-        patients = np.empty(count, dtype=np.uint64)
-        groups = np.empty(count, dtype=np.int64)
-        labels = np.empty((count, num_outputs), dtype=np.int8) if tag else np.empty(count, dtype=np.int64)
-        features = np.empty((count, c, h, w), dtype=np.float32)
-        flat = features.reshape(count, c * h * w)
+        # A regular file has shown every record through its size; a pipe's
+        # columns start at one block and double as its blocks arrive.
         block = np.empty(max(1, _BLOCK_BYTES // dtype.itemsize), dtype=dtype)
+        shown = count if regular else min(count, len(block))
+        ids = np.empty(shown, dtype=np.uint64)
+        patients = np.empty(shown, dtype=np.uint64)
+        groups = np.empty(shown, dtype=np.int64)
+        labels = np.empty((shown, num_outputs), dtype=np.int8) if tag else np.empty(shown, dtype=np.int64)
+        features = np.empty((shown, c, h, w), dtype=np.float32)
         for start in range(0, count, len(block)):
             part = block[: min(len(block), count - start)]
             if fh.readinto(part.view(np.uint8)) != part.nbytes:
                 raise ValueError(truncated)
+            if start + len(part) > len(ids):
+                # In place, so the rows read are not copied; refcheck is off,
+                # which holds because no view of a column outlives its statement.
+                shown = min(count, 2 * len(ids))
+                for col in (ids, patients, groups, labels, features):
+                    col.resize((shown, *col.shape[1:]), refcheck=False)
             rows = slice(start, start + len(part))
             ids[rows] = part["id"]
             _check_rows(ids[rows], part["feature_len"] == c * h * w, f"feature length != {c * h * w}")
             patients[rows], groups[rows] = part["patient"], part["group"]
-            labels[rows], flat[rows] = part["label"], part["features"]
+            labels[rows], features.reshape(shown, c * h * w)[rows] = part["label"], part["features"]
         if fh.read(1):
             raise ValueError(trailing)
     _check_rows(ids, (ids < 2**63) & (patients < 2**63), "id or patient >= 2**63")

@@ -107,6 +107,12 @@ class ExperimentConfig:
         self.arch.validate()
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        # A repeated entry would be run, and summarised, as if it were another.
+        for key in ("forget_fractions", "algorithms", "group_names", "lr_grid", "threshold_grid"):
+            values = getattr(self, key)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{key} repeats {repeated[0]!r}")
         for f in self.forget_fractions:
             if not (0.0 < f < 1.0):
                 raise ValueError(f"forget fractions must lie in (0, 1), got {f}")
@@ -130,7 +136,12 @@ class ExperimentConfig:
         if not all(t >= 0 for t in self.threshold_grid):
             raise ValueError(f"threshold_grid values must be >= 0, got {self.threshold_grid}")
         check_grouping(self.forget_grouping)
-        check_split_fractions(self.split_fractions, allow_empty=True)
+        # The harness never reads the val split, so only val may be empty.
+        train, _, test = check_split_fractions(self.split_fractions, allow_empty=True)
+        if train == 0 or test == 0:
+            raise ValueError(
+                f"split_fractions needs positive train and test fractions, got {self.split_fractions}"
+            )
         if isinstance(self.dataset, SyntheticSpec):
             self.dataset.validate()
             self.check_group_names(len(self.dataset.group_proportions) - 1, "the dataset spec")

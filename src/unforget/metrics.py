@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .nn_core import EVAL_BATCH, ModelState, _forward_raw
+from .nn_core import EVAL_BATCH, ModelState, forward
 
 __all__ = [
     "EvalResult",
@@ -96,7 +96,7 @@ def predict_scores(model: ModelState, ds: LabeledDataset) -> np.ndarray:
     features = ds.feature_array()
     chunks = []
     for start in range(0, len(ds), EVAL_BATCH):
-        logits = _forward_raw(model, features[start : start + EVAL_BATCH], "eval")
+        logits = forward(model, features[start : start + EVAL_BATCH], "eval")
         chunks.append(logits)
     logits = np.concatenate(chunks, axis=0)
     if ds.task_kind == "single_label":

@@ -2,9 +2,11 @@
 
 Supports a fixed layer set (Dense, Conv2D, ReLU, BatchNorm, GlobalAvgPool,
 Flatten) over 64-bit floats, with analytic backprop and a stable flat
-parameter layout: a model's parameters live in one 1-D array whose index ->
-(layer, role, position) mapping is a pure function of the architecture, so
-optimizer states, gradient vectors, and freeze masks can all share indices.
+parameter layout: a model's parameters live in one 1-D array, and
+``param_layout(arch)`` gives, per layer, the (role, start, stop, shape) span
+of each of its parameters. The layout is a pure function of the
+architecture, so optimizer states, gradient vectors, and freeze masks can
+all share indices.
 
 Gradient vectors are plain 1-D float64 ndarrays aligned with
 ``ModelState.params`` (same length, same layout).
@@ -32,7 +34,6 @@ __all__ = [
     "GlobalAvgPool",
     "Flatten",
     "ArchSpec",
-    "LayoutRecord",
     "ModelState",
     "param_layout",
     "init_model",
@@ -403,25 +404,22 @@ class ArchSpec:
         object.__setattr__(self, "input_shape", tuple(int(d) for d in self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
 
-    def validate(self) -> list[tuple[int, ...]]:
-        """Shape-check every layer transition; returns per-layer output shapes."""
+    def validate(self) -> None:
+        """Shape-check every layer transition."""
         if self.output_dim < 1:
             raise ValueError(f"output_dim must be >= 1, got {self.output_dim}")
         if len(self.input_shape) not in (1, 3) or any(d <= 0 for d in self.input_shape):
             raise ValueError(f"input_shape must be (features,) or (C, H, W), got {self.input_shape}")
-        shapes = []
         shape = self.input_shape
         for i, layer in enumerate(self.layers):
             try:
                 shape = layer.out_shape(shape)
             except ValueError as e:
                 raise ValueError(f"layer {i} {e}") from None
-            shapes.append(shape)
         if shape != (self.output_dim,):
             raise ValueError(
                 f"network emits shape {shape} but output_dim is {self.output_dim}"
             )
-        return shapes
 
 
 def arch_to_json(arch: ArchSpec) -> str:
@@ -548,26 +546,25 @@ def arch_from_json(text: str) -> ArchSpec:
 # Parameter layout and model state
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LayoutRecord:
-    layer_index: int
-    role: str  # weight | bias | scale | shift
-    offset: int
-    length: int
-
-
 @functools.lru_cache(maxsize=None)
-def param_layout(arch: ArchSpec) -> tuple[LayoutRecord, ...]:
-    """Deterministic flat layout: layers in order, weight before bias,
-    scale before shift; offsets are cumulative and non-overlapping."""
-    records = []
+def param_layout(arch: ArchSpec) -> tuple[tuple[tuple[str, int, int, tuple], ...], ...]:
+    """Deterministic flat layout: per layer, in order, the (role, start,
+    stop, shape) of each parameter in ``param_shapes`` order (weight before
+    bias, scale before shift); the spans are cumulative and non-overlapping."""
+    layout = []
     offset = 0
-    for i, layer in enumerate(arch.layers):
+    for layer in arch.layers:
+        spans = []
         for role, shape in layer.param_shapes().items():
-            length = math.prod(shape)
-            records.append(LayoutRecord(i, role, offset, length))
-            offset += length
-    return tuple(records)
+            stop = offset + math.prod(shape)
+            spans.append((role, offset, stop, shape))
+            offset = stop
+        layout.append(tuple(spans))
+    return tuple(layout)
+
+
+def _num_params(arch: ArchSpec) -> int:
+    return sum(stop - start for spans in param_layout(arch) for _, start, stop, _ in spans)
 
 
 @dataclass
@@ -589,9 +586,9 @@ class ModelState:
         return self.params.size
 
     def slice(self, layer_index: int, role: str) -> np.ndarray:
-        for rec in param_layout(self.arch):
-            if rec.layer_index == layer_index and rec.role == role:
-                return self.params[rec.offset : rec.offset + rec.length]
+        for name, start, stop, _ in param_layout(self.arch)[layer_index]:
+            if name == role:
+                return self.params[start:stop]
         raise KeyError(f"no parameter ({layer_index}, {role}) in layout")
 
 
@@ -599,20 +596,9 @@ def _layer_views(model: ModelState, flat: np.ndarray) -> list[tuple[np.ndarray, 
     """Per layer, the shaped views of ``flat`` (parameters or a gradient
     vector) in ``param_shapes`` order."""
     return [
-        tuple(flat[start:stop].reshape(shape) for start, stop, shape in plan)
-        for plan in _view_plan(model.arch)
+        tuple(flat[start:stop].reshape(shape) for _, start, stop, shape in spans)
+        for spans in param_layout(model.arch)
     ]
-
-
-@functools.lru_cache(maxsize=None)
-def _view_plan(arch: ArchSpec) -> tuple[tuple, ...]:
-    """Per layer, the (start, stop, shape) of each of its parameter roles in
-    the flat vector, located by one pass over the layout."""
-    plan = [[] for _ in arch.layers]
-    for rec in param_layout(arch):
-        shape = arch.layers[rec.layer_index].param_shapes()[rec.role]
-        plan[rec.layer_index].append((rec.offset, rec.offset + rec.length, shape))
-    return tuple(map(tuple, plan))
 
 
 def _kaiming_bound(fan_in: int) -> float:
@@ -624,18 +610,16 @@ def init_model(arch: ArchSpec, seed: int) -> ModelState:
     """Deterministically initialize a model: Kaiming-uniform weights, zero
     biases, identity BatchNorm (scale 1, shift 0, running mean 0 / var 1)."""
     arch.validate()
-    layout = param_layout(arch)
-    total = sum(r.length for r in layout)
-    params = np.zeros(total, dtype=np.float64)
+    params = np.zeros(_num_params(arch), dtype=np.float64)
     rng = np.random.default_rng(seed)
-    for rec in layout:
-        view = params[rec.offset : rec.offset + rec.length]
-        if rec.role == "weight":
-            bound = _kaiming_bound(arch.layers[rec.layer_index].fan_in)
-            view[:] = rng.uniform(-bound, bound, size=rec.length)
-        elif rec.role == "scale":
-            view[:] = 1.0
-        # bias and shift stay zero
+    for layer, spans in zip(arch.layers, param_layout(arch)):
+        for role, start, stop, _ in spans:
+            if role == "weight":
+                bound = _kaiming_bound(layer.fan_in)
+                params[start:stop] = rng.uniform(-bound, bound, size=stop - start)
+            elif role == "scale":
+                params[start:stop] = 1.0
+            # bias and shift stay zero
     stats = {
         i: (np.zeros(l.num_features), np.ones(l.num_features))
         for i, l in enumerate(arch.layers)
@@ -657,10 +641,6 @@ def clone_with_params(model: ModelState, new_params: np.ndarray) -> ModelState:
         params=new_params.copy(),
         batchnorm_stats=stats,
     )
-
-
-def clone_model(model: ModelState) -> ModelState:
-    return clone_with_params(model, model.params)
 
 
 # --------------------------------------------------------------------------
@@ -860,7 +840,7 @@ def load_model(path) -> ModelState:
         (arch_len,) = struct.unpack("<Q", _read_exact(fh, 8, "arch length"))
         arch = arch_from_json(_read_exact(fh, arch_len, "arch").decode("utf-8"))
         params = _read_array(fh, "params")
-        expected = sum(r.length for r in param_layout(arch))
+        expected = _num_params(arch)
         if params.size != expected:
             raise ValueError(f"model file has {params.size} params, arch needs {expected}")
         stats = {}

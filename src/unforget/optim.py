@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nn_core import ArchSpec, ModelState, clone_model, init_model, loss_and_grad
+from .nn_core import ArchSpec, ModelState, clone_with_params, init_model, loss_and_grad
 from .seeding import derive_seed
 
 __all__ = [
@@ -27,6 +27,9 @@ __all__ = [
     "train_from_scratch",
 ]
 
+# Adam's moment decay rates and the denominator's stabilizer (Kingma & Ba's defaults).
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -35,9 +38,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def fresh(cls, num_params: int) -> "AdamState":
@@ -86,16 +86,16 @@ def adam_step(
     #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
     #   params - (lr * m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
     # so the bits match the expression form.
-    m = state.beta1 * state.m
-    m += (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v
+    m = BETA1 * state.m
+    m += (1.0 - BETA1) * grads
+    v = BETA2 * state.v
     tmp = np.square(grads)
-    tmp *= 1.0 - state.beta2
+    tmp *= 1.0 - BETA2
     v += tmp
-    den = np.divide(v, 1.0 - state.beta2**t, out=tmp)
+    den = np.divide(v, 1.0 - BETA2**t, out=tmp)
     np.sqrt(den, out=den)
-    den += state.epsilon
-    step = np.divide(m, 1.0 - state.beta1**t)
+    den += EPSILON
+    step = np.divide(m, 1.0 - BETA1**t)
     step *= lr
     step /= den
     stepped = np.subtract(params, step, out=step)
@@ -169,7 +169,7 @@ def train(model: ModelState, data, cfg: TrainConfig) -> tuple[ModelState, list[f
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    model = clone_model(model)
+    model = clone_with_params(model, model.params)
     if cfg.epochs == 0:
         return model, []
 

@@ -48,14 +48,11 @@ class SaliencyMask:
     bit 1 = update during unlearning, bit 0 = frozen."""
 
     bits: np.ndarray
-    threshold: float
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=np.uint8)
         if ((bits != 0) & (bits != 1)).any():
             raise ValueError("mask bits must be 0 or 1")
-        if self.threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         object.__setattr__(self, "bits", bits)
 
     @property
@@ -70,12 +67,14 @@ def mask_from_gradient(grad: np.ndarray, threshold: float) -> SaliencyMask:
     an exactly-zero forget gradient (dead ReLU paths) would otherwise stay
     frozen and the degenerate run would not reduce to plain relabel
     fine-tuning."""
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     grad = np.asarray(grad, dtype=np.float64)
     if threshold == 0.0:
         bits = np.ones(grad.shape, dtype=np.uint8)
     else:
         bits = (np.abs(grad) > threshold).astype(np.uint8)
-    return SaliencyMask(bits=bits, threshold=float(threshold))
+    return SaliencyMask(bits=bits)
 
 
 @dataclass(frozen=True)

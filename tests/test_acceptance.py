@@ -182,7 +182,7 @@ def test_criterion_03_mask_freeze(small_run):
     rng = np.random.default_rng(derive_seed(1, "mask-freeze"))
     for trial in range(3):
         bits = rng.integers(0, 2, model.num_params).astype(np.uint8)
-        mask = SaliencyMask(bits=bits, threshold=0.5)
+        mask = SaliencyMask(bits=bits)
         noisy = random_relabel(forget, "exclude_original", seed=trial)
         cfg = UnlearnConfig("relabel", epochs=1, lr=1e-2, seed=trial)
         out = relabel_finetune(model, retain, noisy, cfg, mask=mask)

@@ -375,9 +375,6 @@ class TestSplitForgetRetain:
                 val_ids=frozenset({2}),
                 test_ids=frozenset(),
                 forget_ids=frozenset(),
-                forget_fraction=0.0,
-                grouping="sample_level",
-                seed=0,
             )
         with pytest.raises(ValueError, match="forget"):
             SplitPlan(
@@ -385,9 +382,6 @@ class TestSplitForgetRetain:
                 val_ids=frozenset(),
                 test_ids=frozenset(),
                 forget_ids=frozenset({9}),
-                forget_fraction=0.5,
-                grouping="sample_level",
-                seed=0,
             )
 
 
@@ -624,6 +618,43 @@ class TestBlockReader:
         finally:
             writer.join(timeout=60)
         assert not writer.is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("count", [2**40, 10**6])
+    def test_pipe_count_beyond_its_records_is_truncated_before_allocated(self, tmp_path, count):
+        """A pipe's header count is trusted only as far as its records have
+        arrived: a 24-sample stream that declares more fails as truncated,
+        having held columns for one block of records, not for the count."""
+        path = tmp_path / "data.unds"
+        save_dataset(generate_synthetic(small_spec(num_patients=6, samples_per_patient=4)), path)
+        data = path.read_bytes()
+        header = list(_HEADER.unpack(data[:_HEADER.size]))
+        assert header[4] == 24
+        header[4] = count
+        data = _HEADER.pack(*header) + data[_HEADER.size:]
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                with open(fifo, "wb") as fh:
+                    fh.write(data)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            with pytest.raises(ValueError, match=rf"^truncated dataset file: {count} records need"):
+                load_dataset(fifo)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        assert peak - before <= 3 * _BLOCK_BYTES
 
 
 class TestDatasetContainer:

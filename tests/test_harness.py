@@ -316,6 +316,14 @@ class TestConfigSerialization:
             (dict(split_fractions=(0.5, 0.2, 0.2)), "fractions"),
             (dict(dataset=replace(tiny_spec(), group_proportions=(0.4, 0.3, 0.3))), "group_names"),
             (dict(unlearn_batch_size=0), "unlearn_batch_size must be >= 1, got 0"),
+            # Appended, so the cases above keep their ids.
+            (dict(split_fractions=(0.6, 0.4, 0.0)), r"^split_fractions needs positive train and test"),
+            (dict(split_fractions=(0.0, 0.4, 0.6)), r"^split_fractions needs positive train and test"),
+            (dict(forget_fractions=(0.15, 0.15)), r"^forget_fractions repeats 0\.15$"),
+            (dict(algorithms=("exact", "relabel", "relabel")), r"^algorithms repeats 'relabel'$"),
+            (dict(group_names=("male", "male")), r"^group_names repeats 'male'$"),
+            (dict(lr_grid=(1e-3, 5e-3, 1e-3)), r"^lr_grid repeats 0\.001$"),
+            (dict(threshold_grid=(0.0, 0.0)), r"^threshold_grid repeats 0\.0$"),
         ],
     )
     def test_bad_config_rejected_before_data(self, overrides, match, monkeypatch):

@@ -428,16 +428,19 @@ class TestFiniteGuard:
 class TestArchAndLayout:
     def test_dense_layer_parameter_count(self):
         arch = ArchSpec((4,), (Dense(4, 3),), 3)
-        records = [r for r in param_layout(arch) if r.layer_index == 0]
-        assert sum(r.length for r in records) == 4 * 3 + 3
+        spans = param_layout(arch)[0]
+        assert sum(stop - start for _, start, stop, _ in spans) == 4 * 3 + 3
 
     def test_layout_offsets_cover_params_exactly(self):
         arch = conv_arch()
         layout = param_layout(arch)
         offset = 0
-        for rec in layout:
-            assert rec.offset == offset
-            offset += rec.length
+        for layer, spans in zip(arch.layers, layout, strict=True):
+            assert [role for role, *_ in spans] == list(layer.param_shapes())
+            for _, start, stop, shape in spans:
+                assert start == offset
+                assert stop - start == math.prod(shape)
+                offset = stop
         assert offset == init_model(arch, 0).num_params
 
     def test_layout_stable_across_instances(self):

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 from unforget.data import LabeledDataset
 from unforget.nn_core import ArchSpec, Dense, Flatten, ReLU, init_model, loss_and_grad
 from unforget.optim import (
+    BETA1,
+    BETA2,
+    EPSILON,
     AdamState,
     LrSchedule,
     TrainConfig,
@@ -48,11 +51,11 @@ def reference_adam_step(params, grads, state, lr, mask=None):
     """Adam as one expression per quantity: the oracle the in-place update
     must match bit for bit."""
     t = state.step_count + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    stepped = params - lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m = BETA1 * state.m + (1.0 - BETA1) * grads
+    v = BETA2 * state.v + (1.0 - BETA2) * grads**2
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    stepped = params - lr * m_hat / (np.sqrt(v_hat) + EPSILON)
     if mask is not None:
         sel = np.asarray(mask) != 0
         m = np.where(sel, m, state.m)

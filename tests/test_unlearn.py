@@ -82,7 +82,11 @@ class TestMaskFromGradient:
 
     def test_bad_bits_rejected(self):
         with pytest.raises(ValueError, match="bits"):
-            SaliencyMask(bits=np.array([0, 2]), threshold=0.1)
+            SaliencyMask(bits=np.array([0, 2]))
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            mask_from_gradient(np.array([0.5, -0.05]), -0.1)
 
 
 class TestUnlearnConfig:
@@ -220,7 +224,7 @@ class TestRelabelFinetune:
     def test_all_zero_mask_moves_nothing_but_bn_stats(self, fixture):
         cfg = UnlearnConfig("relabel", epochs=1, lr=1e-2, seed=2)
         noisy = random_relabel(fixture["forget"], "exclude_original", seed=2)
-        mask = SaliencyMask(bits=np.zeros(fixture["model"].num_params, dtype=np.uint8), threshold=1e9)
+        mask = SaliencyMask(bits=np.zeros(fixture["model"].num_params, dtype=np.uint8))
         out = relabel_finetune(fixture["model"], fixture["retain"], noisy, cfg, mask=mask)
         assert np.array_equal(out.params, fixture["model"].params)
         moved = any(
