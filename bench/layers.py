@@ -11,7 +11,9 @@ gradient), two ways:
   (a copy in the input's layout, made before the timer starts);
 - in-pass: the layer methods wrapped with timers inside real passes, a
   ``loss_and_grad`` step at batch 32 and an eval ``_forward_raw`` at 256,
-  with the step's own time and its minor page faults (``ru_minflt``).
+  with the step's own time and its minor page faults (``ru_minflt``); the
+  train setting also times the step's ``adam_step``, unmasked and with half
+  the parameters frozen.
 
 BLAS runs on one thread, pinned before numpy loads, as in the repository
 benchmark (``perfbench/``), and glibc's malloc thresholds are settled as the
@@ -22,8 +24,9 @@ command-line entry point settles them.
 Prints the numpy and BLAS build, the BLAS thread count, one row per layer
 and setting for each table (the median milliseconds of N timed calls or
 passes, after one untimed one) and, per in-pass setting, the median step
-time, the median of the layers' summed time in a step, and the minor faults
-per step. ``--json`` also writes all of it to PATH.
+time, the median of the layers' summed time in a step, the minor faults
+per step and, in train mode, the median ``adam_step`` milliseconds.
+``--json`` also writes all of it to PATH.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from unforget.nn_core import (  # noqa: E402
     init_model,
     loss_and_grad,
 )
+from unforget.optim import AdamState, adam_step  # noqa: E402
 
 TRAIN_BATCH = 32
 SETTINGS = (("train", TRAIN_BATCH), ("eval", EVAL_BATCH))
@@ -171,7 +175,9 @@ def timed_layers(layers, spent):
 
 def in_pass_times(mode: str, batch: int, repeats: int, seed: int = 0) -> dict:
     """Per-layer medians measured inside ``repeats`` real passes (after one
-    untimed pass): a train ``loss_and_grad`` step, or an eval forward pass."""
+    untimed pass): a train ``loss_and_grad`` step, or an eval forward pass.
+    A train step's ``adam_step`` is timed on its gradient, without a mask
+    and with a mask whose bits are 1 for half the parameters."""
     model = init_model(default_arch(), seed)
     layers = model.arch.layers
     rng = np.random.default_rng(seed)
@@ -199,7 +205,7 @@ def in_pass_times(mode: str, batch: int, repeats: int, seed: int = 0) -> dict:
         values = samples.get((i, direction))
         return 1e3 * statistics.median(values) if values else None
 
-    return {
+    table = {
         "batch": batch,
         "pass": name,
         "layers": [
@@ -211,6 +217,13 @@ def in_pass_times(mode: str, batch: int, repeats: int, seed: int = 0) -> dict:
         "minflt_per_step": sum(faults) / repeats,
         "minflt_max": max(faults),
     }
+    if mode == "train":
+        _, grad = step()
+        state = AdamState.fresh(model.num_params)
+        half = (rng.random(model.num_params) < 0.5).astype(np.uint8)  # a SaliencyMask's bits
+        for key, mask in (("adam_step_ms", None), ("adam_step_masked_ms", half)):
+            table[key] = _median_ms(lambda: adam_step(model.params, grad, state, 1e-3, mask), repeats)
+    return table
 
 
 def _print_row(prefix, mode, batch, index, layer, forward_ms, backward_ms):
@@ -248,6 +261,9 @@ def main(argv=None) -> int:
         print(f"in-pass {mode:<6}{batch:>6}  step {table['pass']}: {table['step_ms']:.3f} ms "
               f"(layers {table['layers_ms']:.3f} ms), "
               f"{table['minflt_per_step']:.1f} minor faults per step (max {table['minflt_max']})")
+        if mode == "train":
+            print(f"in-pass {mode:<6}{batch:>6}  adam_step: {table['adam_step_ms']:.3f} ms, "
+                  f"half masked {table['adam_step_masked_ms']:.3f} ms")
     if args.json:
         doc = {"environment": env, "blas_threads_reported": threads, "repeats": args.repeats,
                "isolated": isolated, "in_pass": in_pass}

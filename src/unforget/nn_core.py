@@ -85,12 +85,11 @@ EVAL_BATCH = 256
 # values summed in another layout can differ in the last bit. Conv2D outputs
 # are NCHW views of channels-last memory and gradients flow C-contiguous.
 # Elementwise operations may write into any buffer or layout; every
-# reduction and matrix product must see the layout it always has. In a
-# cache-free pass, a per-channel operand of an elementwise operation is laid
-# out like one sample of the activation (``_like_sample``), so the operation
-# runs one long loop per sample, not one short loop per channel or pixel.
-# Passes with a cache keep the short loops: at train batch 32 the long rows
-# did not pay.
+# reduction and matrix product must see the layout it always has. In every
+# pass, with or without a cache, a per-channel operand of an elementwise
+# operation is laid out like one sample of the activation (``_like_sample``,
+# Conv2D's bias as one tiled row), so the operation runs one long loop per
+# sample, not one short loop per channel or pixel.
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -160,11 +159,8 @@ class Conv2D:
         w, b = params
         cols, h_out, w_out = _im2col(x, self.kernel, self.stride)
         out = cols @ w.T
-        if owned:  # the bias over each sample's whole (H_out*W_out*out_ch) row
-            rows = out.reshape(x.shape[0], -1)
-            rows += np.tile(b, h_out * w_out)
-        else:
-            out += b
+        rows = out.reshape(x.shape[0], -1)  # the bias over each sample's whole row
+        rows += np.tile(b, h_out * w_out)
         # An NCHW view of channels-last memory, as the layout rule says.
         out = out.reshape(x.shape[0], h_out, w_out, self.out_ch).transpose(0, 3, 1, 2)
         return out, (x.shape, cols)
@@ -270,10 +266,7 @@ class BatchNorm:
     def forward(self, x, params, mode, stats, owned=False):
         scale, shift = params
         axes = _bn_axes(x)
-        if owned:
-            expand = functools.partial(_like_sample, x)
-        else:
-            expand = functools.partial(_bn_expand, ndim=x.ndim)
+        expand = functools.partial(_like_sample, x)
         if mode == "train":
             mu = x.mean(axis=axes)
             # The operations ndarray.var performs, keeping the centred values.
@@ -306,13 +299,14 @@ class BatchNorm:
             xhat = np.ascontiguousarray(xhat)
         grads[0][...] = (d * xhat).sum(axis=axes)
         grads[1][...] = d.sum(axis=axes)
-        dxhat = d * _bn_expand(params[0], d.ndim)
-        inv_std = _bn_expand(inv_std, d.ndim)
+        expand = functools.partial(_like_sample, d)  # dxhat takes d's layout
+        dxhat = d * expand(params[0])
+        inv_std = expand(inv_std)
         if mode == "eval":
             dxhat *= inv_std
             return dxhat
-        mean_dxhat = _bn_expand(dxhat.mean(axis=axes), d.ndim)
-        mean_dxhat_xhat = _bn_expand((dxhat * xhat).mean(axis=axes), d.ndim)
+        mean_dxhat = expand(dxhat.mean(axis=axes))
+        mean_dxhat_xhat = expand((dxhat * xhat).mean(axis=axes))
         dxhat -= mean_dxhat
         dxhat -= xhat * mean_dxhat_xhat
         dxhat *= inv_std
@@ -321,10 +315,6 @@ class BatchNorm:
 
 def _bn_axes(x: np.ndarray) -> tuple[int, ...]:
     return (0,) if x.ndim == 2 else (0, 2, 3)
-
-
-def _bn_expand(v: np.ndarray, ndim: int) -> np.ndarray:
-    return v if ndim == 2 else v[:, None, None]
 
 
 def _like_sample(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -716,30 +706,38 @@ def forward(model: ModelState, batch: np.ndarray, mode: str = "eval") -> np.ndar
 # Losses
 # --------------------------------------------------------------------------
 
+def _check_targets(targets, loss_kind: str, n: int, k: int) -> np.ndarray:
+    """``targets`` as an array, checked against n rows of k logits: n class
+    indices in [0, k) for "ce", an (n, k) 0/1 matrix for "bce"."""
+    if loss_kind == "ce":
+        targets = np.asarray(targets)
+        if targets.shape != (n,):
+            raise ValueError(f"expected {n} class indices, got shape {targets.shape}")
+        if n and (targets.min() < 0 or targets.max() >= k):
+            raise ValueError(f"class index out of range [0, {k})")
+    elif loss_kind == "bce":
+        targets = np.asarray(targets, dtype=np.float64)
+        if targets.shape != (n, k):
+            raise ValueError(f"targets shape {targets.shape} != logits shape {(n, k)}")
+        if ((targets != 0.0) & (targets != 1.0)).any():
+            raise ValueError("bce targets must be 0/1 (apply the unknown-label policy first)")
+    else:
+        raise ValueError(f"loss_kind must be 'ce' or 'bce', got {loss_kind!r}")
+    return targets
+
+
 def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    n, k = logits.shape
-    targets = np.asarray(targets)
-    if targets.shape != (n,):
-        raise ValueError(f"expected {n} class indices, got shape {targets.shape}")
-    if targets.min() < 0 or targets.max() >= k:
-        raise ValueError(f"class index out of range [0, {k})")
+    n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logsumexp
     loss = -logp[np.arange(n), targets].mean()
-    probs = np.exp(logp)
-    dlogits = probs
+    dlogits = np.exp(logp)
     dlogits[np.arange(n), targets] -= 1.0
     return float(loss), dlogits / n
 
 
-def _bce_logits(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != logits.shape:
-        raise ValueError(f"targets shape {targets.shape} != logits shape {logits.shape}")
-    if ((targets != 0.0) & (targets != 1.0)).any():
-        raise ValueError("bce targets must be 0/1 (apply the unknown-label policy first)")
-    z = logits
+def _bce_logits(z: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     # max(z,0) - z*y + log1p(exp(-|z|)) is the stable elementwise form.
     loss = (np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))).mean()
     sig = 1.0 / (1.0 + np.exp(-z))
@@ -758,16 +756,15 @@ def loss_and_grad(
 
     ``loss_kind`` is "ce" (softmax cross-entropy over class indices) or "bce"
     (elementwise binary cross-entropy with logits over 0/1 label matrices).
-    BatchNorm runs in ``bn_mode``; the training path uses "train".
+    BatchNorm runs in ``bn_mode``; the training path uses "train". The loss
+    kind and the targets are checked before the forward pass, so a rejected
+    call leaves the model's running statistics as they were.
     """
+    n = np.shape(batch)[0] if np.ndim(batch) else 0  # the pass rejects a scalar
+    targets = _check_targets(targets, loss_kind, n, model.arch.output_dim)
     cache: list = []
     logits = _forward_raw(model, batch, bn_mode, cache=cache, update_stats=update_stats)
-    if loss_kind == "ce":
-        loss, dlogits = _softmax_ce(logits, targets)
-    elif loss_kind == "bce":
-        loss, dlogits = _bce_logits(logits, targets)
-    else:
-        raise ValueError(f"loss_kind must be 'ce' or 'bce', got {loss_kind!r}")
+    loss, dlogits = (_softmax_ce if loss_kind == "ce" else _bce_logits)(logits, targets)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
     grad = _backward_raw(model, cache, dlogits)

@@ -1,9 +1,9 @@
 """Adam with per-parameter freeze masks, plus the cosine learning-rate
 schedule and the seeded mini-batch training loop.
 
-Frozen parameters (mask bit 0) skip the parameter update *and* the moment
-updates, so freezing a coordinate is equivalent to removing it from the
-optimization problem.
+A freeze mask zeroes the gradient at its bit-0 coordinates. Every training
+run starts from zero moments, so a frozen parameter and its moments never
+move: freezing a coordinate removes it from the optimization.
 """
 
 from __future__ import annotations
@@ -47,11 +47,13 @@ class AdamState:
         )
 
 
-def _mask_bits(mask) -> np.ndarray | None:
-    if mask is None:
-        return None
-    bits = np.asarray(getattr(mask, "bits", mask))
-    return bits != 0
+def _mask_bits(mask, params: np.ndarray) -> np.ndarray:
+    """The trainable coordinates of ``mask`` as booleans, checked against
+    the length of ``params``."""
+    sel = np.asarray(getattr(mask, "bits", mask)) != 0
+    if sel.shape != params.shape:
+        raise ValueError(f"mask length {sel.size} != params length {params.size}")
+    return sel
 
 
 def adam_step(
@@ -63,8 +65,11 @@ def adam_step(
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; returns (new params, new state).
 
-    ``mask`` (a SaliencyMask or any 0/1 vector) restricts the update: bit-0
-    coordinates keep their parameter values and moment estimates bit-for-bit.
+    ``mask`` (a SaliencyMask or any 0/1 vector) zeroes the gradient at its
+    bit-0 coordinates. Where those coordinates' moments are zero, as in every
+    state ``train`` steps (it starts from ``AdamState.fresh`` with one mask),
+    they keep their parameter values and zero moments bit-for-bit; nonzero
+    moments there would decay and keep moving the parameter.
     """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -75,13 +80,11 @@ def adam_step(
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
 
-    sel = _mask_bits(mask)
-    if sel is not None and sel.shape != params.shape:
-        raise ValueError(f"mask length {sel.size} != params length {params.size}")
+    if mask is not None:  # grads are finite, so frozen coordinates become ±0.0
+        grads = grads * _mask_bits(mask, params)
 
     t = state.step_count + 1
-    # One full-vector update, identical with and without a mask; frozen
-    # coordinates then get their old values written back verbatim. In-place
+    # One full-vector update, identical with and without a mask. In-place
     # steps keep the operation order of
     #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g**2
     #   params - (lr * m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
@@ -99,12 +102,6 @@ def adam_step(
     step *= lr
     step /= den
     stepped = np.subtract(params, step, out=step)
-    if sel is not None:
-        # m, v and stepped are new arrays, so the inputs stay untouched.
-        frozen = np.flatnonzero(~sel)
-        m[frozen] = state.m[frozen]
-        v[frozen] = state.v[frozen]
-        stepped[frozen] = params[frozen]
     return stepped, replace(state, m=m, v=v, step_count=t)
 
 
@@ -169,6 +166,7 @@ def train(model: ModelState, data, cfg: TrainConfig) -> tuple[ModelState, list[f
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
+    mask = None if cfg.mask is None else _mask_bits(cfg.mask, model.params)
     model = clone_with_params(model, model.params)
     if cfg.epochs == 0:
         return model, []
@@ -191,7 +189,7 @@ def train(model: ModelState, data, cfg: TrainConfig) -> tuple[ModelState, list[f
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             lr = cosine_lr(schedule, step)
             loss, grad = loss_and_grad(model, features[idx], labels[idx], loss_kind)
-            model.params, adam = adam_step(model.params, grad, adam, lr, cfg.mask)
+            model.params, adam = adam_step(model.params, grad, adam, lr, mask)
             epoch_losses.append(loss)
             step += 1
         trace.append(float(np.mean(epoch_losses)))

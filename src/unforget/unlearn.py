@@ -170,8 +170,9 @@ def relabel_finetune(
     """Fine-tune the pretrained model on retain plus the noisy forget set.
 
     The cosine schedule is re-initialized over the fine-tune duration from
-    cfg.lr down to 0.1 * cfg.lr. With a mask, every bit-0 parameter stays
-    frozen throughout (only BatchNorm running statistics may still move)."""
+    cfg.lr down to 0.1 * cfg.lr. With a mask, ``train`` zeroes the gradient
+    at every bit-0 coordinate from zero Adam moments, so those parameters
+    stay frozen throughout (only BatchNorm running statistics may move)."""
     combined = concat_datasets(retain, noisy_forget)
     if len(combined) == 0:
         raise ValueError("empty combined fine-tune set")

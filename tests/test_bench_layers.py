@@ -58,3 +58,7 @@ def test_json_holds_environment_and_both_tables(tmp_path):
         assert 0 <= table["minflt_per_step"] <= table["minflt_max"]
         line = next(l for l in run.stdout.splitlines() if l.startswith(f"in-pass {mode} "))
         assert line.split()[3] == "0"
+    train = doc["in_pass"]["train"]
+    assert train["adam_step_ms"] > 0 and train["adam_step_masked_ms"] > 0
+    assert "adam_step_ms" not in doc["in_pass"]["eval"]
+    assert any(l.startswith("in-pass train") and "adam_step:" in l for l in run.stdout.splitlines())

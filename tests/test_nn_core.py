@@ -242,6 +242,32 @@ def frozen_batchnorm(layer, x, params, mode, stats):
     return out, xhat, inv_std
 
 
+def frozen_batchnorm_backward(d, scale, xhat, inv_std, mode):
+    """BatchNorm's backward before every pass laid its per-channel operands
+    out like one sample, kept frozen as the oracle: returns (dx, dscale,
+    dshift)."""
+    axes = (0,) if d.ndim == 2 else (0, 2, 3)
+
+    def expand(v):
+        return v if d.ndim == 2 else v[:, None, None]
+
+    if d.flags.c_contiguous:
+        xhat = np.ascontiguousarray(xhat)
+    dscale = (d * xhat).sum(axis=axes)
+    dshift = d.sum(axis=axes)
+    dxhat = d * expand(scale)
+    inv_std = expand(inv_std)
+    if mode == "eval":
+        dxhat *= inv_std
+        return dxhat, dscale, dshift
+    mean_dxhat = expand(dxhat.mean(axis=axes))
+    mean_dxhat_xhat = expand((dxhat * xhat).mean(axis=axes))
+    dxhat -= mean_dxhat
+    dxhat -= xhat * mean_dxhat_xhat
+    dxhat *= inv_std
+    return dxhat, dscale, dshift
+
+
 def frozen_conv2d(layer, x, params):
     """Conv2D's forward before cache-free passes added the bias over whole
     sample rows, kept frozen as the oracle: returns (out, cols)."""
@@ -257,10 +283,10 @@ def same_bits(a, b):
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-def input_in_layout(rng, layout):
+def input_in_layout(rng, layout, batch=33):
     if layout == "flat":
-        return rng.standard_normal((33, 6))
-    x = batch_in_layout(rng, (33, 6, 5, 4), layout)
+        return rng.standard_normal((batch, 6))
+    x = batch_in_layout(rng, (batch, 6, 5, 4), layout)
     x -= 0.5  # in place, which keeps the layout
     return x
 
@@ -342,6 +368,59 @@ class TestCacheFreePass:
         want = np.maximum(x, 0.0)
         out, _ = ReLU().forward(x, (), "eval", None, True)
         assert out is x and same_bits(x, want)
+
+
+class TestOneOperandLayout:
+    """Every pass, with a cache or without, lays BatchNorm's per-channel
+    operands out like one sample and adds Conv2D's bias as one tiled row per
+    sample. Values and strides stay those of the short per-channel loops
+    every pass with a cache used before."""
+
+    @pytest.mark.parametrize("layout", ["channels_last", "c_contiguous", "flat"])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("batch", [32, 256])
+    @pytest.mark.parametrize("d_layout", ["c_contiguous", "like_x"])
+    def test_batchnorm_pass_equals_frozen_code(self, layout, mode, batch, d_layout):
+        def make():  # the same values in the same layout on every call
+            return input_in_layout(np.random.default_rng(batch), layout, batch)
+
+        rng = np.random.default_rng(4)
+        layer = BatchNorm(6)
+        params = (rng.standard_normal(6), rng.standard_normal(6))
+        stats = (rng.standard_normal(6), rng.random(6) + 0.5)
+        frozen_stats = tuple(s.copy() for s in stats)
+        want, want_xhat, want_inv_std = frozen_batchnorm(layer, make(), params, mode, frozen_stats)
+        out, cache = layer.forward(make(), params, mode, stats, False)
+        xhat, inv_std, _ = cache
+        for got, ref in ((out, want), (xhat, want_xhat), (inv_std, want_inv_std)):
+            assert same_bits(got, ref) and got.strides == ref.strides
+        assert all(same_bits(s, f) for s, f in zip(stats, frozen_stats))
+        owned_stats = tuple(s.copy() for s in stats)
+        owned_out, _ = layer.forward(make(), params, mode, owned_stats, True)
+        assert same_bits(owned_out, want) and owned_out.strides == want.strides
+
+        x = make()
+        d = np.empty_like(x) if d_layout == "like_x" else np.empty(x.shape)
+        d[...] = rng.standard_normal(x.shape)
+        grads = (np.zeros(6), np.zeros(6))
+        dx = layer.backward(d, params, cache, grads, True)
+        want_dx, want_dscale, want_dshift = frozen_batchnorm_backward(
+            d, params[0], want_xhat, want_inv_std, mode
+        )
+        assert same_bits(dx, want_dx) and dx.strides == want_dx.strides
+        assert same_bits(grads[0], want_dscale) and same_bits(grads[1], want_dshift)
+
+    @pytest.mark.parametrize("layout", ["channels_last", "c_contiguous"])
+    @pytest.mark.parametrize("batch", [32, 256])
+    def test_conv2d_bias_equals_frozen_code(self, layout, batch):
+        rng = np.random.default_rng(batch)
+        x = input_in_layout(rng, layout, batch)
+        layer = Conv2D(6, 7, kernel=3, stride=2)
+        params = (rng.standard_normal((7, layer.fan_in)), rng.standard_normal(7))
+        want, _ = frozen_conv2d(layer, x, params)
+        for owned in (False, True):
+            out, _ = layer.forward(x, params, "train", None, owned)
+            assert same_bits(out, want) and out.strides == want.strides
 
 
 class TestFiniteGuard:
@@ -601,6 +680,31 @@ class TestLosses:
         model = init_model(arch, 0)
         with pytest.raises(ValueError, match="0/1"):
             loss_and_grad(model, np.zeros((1, 4)), np.array([[0.0, -1.0, 1.0]]), "bce")
+
+    @pytest.mark.parametrize(
+        "targets,loss_kind,message",
+        [
+            (np.array([0, 1, 2, 0]), "xx", "loss_kind"),
+            (np.array([0, 1, 2]), "ce", "expected 4 class indices"),
+            (np.array([0, 1, 5, 0]), "ce", "range"),
+            (np.array([0, -1, 2, 0]), "ce", "range"),
+            (np.zeros((4, 2)), "bce", "targets shape"),
+            (np.full((4, 4), 0.5), "bce", "0/1"),
+        ],
+        ids=["loss_kind", "ce_count", "ce_above_range", "ce_below_range", "bce_shape", "bce_values"],
+    )
+    def test_rejected_call_leaves_the_model_as_it_was(self, targets, loss_kind, message):
+        """Bad targets and loss kinds are rejected before the forward pass,
+        so a train-mode call moves no running statistic."""
+        model = init_model(conv_arch(), 0)
+        before = clone_with_params(model, model.params)
+        x = np.random.default_rng(0).random((4, 1, 8, 8))
+        with pytest.raises(ValueError, match=message):
+            loss_and_grad(model, x, targets, loss_kind)
+        assert same_bits(model.params, before.params)
+        for i, (mu, var) in before.batchnorm_stats.items():
+            assert same_bits(model.batchnorm_stats[i][0], mu)
+            assert same_bits(model.batchnorm_stats[i][1], var)
 
 
 class TestGradients:

@@ -9,8 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unforget import optim
 from unforget.data import LabeledDataset
-from unforget.nn_core import ArchSpec, Dense, Flatten, ReLU, init_model, loss_and_grad
+from unforget.nn_core import (
+    ArchSpec,
+    BatchNorm,
+    Conv2D,
+    Dense,
+    Flatten,
+    ReLU,
+    clone_with_params,
+    init_model,
+    loss_and_grad,
+)
 from unforget.optim import (
     BETA1,
     BETA2,
@@ -121,6 +132,23 @@ class TestAdamStep:
         assert np.array_equal(params[frozen], original[frozen])
         assert not np.array_equal(params[~frozen], original[~frozen])
 
+    def test_frozen_moments_stay_zero_from_fresh_state(self):
+        """The documented contract: from ``AdamState.fresh`` the moments at
+        bit-0 coordinates stay exactly +0.0, whatever the gradient there."""
+        rng = np.random.default_rng(6)
+        n = 500
+        mask = (rng.random(n) < 0.5).astype(np.uint8)
+        frozen = mask == 0
+        params = original = rng.normal(size=n)
+        state = AdamState.fresh(n)
+        for _ in range(200):
+            grads = rng.normal(size=n) * 10.0 ** rng.integers(-6, 3)
+            params, state = adam_step(params, grads, state, float(rng.uniform(1e-4, 1e-1)), mask)
+        for moment in (state.m, state.v):
+            assert np.all(moment[frozen] == 0.0) and not np.signbit(moment[frozen]).any()
+            assert np.all(moment[~frozen] != 0.0)
+        assert params[frozen].tobytes() == original[frozen].tobytes()
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             adam_step(np.zeros(3), np.zeros(2), AdamState.fresh(3), 1e-3)
@@ -223,3 +251,63 @@ class TestTrain:
             init_model(blob_arch(), 0), ds.feature_array()[idx], ds.label_array()[idx], "bce"
         )
         assert trace == [loss]
+
+    def test_mask_length_rejected_before_the_first_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(optim, "loss_and_grad", no_step)
+        model = init_model(blob_arch(), 0)
+        cfg = TrainConfig(epochs=1, mask=np.ones(model.num_params - 1))
+        with pytest.raises(ValueError, match="mask length"):
+            train(model, blob_dataset(), cfg)
+
+    @pytest.mark.parametrize("epochs", [2, 3])
+    def test_masked_train_equals_the_write_back_oracle(self, epochs, monkeypatch):
+        """``train`` with a ~50% mask on an arch with BatchNorm equals, bit
+        for bit, its loop driven by ``reference_adam_step``, which writes
+        the frozen coordinates' old values back: params, both Adam moments
+        and the running statistics."""
+        arch = ArchSpec(
+            (2, 1, 1), (Conv2D(2, 8, 1), BatchNorm(8), ReLU(), Flatten(), Dense(8, 2)), 2
+        )
+        pretrained = init_model(arch, 3)
+        data = blob_dataset(n=90)
+        mask = (np.random.default_rng(4).random(pretrained.num_params) < 0.5).astype(np.uint8)
+        cfg = TrainConfig(epochs=epochs, batch_size=16, lr0=1e-2, seed=7, mask=mask)
+
+        states = []
+
+        def recording_adam_step(*args):
+            params, state = adam_step(*args)
+            states.append(state)
+            return params, state
+
+        monkeypatch.setattr(optim, "adam_step", recording_adam_step)
+        trained, _ = train(pretrained, data, cfg)
+
+        model = clone_with_params(pretrained, pretrained.params)
+        features, labels, n = data.feature_array(), data.label_array(), len(data)
+        batches = -(-n // cfg.batch_size)
+        schedule = LrSchedule(cfg.lr0, cfg.floor, epochs * batches)
+        state, rng, step = AdamState.fresh(model.num_params), np.random.default_rng(cfg.seed), 0
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for b in range(batches):
+                idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                _, grad = loss_and_grad(model, features[idx], labels[idx], "ce")
+                model.params, state = reference_adam_step(
+                    model.params, grad, state, cosine_lr(schedule, step), mask
+                )
+                step += 1
+
+        assert len(states) == step
+        assert trained.params.tobytes() == model.params.tobytes()
+        assert states[-1].m.tobytes() == state.m.tobytes()
+        assert states[-1].v.tobytes() == state.v.tobytes()
+        for i, (mu, var) in model.batchnorm_stats.items():
+            assert trained.batchnorm_stats[i][0].tobytes() == mu.tobytes()
+            assert trained.batchnorm_stats[i][1].tobytes() == var.tobytes()
+        frozen = mask == 0
+        assert trained.params[frozen].tobytes() == pretrained.params[frozen].tobytes()
+        assert not np.array_equal(trained.params[~frozen], pretrained.params[~frozen])
