@@ -23,10 +23,16 @@ command-line entry point settles them.
 
 Prints the numpy and BLAS build, the BLAS thread count, one row per layer
 and setting for each table (the median milliseconds of N timed calls or
-passes, after one untimed one) and, per in-pass setting, the median step
-time, the median of the layers' summed time in a step, the minor faults
-per step and, in train mode, the median ``adam_step`` milliseconds.
-``--json`` also writes all of it to PATH.
+passes, after one untimed one, with their 25th and 75th percentiles in
+brackets) and, per in-pass setting, the step time (median and quartiles),
+the median of the layers' summed time in a step, the minor faults per step
+and, in train mode, the ``adam_step`` milliseconds (median and quartiles).
+``--json`` also writes all of it to PATH, each quartile beside its median
+as ``<name>_p25_ms`` and ``<name>_p75_ms``.
+
+The quartiles show the spread within one process only. Host speed also
+drifts between processes, so comparing two versions of the code still
+needs several runs of each, alternating which one runs first.
 """
 
 from __future__ import annotations
@@ -93,9 +99,16 @@ def layer_name(layer) -> str:
     return f"{type(layer).__name__}({','.join(str(getattr(layer, f.name)) for f in fields(layer))})"
 
 
-def _median_ms(call, repeats: int, prepare=tuple) -> float:
-    """Median ms of ``repeats`` timed ``call(*prepare())``, after one untimed
-    one; ``prepare`` runs outside the timer."""
+def _quartiles_ms(seconds) -> tuple[float, float, float] | None:
+    """(p25, median, p75) of timings in seconds, as ms; None for no timings."""
+    if not seconds:
+        return None
+    return tuple(float(q) for q in 1e3 * np.percentile(seconds, [25, 50, 75]))
+
+
+def _timed_ms(call, repeats: int, prepare=tuple) -> tuple[float, float, float]:
+    """``_quartiles_ms`` of ``repeats`` timed ``call(*prepare())``, after one
+    untimed one; ``prepare`` runs outside the timer."""
     call(*prepare())
     times = []
     for _ in range(repeats):
@@ -103,12 +116,18 @@ def _median_ms(call, repeats: int, prepare=tuple) -> float:
         start = time.perf_counter()
         call(*args)
         times.append(time.perf_counter() - start)
-    return 1e3 * statistics.median(times)
+    return _quartiles_ms(times)
 
 
-def _row(i, layer, forward_ms, backward_ms) -> dict:
-    return {"index": i, "layer": layer_name(layer),
-            "forward_ms": forward_ms, "backward_ms": backward_ms}
+def _spread(name: str, quartiles) -> dict:
+    """``{name}_ms`` (the median) with ``{name}_p25_ms`` and ``{name}_p75_ms``."""
+    p25, median, p75 = quartiles or (None, None, None)
+    return {f"{name}_ms": median, f"{name}_p25_ms": p25, f"{name}_p75_ms": p75}
+
+
+def _row(i, layer, forward, backward) -> dict:
+    return {"index": i, "layer": layer_name(layer), **_spread("forward", forward),
+            **_spread("backward", backward)}
 
 
 def layer_times(mode: str, batch: int, repeats: int, seed: int = 0) -> list[dict]:
@@ -133,11 +152,11 @@ def layer_times(mode: str, batch: int, repeats: int, seed: int = 0) -> list[dict
     rows = []
     owned = mode == "eval"  # as in the cache-free pass, which may write into x
     for i, layer in enumerate(layers):
-        fwd = _median_ms(
+        fwd = _timed_ms(
             lambda x: layer.forward(x, params[i], mode, stats.get(i), owned), repeats,
             lambda: (inputs[i].copy(order="K") if owned else inputs[i],),
         )
-        bwd = _median_ms(
+        bwd = _timed_ms(
             lambda: layer.backward(incoming[i], params[i], caches[i], grads[i], i > 0), repeats
         )
         rows.append(_row(i, layer, fwd, bwd))
@@ -201,18 +220,15 @@ def in_pass_times(mode: str, batch: int, repeats: int, seed: int = 0) -> dict:
             for key, seconds in spent.items():
                 samples[key].append(seconds)
 
-    def median_ms(i, direction):
-        values = samples.get((i, direction))
-        return 1e3 * statistics.median(values) if values else None
-
     table = {
         "batch": batch,
         "pass": name,
         "layers": [
-            _row(i, layer, median_ms(i, "forward"), median_ms(i, "backward"))
+            _row(i, layer, _quartiles_ms(samples.get((i, "forward"))),
+                 _quartiles_ms(samples.get((i, "backward"))))
             for i, layer in enumerate(layers)
         ],
-        "step_ms": 1e3 * statistics.median(step_s),
+        **_spread("step", _quartiles_ms(step_s)),
         "layers_ms": 1e3 * statistics.median(map(sum, zip(*samples.values()))),
         "minflt_per_step": sum(faults) / repeats,
         "minflt_max": max(faults),
@@ -221,15 +237,24 @@ def in_pass_times(mode: str, batch: int, repeats: int, seed: int = 0) -> dict:
         _, grad = step()
         state = AdamState.fresh(model.num_params)
         half = (rng.random(model.num_params) < 0.5).astype(np.uint8)  # a SaliencyMask's bits
-        for key, mask in (("adam_step_ms", None), ("adam_step_masked_ms", half)):
-            table[key] = _median_ms(lambda: adam_step(model.params, grad, state, 1e-3, mask), repeats)
+        for key, mask in (("adam_step", None), ("adam_step_masked", half)):
+            table.update(_spread(key, _timed_ms(
+                lambda: adam_step(model.params, grad, state, 1e-3, mask), repeats)))
     return table
 
 
-def _print_row(prefix, mode, batch, index, layer, forward_ms, backward_ms):
-    def ms(value):
-        return "-" if value is None else f"{value:.3f}"
-    print(f"{prefix}{mode:<6}{batch:>6}  {index:>2}  {layer:<28}{ms(forward_ms):>11}{ms(backward_ms):>12}")
+def _ms(value) -> str:
+    return "-" if value is None else f"{value:.3f}"
+
+
+def _with_quartiles(row: dict, name: str) -> str:
+    """``median [p25 p75]`` of one timed quantity, as the table prints it."""
+    return f"{_ms(row[name + '_ms'])} [{_ms(row[name + '_p25_ms'])} {_ms(row[name + '_p75_ms'])}]"
+
+
+def _print_row(prefix, mode, batch, row):
+    print(f"{prefix}{mode:<6}{batch:>6}  {row['index']:>2}  {row['layer']:<28}"
+          f"{_with_quartiles(row, 'forward'):>27}{_with_quartiles(row, 'backward'):>28}")
 
 
 def main(argv=None) -> int:
@@ -245,25 +270,26 @@ def main(argv=None) -> int:
     for key, value in env.items():
         print(f"env {key}: {value}")
     print(f"BLAS threads {threads} (as the library reports), repeats {args.repeats}")
-    print(f"{'mode':<6}{'batch':>6}  {'#':>2}  {'layer':<28}{'forward_ms':>11}{'backward_ms':>12}")
+    print(f"{'mode':<6}{'batch':>6}  {'#':>2}  {'layer':<28}{'forward_ms [p25 p75]':>27}"
+          f"{'backward_ms [p25 p75]':>28}")
     isolated, in_pass = {}, {}
     for mode, batch in SETTINGS:
         rows = layer_times(mode, batch, args.repeats)
         for row in rows:
-            _print_row("", mode, batch, **row)
-        _print_row("", mode, batch, "", "total",
-                   sum(r["forward_ms"] for r in rows), sum(r["backward_ms"] for r in rows))
+            _print_row("", mode, batch, row)
+        print(f"{mode:<6}{batch:>6}  {'':>2}  {'total':<28}"
+              f"{_ms(sum(r['forward_ms'] for r in rows)):>27}{_ms(sum(r['backward_ms'] for r in rows)):>28}")
         isolated[mode] = {"batch": batch, "layers": rows}
     for mode, batch in SETTINGS:
         table = in_pass[mode] = in_pass_times(mode, batch, args.repeats)
         for row in table["layers"]:
-            _print_row("in-pass ", mode, batch, **row)
-        print(f"in-pass {mode:<6}{batch:>6}  step {table['pass']}: {table['step_ms']:.3f} ms "
-              f"(layers {table['layers_ms']:.3f} ms), "
+            _print_row("in-pass ", mode, batch, row)
+        print(f"in-pass {mode:<6}{batch:>6}  step {table['pass']}: "
+              f"{_with_quartiles(table, 'step')} ms (layers {table['layers_ms']:.3f} ms), "
               f"{table['minflt_per_step']:.1f} minor faults per step (max {table['minflt_max']})")
         if mode == "train":
-            print(f"in-pass {mode:<6}{batch:>6}  adam_step: {table['adam_step_ms']:.3f} ms, "
-                  f"half masked {table['adam_step_masked_ms']:.3f} ms")
+            print(f"in-pass {mode:<6}{batch:>6}  adam_step: {_with_quartiles(table, 'adam_step')} ms, "
+                  f"half masked {_with_quartiles(table, 'adam_step_masked')} ms")
     if args.json:
         doc = {"environment": env, "blas_threads_reported": threads, "repeats": args.repeats,
                "isolated": isolated, "in_pass": in_pass}

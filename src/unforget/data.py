@@ -31,6 +31,7 @@ __all__ = [
     "concat_datasets",
     "save_dataset",
     "load_dataset",
+    "DatasetStream",
 ]
 
 UNKNOWN = -1  # unknown multi-label entry, resolved by apply_u_one
@@ -55,11 +56,56 @@ def _readonly(values, dtype) -> np.ndarray:
     return col
 
 
+def _row_problem(ids: np.ndarray, ok: np.ndarray, problem: str) -> str | None:
+    """The message naming the first sample whose row fails ``ok``, if any."""
+    bad = np.flatnonzero(~ok)
+    return f"sample {ids[bad[0]]} {problem}" if bad.size else None
+
+
 def _check_rows(ids: np.ndarray, ok: np.ndarray, problem: str) -> None:
     """Raise ValueError naming the first sample whose row fails ``ok``."""
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise ValueError(f"sample {ids[bad[0]]} {problem}")
+    if message := _row_problem(ids, ok, problem):
+        raise ValueError(message)
+
+
+def _check_task(task_kind: str, num_outputs: int) -> None:
+    if task_kind not in ("single_label", "multi_label"):
+        raise ValueError(f"unknown task_kind {task_kind!r}")
+    min_outputs = 1 if task_kind == "multi_label" else 2
+    if num_outputs < min_outputs:
+        raise ValueError(f"{task_kind} needs num_outputs >= {min_outputs}")
+
+
+def _check_unique(ids: np.ndarray) -> None:
+    """Raise ValueError naming the smallest id that appears twice."""
+    ordered = np.sort(ids)
+    duplicated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if duplicated.size:
+        raise ValueError(f"duplicate sample id {duplicated[0]}")
+
+
+def _row_checks(features, labels, task_kind: str, num_outputs: int) -> list:
+    """The value checks of a run of rows, as (pass flag per row, problem)
+    pairs in the order ``LabeledDataset`` raises them; ``features`` is
+    ``(rows, C, H, W)``. Written so that NaN, which fails every comparison,
+    is rejected."""
+    lo, hi = features.min(axis=(1, 2, 3)), features.max(axis=(1, 2, 3))
+    checks = [((lo >= 0.0) & (hi <= 1.0), "features outside [0, 1] or not finite")]
+    if task_kind == "multi_label":
+        checks.append((np.isin(labels, (0, 1, UNKNOWN)).all(axis=1), "label entries must be 0/1/UNKNOWN"))
+    else:
+        checks.append(((labels >= 0) & (labels < num_outputs), f"class out of range [0, {num_outputs})"))
+    return checks
+
+
+def _label_array(labels: np.ndarray, task_kind: str) -> np.ndarray:
+    """Labels as training and evaluation read them: class indices, or a
+    float 0/1 matrix that must hold no unknown entry."""
+    if task_kind == "single_label":
+        return labels
+    if (labels == UNKNOWN).any():
+        raise ValueError("unknown label entries remain; apply the u-one policy first")
+    return labels.astype(np.float64)
 
 
 class LabeledDataset:
@@ -76,12 +122,8 @@ class LabeledDataset:
     """
 
     def __init__(self, ids, features, labels, patients, groups, task_kind: str, num_outputs: int):
-        if task_kind not in ("single_label", "multi_label"):
-            raise ValueError(f"unknown task_kind {task_kind!r}")
+        _check_task(task_kind, num_outputs)
         multi = task_kind == "multi_label"
-        min_outputs = 1 if multi else 2
-        if num_outputs < min_outputs:
-            raise ValueError(f"{task_kind} needs num_outputs >= {min_outputs}")
         self._ids = _readonly(ids, np.int64)
         features = np.asarray(features)
         self._features = _readonly(features, np.float32 if features.dtype == np.float32 else np.float64)
@@ -95,19 +137,9 @@ class LabeledDataset:
         ):
             raise ValueError(f"column shapes {shapes} and features {self._features.shape} "
                              f"do not describe {n} samples of {num_outputs} outputs")
-        ordered = np.sort(self._ids)
-        duplicated = ordered[1:][ordered[1:] == ordered[:-1]]
-        if duplicated.size:
-            raise ValueError(f"duplicate sample id {duplicated[0]}")
-        # Written so that NaN, which fails every comparison, is rejected.
-        lo, hi = self._features.min(axis=(1, 2, 3)), self._features.max(axis=(1, 2, 3))
-        _check_rows(self._ids, (lo >= 0.0) & (hi <= 1.0), "features outside [0, 1] or not finite")
-        if multi:
-            ok = np.isin(self._labels, (0, 1, UNKNOWN)).all(axis=1)
-            _check_rows(self._ids, ok, "label entries must be 0/1/UNKNOWN")
-        else:
-            ok = (self._labels >= 0) & (self._labels < num_outputs)
-            _check_rows(self._ids, ok, f"class out of range [0, {num_outputs})")
+        _check_unique(self._ids)
+        for ok, problem in _row_checks(self._features, self._labels, task_kind, num_outputs):
+            _check_rows(self._ids, ok, problem)
         self.task_kind = task_kind
         self.num_outputs = num_outputs
 
@@ -130,11 +162,7 @@ class LabeledDataset:
         return self._features
 
     def label_array(self) -> np.ndarray:
-        if self.task_kind == "single_label":
-            return self._labels
-        if self.has_unknown():
-            raise ValueError("unknown label entries remain; apply the u-one policy first")
-        return self._labels.astype(np.float64)
+        return _label_array(self._labels, self.task_kind)
 
     def group_array(self) -> np.ndarray:
         return self._groups
@@ -489,7 +517,7 @@ def split_forget_retain(
 # Header: magic, format version, task-kind tag (0 single-label, 1 multi-label),
 # output count, sample count, then C, H, W of the feature shape.
 _HEADER = struct.Struct("<4sIBIQIII")
-# Bytes of records ``load_dataset`` reads at a time (at least one record).
+# Bytes of records ``_RecordReader`` reads at a time (at least one record).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -523,19 +551,23 @@ def save_dataset(ds: LabeledDataset, path) -> None:
         fh.write(records.tobytes())
 
 
-def load_dataset(path) -> LabeledDataset:
-    """Read a dataset file written by ``save_dataset``.
+_BEYOND_INT64 = "id or patient >= 2**63"
+_TRAILING = "trailing bytes after dataset payload"
 
-    For a regular file the payload size is checked against the header
-    before anything is allocated; any other input (a pipe, say) is checked
-    as it is read: a short read is a truncated file and a byte after the
-    last record is a trailing one. A pipe's record count is trusted only as
-    far as its records have arrived, so a false count fails as truncated
-    without first allocating columns for it. Records are read
-    ``_BLOCK_BYTES`` at a time into one reused buffer and copied into
-    columns of the dtypes ``LabeledDataset`` keeps, so the file's samples
-    are held once, not twice."""
-    with open(path, "rb") as fh:
+
+class _RecordReader:
+    """The records of an open dataset file, a block at a time.
+
+    Construction checks the header and, for a regular file, the payload
+    size against it before anything is allocated. Iterating reads blocks of
+    ``rows`` records (a multiple of ``multiple``, at least ``_BLOCK_BYTES``'
+    worth when one record fits in that) into one reused buffer and yields
+    ``(start row, block)``, the block valid until the next one. Any other
+    input (a pipe, say) is checked as it is read: a short read is a truncated
+    file and a byte after the last record is a trailing one. Each block's
+    feature lengths are checked as it arrives."""
+
+    def __init__(self, fh, multiple: int = 1):
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise ValueError("truncated dataset file header")
@@ -548,49 +580,123 @@ def load_dataset(path) -> LabeledDataset:
             raise ValueError(f"unknown task-kind tag {tag}")
         if count == 0:
             raise ValueError("dataset file contains no samples")
-        task_kind = "single_label" if tag == 0 else "multi_label"
+        if 0 in (c, h, w):
+            raise ValueError(f"dataset file has an empty feature shape {c}x{h}x{w}")
+        self.task_kind = "single_label" if tag == 0 else "multi_label"
         try:
-            dtype = _record_dtype(task_kind, num_outputs, c * h * w)
+            self.dtype = _record_dtype(self.task_kind, num_outputs, c * h * w)
         except ValueError:
             raise ValueError(f"dataset record of {num_outputs} outputs and {c}x{h}x{w} "
                              "features is too large") from None
-        truncated = f"truncated dataset file: {count} records need {count * dtype.itemsize} bytes"
-        trailing = "trailing bytes after dataset payload"
+        payload = count * self.dtype.itemsize
+        self._truncated = f"truncated dataset file: {count} records need {payload} bytes"
         st = os.fstat(fh.fileno())
-        regular = stat.S_ISREG(st.st_mode)
-        if regular:
-            if st.st_size - _HEADER.size < count * dtype.itemsize:
-                raise ValueError(truncated)
-            if st.st_size - _HEADER.size > count * dtype.itemsize:
-                raise ValueError(trailing)
+        self.regular = stat.S_ISREG(st.st_mode)
+        if self.regular:
+            if st.st_size - _HEADER.size < payload:
+                raise ValueError(self._truncated)
+            if st.st_size - _HEADER.size > payload:
+                raise ValueError(_TRAILING)
+        self.num_outputs, self.count, self.feature_shape = num_outputs, count, (c, h, w)
+        self.rows = max(multiple, _BLOCK_BYTES // self.dtype.itemsize // multiple * multiple)
+        self._fh = fh
 
+    def __iter__(self):
+        size = self.dtype["features"].shape[0]
+        block = np.empty(self.rows, dtype=self.dtype)
+        for start in range(0, self.count, self.rows):
+            part = block[: min(self.rows, self.count - start)]
+            if self._fh.readinto(part.view(np.uint8)) != part.nbytes:
+                raise ValueError(self._truncated)
+            _check_rows(part["id"], part["feature_len"] == size, f"feature length != {size}")
+            yield start, part
+        if self._fh.read(1):
+            raise ValueError(_TRAILING)
+
+
+def load_dataset(path) -> LabeledDataset:
+    """Read a dataset file written by ``save_dataset``.
+
+    The file is read and checked by ``_RecordReader``. A pipe's record count
+    is trusted only as far as its records have arrived, so a false count
+    fails as truncated without first allocating columns for it. Each block
+    is copied into columns of the dtypes ``LabeledDataset`` keeps, so the
+    file's samples are held once, not twice."""
+    with open(path, "rb") as fh:
+        records = _RecordReader(fh)
+        c, h, w = records.feature_shape
         # A regular file has shown every record through its size; a pipe's
         # columns start at one block and double as its blocks arrive.
-        block = np.empty(max(1, _BLOCK_BYTES // dtype.itemsize), dtype=dtype)
-        shown = count if regular else min(count, len(block))
+        shown = records.count if records.regular else min(records.count, records.rows)
         ids = np.empty(shown, dtype=np.uint64)
         patients = np.empty(shown, dtype=np.uint64)
         groups = np.empty(shown, dtype=np.int64)
-        labels = np.empty((shown, num_outputs), dtype=np.int8) if tag else np.empty(shown, dtype=np.int64)
+        multi = records.task_kind == "multi_label"
+        labels = np.empty((shown, records.num_outputs) if multi else shown, dtype=np.int8 if multi else np.int64)
         features = np.empty((shown, c, h, w), dtype=np.float32)
-        for start in range(0, count, len(block)):
-            part = block[: min(len(block), count - start)]
-            if fh.readinto(part.view(np.uint8)) != part.nbytes:
-                raise ValueError(truncated)
+        for start, part in records:
             if start + len(part) > len(ids):
                 # In place, so the rows read are not copied; refcheck is off,
                 # which holds because no view of a column outlives its statement.
-                shown = min(count, 2 * len(ids))
+                shown = min(records.count, 2 * len(ids))
                 for col in (ids, patients, groups, labels, features):
                     col.resize((shown, *col.shape[1:]), refcheck=False)
             rows = slice(start, start + len(part))
-            ids[rows] = part["id"]
-            _check_rows(ids[rows], part["feature_len"] == c * h * w, f"feature length != {c * h * w}")
-            patients[rows], groups[rows] = part["patient"], part["group"]
+            ids[rows], patients[rows], groups[rows] = part["id"], part["patient"], part["group"]
             labels[rows], features.reshape(shown, c * h * w)[rows] = part["label"], part["features"]
-        if fh.read(1):
-            raise ValueError(trailing)
-    _check_rows(ids, (ids < 2**63) & (patients < 2**63), "id or patient >= 2**63")
+    _check_rows(ids, (ids < 2**63) & (patients < 2**63), _BEYOND_INT64)
     return LabeledDataset(
-        ids.view(np.int64), features, labels, patients.view(np.int64), groups, task_kind, num_outputs
+        ids.view(np.int64), features, labels, patients.view(np.int64), groups,
+        records.task_kind, records.num_outputs,
     )
+
+
+class DatasetStream:
+    """One pass over a dataset file that hands out its features a block at
+    a time and keeps its other columns.
+
+    Iterating reads the file with ``load_dataset``'s reader and yields each
+    block's ``(rows, C, H, W)`` float32 features, a view valid until the
+    next block, for as long as every row read so far has passed every check
+    ``load_dataset`` makes of a row. Blocks hold a multiple of ``multiple``
+    records, all but the last. The file's problems are raised as
+    ``load_dataset`` raises them: one in the header, the size, a truncation
+    or a feature length as it is read; the others, in ``load_dataset``'s
+    order, once the whole file has been read. ``task_kind`` and
+    ``num_outputs`` are set from the header before the first block; after a
+    clean pass, ``labels`` and ``groups`` are the columns the loaded dataset
+    would hold."""
+
+    def __init__(self, path, multiple: int = 1):
+        self._path, self._multiple = path, multiple
+
+    def __iter__(self):
+        with open(self._path, "rb") as fh:
+            records = _RecordReader(fh, self._multiple)
+            self.task_kind, self.num_outputs = records.task_kind, records.num_outputs
+            kept = {"id": [], "group": [], "label": []}
+            problems = [None, None, None]  # each row check's first failure, in raising order
+            for _, part in records:
+                features = part["features"].reshape(len(part), *records.feature_shape)
+                checks = [((part["id"] < 2**63) & (part["patient"] < 2**63), _BEYOND_INT64),
+                          *_row_checks(features, part["label"], self.task_kind, self.num_outputs)]
+                for i, (ok, problem) in enumerate(checks):
+                    problems[i] = problems[i] or _row_problem(part["id"], ok, problem)
+                for name, column in kept.items():
+                    column.append(part[name].copy())
+                if not any(problems):
+                    yield features
+        if problems[0]:
+            raise ValueError(problems[0])
+        _check_task(self.task_kind, self.num_outputs)
+        _check_unique(np.concatenate(kept.pop("id")).view(np.int64))
+        for problem in problems[1:]:
+            if problem:
+                raise ValueError(problem)
+        self.groups = np.concatenate(kept["group"]).astype(np.int64)
+        labels = np.concatenate(kept["label"])
+        self.labels = labels if self.task_kind == "multi_label" else labels.astype(np.int64)
+
+    def label_array(self) -> np.ndarray:
+        """``LabeledDataset.label_array`` of the dataset the file holds."""
+        return _label_array(self.labels, self.task_kind)

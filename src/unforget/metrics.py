@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import DatasetStream, LabeledDataset
 from .nn_core import EVAL_BATCH, ModelState, forward
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "average_ranks",
     "predict_scores",
     "evaluate",
+    "evaluate_file",
     "rank_difficulty",
     "ranking_from_per_class",
 ]
@@ -90,28 +91,27 @@ class EvalResult:
         }
 
 
-def predict_scores(model: ModelState, ds: LabeledDataset) -> np.ndarray:
-    """Eval-mode class scores: softmax probabilities for single-label data,
-    sigmoid probabilities per label for multi-label data."""
-    features = ds.feature_array()
-    chunks = []
-    for start in range(0, len(ds), EVAL_BATCH):
-        logits = forward(model, features[start : start + EVAL_BATCH], "eval")
-        chunks.append(logits)
-    logits = np.concatenate(chunks, axis=0)
-    if ds.task_kind == "single_label":
+def _logits(model: ModelState, features: np.ndarray) -> list[np.ndarray]:
+    """Eval-mode logits of ``features``, one array per ``EVAL_BATCH`` rows
+    from row 0."""
+    return [
+        forward(model, features[start : start + EVAL_BATCH], "eval")
+        for start in range(0, len(features), EVAL_BATCH)
+    ]
+
+
+def _probabilities(logits: np.ndarray, task_kind: str) -> np.ndarray:
+    if task_kind == "single_label":
         shifted = logits - logits.max(axis=1, keepdims=True)
         expd = np.exp(shifted)
         return expd / expd.sum(axis=1, keepdims=True)
     return 1.0 / (1.0 + np.exp(-logits))
 
 
-def _positives_matrix(ds: LabeledDataset) -> np.ndarray:
-    """(N, num_outputs) boolean matrix marking each sample's positive classes."""
-    labels = ds.label_array()
-    if ds.task_kind == "single_label":
-        return labels[:, None] == np.arange(ds.num_outputs)[None, :]
-    return labels > 0.5
+def predict_scores(model: ModelState, ds: LabeledDataset) -> np.ndarray:
+    """Eval-mode class scores: softmax probabilities for single-label data,
+    sigmoid probabilities per label for multi-label data."""
+    return _probabilities(np.concatenate(_logits(model, ds.feature_array())), ds.task_kind)
 
 
 def _per_class(scores, positives) -> tuple[dict, list]:
@@ -126,29 +126,24 @@ def _per_class(scores, positives) -> tuple[dict, list]:
     return per_class, skipped
 
 
-def evaluate(model: ModelState, ds: LabeledDataset, set_name: str = "") -> EvalResult:
-    """Macro / per-class / per-group AUROC of a model on a dataset.
+def _check_outputs(model: ModelState, num_outputs: int) -> None:
+    if model.arch.output_dim != num_outputs:
+        raise ValueError(f"model emits {model.arch.output_dim} outputs, dataset has {num_outputs}")
 
-    Classes missing a label polarity are excluded from the macro mean and
-    flagged in ``skipped_classes``; the macro is the unweighted mean of the
-    remaining per-class values. Group results restrict to each group's
-    samples and macro-average the same way.
-    """
-    if len(ds) == 0:
-        raise ValueError("empty dataset")
-    if model.arch.output_dim != ds.num_outputs:
-        raise ValueError(
-            f"model emits {model.arch.output_dim} outputs, dataset has {ds.num_outputs}"
-        )
-    scores = predict_scores(model, ds)
-    positives = _positives_matrix(ds)
+
+def _summary(scores: np.ndarray, labels: np.ndarray, groups: np.ndarray, set_name: str) -> EvalResult:
+    """The AUROC summary of (N, K) scores against labels as
+    ``LabeledDataset.label_array`` gives them, with each sample's group."""
+    if labels.ndim == 1:
+        positives = labels[:, None] == np.arange(scores.shape[1])[None, :]
+    else:
+        positives = labels > 0.5
     per_class, skipped = _per_class(scores, positives)
     if not per_class:
         raise ValueError("no class had both positives and negatives")
     macro = float(np.mean(list(per_class.values())))
 
     per_group = {}
-    groups = ds.group_array()
     for g in sorted(set(groups.tolist())):
         sel = groups == g
         group_per_class, group_skipped = _per_class(scores[sel], positives[sel])
@@ -161,9 +156,50 @@ def evaluate(model: ModelState, ds: LabeledDataset, set_name: str = "") -> EvalR
         per_class=per_class,
         per_group=per_group,
         set_name=set_name,
-        n_samples=len(ds),
+        n_samples=len(labels),
         skipped_classes=tuple(skipped),
     )
+
+
+def evaluate(model: ModelState, ds: LabeledDataset, set_name: str = "") -> EvalResult:
+    """Macro / per-class / per-group AUROC of a model on a dataset.
+
+    Classes missing a label polarity are excluded from the macro mean and
+    flagged in ``skipped_classes``; the macro is the unweighted mean of the
+    remaining per-class values. Group results restrict to each group's
+    samples and macro-average the same way.
+    """
+    if len(ds) == 0:
+        raise ValueError("empty dataset")
+    _check_outputs(model, ds.num_outputs)
+    scores = predict_scores(model, ds)
+    return _summary(scores, ds.label_array(), ds.group_array(), set_name)
+
+
+def evaluate_file(model: ModelState, path, set_name: str = "") -> EvalResult:
+    """``evaluate(model, load_dataset(path), set_name)``, scoring the file's
+    records as they are read instead of holding its features.
+
+    The same chunks reach ``forward``, so the result is the same, and so is
+    the error for a file or model that fails: a block is scored only while
+    every row read so far passes the dataset's checks, and an error from the
+    forward pass is raised only after the whole file has passed them and
+    the model's output count has been checked, where ``evaluate`` would
+    raise it. Holds one block of records, one ``EVAL_BATCH``-row pass and,
+    per sample, the id, group and label columns and the logits."""
+    stream = DatasetStream(path, EVAL_BATCH)
+    logits, failure = [], None
+    for features in stream:
+        if failure is None and model.arch.output_dim == stream.num_outputs:
+            try:
+                logits += _logits(model, features)
+            except (ValueError, FloatingPointError) as exc:
+                failure = exc
+    _check_outputs(model, stream.num_outputs)
+    if failure is not None:
+        raise failure
+    scores = _probabilities(np.concatenate(logits), stream.task_kind)
+    return _summary(scores, stream.label_array(), stream.groups, set_name)
 
 
 @dataclass(frozen=True)

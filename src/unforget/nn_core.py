@@ -713,6 +713,8 @@ def _check_targets(targets, loss_kind: str, n: int, k: int) -> np.ndarray:
         targets = np.asarray(targets)
         if targets.shape != (n,):
             raise ValueError(f"expected {n} class indices, got shape {targets.shape}")
+        if targets.dtype.kind not in "iu":  # a float or bool index would fail in the loss
+            raise ValueError(f"class indices must be integers, got dtype {targets.dtype}")
         if n and (targets.min() < 0 or targets.max() >= k):
             raise ValueError(f"class index out of range [0, {k})")
     elif loss_kind == "bce":

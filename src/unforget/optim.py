@@ -73,7 +73,7 @@ def adam_step(
     """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
-    if grads.shape != params.shape or state.m.shape != params.shape:
+    if any(a.shape != params.shape for a in (grads, state.m, state.v)):
         raise ValueError("params, grads, and Adam moments must share one length")
     if not np.isfinite(grads).all():
         raise FloatingPointError("non-finite gradient")

@@ -23,7 +23,16 @@ def test_prints_every_layer_in_both_settings_at_one_blas_thread():
         rows = [line.split() for line in lines if line.startswith(mode)]
         assert [r[2] for r in rows[:n]] == [str(i) for i in range(n)]
         assert rows[n][2] == "total" and len(rows) == n + 1
-        assert all(r[1] == batch and float(r[-2]) > 0 and float(r[-1]) > 0 for r in rows)
+        assert all(r[1] == batch for r in rows)
+        for r in rows[:n]:  # each median with its quartiles: "ms [p25 p75]"
+            fwd, fwd25, fwd75, bwd, bwd25, bwd75 = (float(t.strip("[]")) for t in r[4:])
+            assert 0 < fwd25 <= fwd <= fwd75 and 0 < bwd25 <= bwd <= bwd75
+        assert all(float(t) > 0 for t in rows[n][3:])
+
+
+def spread(doc, name) -> bool:
+    """``{name}_ms`` is positive and lies between its own quartiles."""
+    return 0 < doc[f"{name}_p25_ms"] <= doc[f"{name}_ms"] <= doc[f"{name}_p75_ms"]
 
 
 def test_json_holds_environment_and_both_tables(tmp_path):
@@ -45,20 +54,21 @@ def test_json_holds_environment_and_both_tables(tmp_path):
             assert doc[table][mode]["batch"] == batch
             assert [r["index"] for r in rows] == list(range(len(names)))
             assert all(r["layer"].startswith(name) for r, name in zip(rows, names))
-            assert all(r["forward_ms"] > 0 for r in rows)
-    assert all(r["backward_ms"] > 0 for r in doc["isolated"]["eval"]["layers"])
+            assert all(spread(r, "forward") for r in rows)
+    assert all(spread(r, "backward") for r in doc["isolated"]["eval"]["layers"])
     # Eval passes run no backward; train steps skip layer 0's input gradient
     # but still time its backward (the parameter gradients).
-    assert all(r["backward_ms"] is None for r in doc["in_pass"]["eval"]["layers"])
-    assert all(r["backward_ms"] > 0 for r in doc["in_pass"]["train"]["layers"])
+    assert all(r["backward_ms"] is r["backward_p25_ms"] is r["backward_p75_ms"] is None
+               for r in doc["in_pass"]["eval"]["layers"])
+    assert all(spread(r, "backward") for r in doc["in_pass"]["train"]["layers"])
     for mode, name in (("train", "loss_and_grad"), ("eval", "_forward_raw")):
         table = doc["in_pass"][mode]
         assert table["pass"] == name
-        assert table["step_ms"] >= table["layers_ms"] > 0
+        assert table["step_ms"] >= table["layers_ms"] > 0 and spread(table, "step")
         assert 0 <= table["minflt_per_step"] <= table["minflt_max"]
         line = next(l for l in run.stdout.splitlines() if l.startswith(f"in-pass {mode} "))
         assert line.split()[3] == "0"
     train = doc["in_pass"]["train"]
-    assert train["adam_step_ms"] > 0 and train["adam_step_masked_ms"] > 0
+    assert spread(train, "adam_step") and spread(train, "adam_step_masked")
     assert "adam_step_ms" not in doc["in_pass"]["eval"]
     assert any(l.startswith("in-pass train") and "adam_step:" in l for l in run.stdout.splitlines())

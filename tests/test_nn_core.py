@@ -688,10 +688,13 @@ class TestLosses:
             (np.array([0, 1, 2]), "ce", "expected 4 class indices"),
             (np.array([0, 1, 5, 0]), "ce", "range"),
             (np.array([0, -1, 2, 0]), "ce", "range"),
+            (np.array([0.0, 1.0, 2.0, 0.0]), "ce", "integers, got dtype float64"),
+            (np.array([True, False, True, False]), "ce", "integers, got dtype bool"),
             (np.zeros((4, 2)), "bce", "targets shape"),
             (np.full((4, 4), 0.5), "bce", "0/1"),
         ],
-        ids=["loss_kind", "ce_count", "ce_above_range", "ce_below_range", "bce_shape", "bce_values"],
+        ids=["loss_kind", "ce_count", "ce_above_range", "ce_below_range", "ce_float", "ce_bool",
+             "bce_shape", "bce_values"],
     )
     def test_rejected_call_leaves_the_model_as_it_was(self, targets, loss_kind, message):
         """Bad targets and loss kinds are rejected before the forward pass,

@@ -153,6 +153,13 @@ class TestAdamStep:
         with pytest.raises(ValueError, match="length"):
             adam_step(np.zeros(3), np.zeros(2), AdamState.fresh(3), 1e-3)
 
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_short_moment_rejected(self, moment):
+        state = AdamState.fresh(3)
+        setattr(state, moment, np.zeros(2))
+        with pytest.raises(ValueError, match="must share one length"):
+            adam_step(np.zeros(3), np.zeros(3), state, 1e-3)
+
     def test_non_finite_grad_rejected(self):
         with pytest.raises(FloatingPointError):
             adam_step(np.zeros(2), np.array([np.nan, 0.0]), AdamState.fresh(2), 1e-3)
