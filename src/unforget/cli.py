@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .data import generate_synthetic, save_dataset
+from .data import DatasetStream, generate_synthetic, save_dataset
 from .harness import (
     spec_from_dict,
     config_from_dict,
@@ -24,13 +24,8 @@ from .harness import (
     load_report,
     run_experiment,
 )
-from .metrics import evaluate_file
+from .metrics import evaluate
 from .nn_core import load_model
-
-# load_dataset and evaluate are not called here; perfbench's tracer wraps
-# both under this module, so the names stay bound.
-from .data import load_dataset  # noqa: F401
-from .metrics import evaluate  # noqa: F401
 
 
 # glibc's mallopt parameters, and the values its dynamic rule raises them to
@@ -77,9 +72,19 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def load_dataset(path) -> DatasetStream:
+    """The eval command's dataset: the file opened as a stream, its header
+    checked, for ``evaluate`` to score while it reads the records, so the
+    features are never held. Its two stages keep the names under which
+    perfbench traces them in this module, ``load_dataset`` and
+    ``evaluate``."""
+    return DatasetStream(path)
+
+
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
-    result = evaluate_file(model, args.data, set_name=Path(args.data).stem)
+    ds = load_dataset(args.data)
+    result = evaluate(model, ds, set_name=Path(args.data).stem)
     print(json.dumps(result.to_dict(), sort_keys=True, indent=2))
     return 0
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn_core import EVAL_BATCH
+
 __all__ = [
     "UNKNOWN",
     "LabeledDataset",
@@ -655,33 +657,48 @@ class DatasetStream:
     """One pass over a dataset file that hands out its features a block at
     a time and keeps its other columns.
 
-    Iterating reads the file with ``load_dataset``'s reader and yields each
-    block's ``(rows, C, H, W)`` float32 features, a view valid until the
-    next block, for as long as every row read so far has passed every check
-    ``load_dataset`` makes of a row. Blocks hold a multiple of ``multiple``
-    records, all but the last. The file's problems are raised as
-    ``load_dataset`` raises them: one in the header, the size, a truncation
-    or a feature length as it is read; the others, in ``load_dataset``'s
-    order, once the whole file has been read. ``task_kind`` and
-    ``num_outputs`` are set from the header before the first block; after a
-    clean pass, ``labels`` and ``groups`` are the columns the loaded dataset
-    would hold."""
+    Construction opens the file and checks its header and, for a regular
+    file, its size; ``task_kind``, ``num_outputs`` and ``len`` (the header's
+    record count) are known from then on. Iterating reads the records with
+    ``load_dataset``'s reader and yields each block's ``(rows, C, H, W)``
+    float32 features, a view valid until the next block, for as long as
+    every row read so far has passed every check ``load_dataset`` makes of
+    a row. Blocks hold a multiple of ``EVAL_BATCH`` records, all but the
+    last, so an eval pass takes the rows it would take from the loaded
+    dataset. A truncation or a feature length is raised as it is read; the
+    file's other problems, in ``load_dataset``'s order, once the whole file
+    has been read. After a clean pass, ``labels`` and ``groups`` are the
+    columns the loaded dataset would hold."""
 
-    def __init__(self, path, multiple: int = 1):
-        self._path, self._multiple = path, multiple
+    def __init__(self, path):
+        self._fh = open(path, "rb")
+        try:
+            self._records = _RecordReader(self._fh, EVAL_BATCH)
+        except BaseException:
+            self._fh.close()
+            raise
+        self.task_kind, self.num_outputs = self._records.task_kind, self._records.num_outputs
+        self._ids = []
+
+    def __len__(self) -> int:
+        return self._records.count
+
+    def ids(self) -> np.ndarray:
+        """The ids of the records read so far: every id after a pass."""
+        return np.concatenate([np.empty(0, np.uint64), *self._ids]).view(np.int64)
 
     def __iter__(self):
-        with open(self._path, "rb") as fh:
-            records = _RecordReader(fh, self._multiple)
-            self.task_kind, self.num_outputs = records.task_kind, records.num_outputs
-            kept = {"id": [], "group": [], "label": []}
-            problems = [None, None, None]  # each row check's first failure, in raising order
+        records = self._records
+        kept = {"group": [], "label": []}
+        problems = [None, None, None]  # each row check's first failure, in raising order
+        with self._fh:
             for _, part in records:
                 features = part["features"].reshape(len(part), *records.feature_shape)
                 checks = [((part["id"] < 2**63) & (part["patient"] < 2**63), _BEYOND_INT64),
                           *_row_checks(features, part["label"], self.task_kind, self.num_outputs)]
                 for i, (ok, problem) in enumerate(checks):
                     problems[i] = problems[i] or _row_problem(part["id"], ok, problem)
+                self._ids.append(part["id"].copy())
                 for name, column in kept.items():
                     column.append(part[name].copy())
                 if not any(problems):
@@ -689,7 +706,7 @@ class DatasetStream:
         if problems[0]:
             raise ValueError(problems[0])
         _check_task(self.task_kind, self.num_outputs)
-        _check_unique(np.concatenate(kept.pop("id")).view(np.int64))
+        _check_unique(self.ids())
         for problem in problems[1:]:
             if problem:
                 raise ValueError(problem)

@@ -161,14 +161,26 @@ def _summary(scores: np.ndarray, labels: np.ndarray, groups: np.ndarray, set_nam
     )
 
 
-def evaluate(model: ModelState, ds: LabeledDataset, set_name: str = "") -> EvalResult:
+def evaluate(model: ModelState, ds: LabeledDataset | DatasetStream, set_name: str = "") -> EvalResult:
     """Macro / per-class / per-group AUROC of a model on a dataset.
 
     Classes missing a label polarity are excluded from the macro mean and
     flagged in ``skipped_classes``; the macro is the unweighted mean of the
     remaining per-class values. Group results restrict to each group's
     samples and macro-average the same way.
+
+    A ``DatasetStream`` is scored as its records are read, and answers what
+    its file's loaded dataset would: the same chunks reach ``forward``, so
+    the result is the same, and so is the error for a file or model that
+    fails. A block is scored only while every row read so far passes the
+    dataset's checks, and an error from the forward pass is raised only
+    after the whole file has passed them and the model's output count has
+    been checked. Scoring a stream holds one block of records, one
+    ``EVAL_BATCH``-row pass and, per sample, the id, group and label
+    columns and the logits.
     """
+    if isinstance(ds, DatasetStream):
+        return _evaluate_stream(model, ds, set_name)
     if len(ds) == 0:
         raise ValueError("empty dataset")
     _check_outputs(model, ds.num_outputs)
@@ -176,18 +188,7 @@ def evaluate(model: ModelState, ds: LabeledDataset, set_name: str = "") -> EvalR
     return _summary(scores, ds.label_array(), ds.group_array(), set_name)
 
 
-def evaluate_file(model: ModelState, path, set_name: str = "") -> EvalResult:
-    """``evaluate(model, load_dataset(path), set_name)``, scoring the file's
-    records as they are read instead of holding its features.
-
-    The same chunks reach ``forward``, so the result is the same, and so is
-    the error for a file or model that fails: a block is scored only while
-    every row read so far passes the dataset's checks, and an error from the
-    forward pass is raised only after the whole file has passed them and
-    the model's output count has been checked, where ``evaluate`` would
-    raise it. Holds one block of records, one ``EVAL_BATCH``-row pass and,
-    per sample, the id, group and label columns and the logits."""
-    stream = DatasetStream(path, EVAL_BATCH)
+def _evaluate_stream(model: ModelState, stream: DatasetStream, set_name: str) -> EvalResult:
     logits, failure = [], None
     for features in stream:
         if failure is None and model.arch.output_dim == stream.num_outputs:
@@ -200,6 +201,12 @@ def evaluate_file(model: ModelState, path, set_name: str = "") -> EvalResult:
         raise failure
     scores = _probabilities(np.concatenate(logits), stream.task_kind)
     return _summary(scores, stream.label_array(), stream.groups, set_name)
+
+
+def evaluate_file(model: ModelState, path, set_name: str = "") -> EvalResult:
+    """``evaluate(model, load_dataset(path), set_name)``, scoring the file's
+    records as they are read instead of holding its features."""
+    return evaluate(model, DatasetStream(path), set_name)
 
 
 @dataclass(frozen=True)
