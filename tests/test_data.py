@@ -3,6 +3,7 @@ splitting, forget/retain partitioning, and the dataset file format."""
 
 import hashlib
 import os
+import stat
 import threading
 import tracemalloc
 
@@ -394,6 +395,102 @@ def multi_label_spec(**overrides):
     return small_spec(num_classes=None, num_labels=3, **overrides)
 
 
+class FrozenRecordReader:
+    """The records of an open dataset file, a block at a time: the file
+    reader as written before ``load_dataset`` read through
+    ``DatasetStream``, kept unchanged as the oracle."""
+
+    def __init__(self, fh, multiple: int = 1):
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError("truncated dataset file header")
+        magic, version, tag, num_outputs, count, c, h, w = _HEADER.unpack(header)
+        if magic != b"UNDS":
+            raise ValueError(f"not a dataset file (magic {magic!r})")
+        if version != 1:
+            raise ValueError(f"unsupported dataset format version {version}")
+        if tag not in (0, 1):
+            raise ValueError(f"unknown task-kind tag {tag}")
+        if count == 0:
+            raise ValueError("dataset file contains no samples")
+        if 0 in (c, h, w):
+            raise ValueError(f"dataset file has an empty feature shape {c}x{h}x{w}")
+        self.task_kind = "single_label" if tag == 0 else "multi_label"
+        try:
+            self.dtype = _record_dtype(self.task_kind, num_outputs, c * h * w)
+        except ValueError:
+            raise ValueError(f"dataset record of {num_outputs} outputs and {c}x{h}x{w} "
+                             "features is too large") from None
+        payload = count * self.dtype.itemsize
+        self._truncated = f"truncated dataset file: {count} records need {payload} bytes"
+        st = os.fstat(fh.fileno())
+        self.regular = stat.S_ISREG(st.st_mode)
+        if self.regular:
+            if st.st_size - _HEADER.size < payload:
+                raise ValueError(self._truncated)
+            if st.st_size - _HEADER.size > payload:
+                raise ValueError("trailing bytes after dataset payload")
+        self.num_outputs, self.count, self.feature_shape = num_outputs, count, (c, h, w)
+        self.rows = max(multiple, (1 << 20) // self.dtype.itemsize // multiple * multiple)
+        self._fh = fh
+
+    def __iter__(self):
+        size = self.dtype["features"].shape[0]
+        block = np.empty(self.rows, dtype=self.dtype)
+        for start in range(0, self.count, self.rows):
+            part = block[: min(self.rows, self.count - start)]
+            if self._fh.readinto(part.view(np.uint8)) != part.nbytes:
+                raise ValueError(self._truncated)
+            frozen_check_rows(part["id"], part["feature_len"] == size, f"feature length != {size}")
+            yield start, part
+        if self._fh.read(1):
+            raise ValueError("trailing bytes after dataset payload")
+
+
+def frozen_check_rows(ids, ok, problem):
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(f"sample {ids[bad[0]]} {problem}")
+
+
+def frozen_load_dataset(path) -> LabeledDataset:
+    """``load_dataset`` as written before it read through ``DatasetStream``,
+    kept unchanged as the oracle."""
+    with open(path, "rb") as fh:
+        records = FrozenRecordReader(fh)
+        c, h, w = records.feature_shape
+        shown = records.count if records.regular else min(records.count, records.rows)
+        ids = np.empty(shown, dtype=np.uint64)
+        patients = np.empty(shown, dtype=np.uint64)
+        groups = np.empty(shown, dtype=np.int64)
+        multi = records.task_kind == "multi_label"
+        labels = np.empty((shown, records.num_outputs) if multi else shown, dtype=np.int8 if multi else np.int64)
+        features = np.empty((shown, c, h, w), dtype=np.float32)
+        for start, part in records:
+            if start + len(part) > len(ids):
+                shown = min(records.count, 2 * len(ids))
+                for col in (ids, patients, groups, labels, features):
+                    col.resize((shown, *col.shape[1:]), refcheck=False)
+            rows = slice(start, start + len(part))
+            ids[rows], patients[rows], groups[rows] = part["id"], part["patient"], part["group"]
+            labels[rows], features.reshape(shown, c * h * w)[rows] = part["label"], part["features"]
+    frozen_check_rows(ids, (ids < 2**63) & (patients < 2**63), "id or patient >= 2**63")
+    return LabeledDataset(
+        ids.view(np.int64), features, labels, patients.view(np.int64), groups,
+        records.task_kind, records.num_outputs,
+    )
+
+
+def load_answer(load, path):
+    """What ``load(path)`` answers: the loaded dataset's kind and columns,
+    each as its dtype, shape and bytes, or its error message."""
+    try:
+        ds = load(path)
+    except ValueError as exc:
+        return f"error: {exc}"
+    return ds.task_kind, ds.num_outputs, [(c.dtype.str, c.shape, c.tobytes()) for c in ds._columns()]
+
+
 class TestDatasetFile:
     def test_bytes_pin(self, tmp_path):
         digest = hashlib.sha256()
@@ -415,12 +512,17 @@ class TestDatasetFile:
                 flipped = bytearray(blob)
                 flipped[i] ^= mask
                 corrupt.append(bytes(flipped))
+        answers = set()
         for data in corrupt:
             path.write_bytes(data)
-            try:
-                load_dataset(path)
-            except ValueError:
-                pass
+            expected = load_answer(frozen_load_dataset, path)
+            assert load_answer(load_dataset, path) == expected
+            answers.add(expected if isinstance(expected, str) else "dataset")
+        # The flips reach past the header checks into every later one.
+        assert "dataset" in answers
+        for message in ("truncated", "trailing", "feature length", "outside [0, 1]",
+                        "duplicate sample id", "2**63"):
+            assert any(message in a for a in answers), message
 
     def test_round_trip_single_label(self, tmp_path):
         ds = generate_synthetic(small_spec())

@@ -27,7 +27,14 @@ from unforget.harness import default_arch
 from unforget.metrics import EvalResult, auroc_binary, evaluate, evaluate_file
 from unforget.nn_core import EVAL_BATCH, ArchSpec, BatchNorm, Dense, Flatten, clone_with_params, forward, init_model
 
-from test_data import multi_block_file, multi_label_spec, patch_record, small_spec
+from test_data import (
+    frozen_load_dataset,
+    load_answer,
+    multi_block_file,
+    multi_label_spec,
+    patch_record,
+    small_spec,
+)
 
 
 def frozen_evaluate(model, ds, set_name):
@@ -87,7 +94,10 @@ def answer(call) -> str:
 
 
 def assert_same_answer(model, path):
-    expected = answer(lambda: frozen_evaluate(model, load_dataset(path), "data"))
+    """The file loads as the frozen loader loads it, and scoring it as it
+    streams answers what the frozen loader and evaluator answer."""
+    assert load_answer(load_dataset, path) == load_answer(frozen_load_dataset, path)
+    expected = answer(lambda: frozen_evaluate(model, frozen_load_dataset(path), "data"))
     assert answer(lambda: evaluate_file(model, path, "data")) == expected
     return expected
 
