@@ -519,7 +519,7 @@ def split_forget_retain(
 # Header: magic, format version, task-kind tag (0 single-label, 1 multi-label),
 # output count, sample count, then C, H, W of the feature shape.
 _HEADER = struct.Struct("<4sIBIQIII")
-# Bytes of records ``_RecordReader`` reads at a time (at least one record).
+# Bytes of records ``DatasetStream`` reads at a time (at least one record).
 _BLOCK_BYTES = 1 << 20
 
 
@@ -553,104 +553,7 @@ def save_dataset(ds: LabeledDataset, path) -> None:
         fh.write(records.tobytes())
 
 
-_BEYOND_INT64 = "id or patient >= 2**63"
 _TRAILING = "trailing bytes after dataset payload"
-
-
-class _RecordReader:
-    """The records of an open dataset file, a block at a time.
-
-    Construction checks the header and, for a regular file, the payload
-    size against it before anything is allocated. Iterating reads blocks of
-    ``rows`` records (a multiple of ``multiple``, at least ``_BLOCK_BYTES``'
-    worth when one record fits in that) into one reused buffer and yields
-    ``(start row, block)``, the block valid until the next one. Any other
-    input (a pipe, say) is checked as it is read: a short read is a truncated
-    file and a byte after the last record is a trailing one. Each block's
-    feature lengths are checked as it arrives."""
-
-    def __init__(self, fh, multiple: int = 1):
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError("truncated dataset file header")
-        magic, version, tag, num_outputs, count, c, h, w = _HEADER.unpack(header)
-        if magic != DATASET_MAGIC:
-            raise ValueError(f"not a dataset file (magic {magic!r})")
-        if version != DATASET_FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset format version {version}")
-        if tag not in (0, 1):
-            raise ValueError(f"unknown task-kind tag {tag}")
-        if count == 0:
-            raise ValueError("dataset file contains no samples")
-        if 0 in (c, h, w):
-            raise ValueError(f"dataset file has an empty feature shape {c}x{h}x{w}")
-        self.task_kind = "single_label" if tag == 0 else "multi_label"
-        try:
-            self.dtype = _record_dtype(self.task_kind, num_outputs, c * h * w)
-        except ValueError:
-            raise ValueError(f"dataset record of {num_outputs} outputs and {c}x{h}x{w} "
-                             "features is too large") from None
-        payload = count * self.dtype.itemsize
-        self._truncated = f"truncated dataset file: {count} records need {payload} bytes"
-        st = os.fstat(fh.fileno())
-        self.regular = stat.S_ISREG(st.st_mode)
-        if self.regular:
-            if st.st_size - _HEADER.size < payload:
-                raise ValueError(self._truncated)
-            if st.st_size - _HEADER.size > payload:
-                raise ValueError(_TRAILING)
-        self.num_outputs, self.count, self.feature_shape = num_outputs, count, (c, h, w)
-        self.rows = max(multiple, _BLOCK_BYTES // self.dtype.itemsize // multiple * multiple)
-        self._fh = fh
-
-    def __iter__(self):
-        size = self.dtype["features"].shape[0]
-        block = np.empty(self.rows, dtype=self.dtype)
-        for start in range(0, self.count, self.rows):
-            part = block[: min(self.rows, self.count - start)]
-            if self._fh.readinto(part.view(np.uint8)) != part.nbytes:
-                raise ValueError(self._truncated)
-            _check_rows(part["id"], part["feature_len"] == size, f"feature length != {size}")
-            yield start, part
-        if self._fh.read(1):
-            raise ValueError(_TRAILING)
-
-
-def load_dataset(path) -> LabeledDataset:
-    """Read a dataset file written by ``save_dataset``.
-
-    The file is read and checked by ``_RecordReader``. A pipe's record count
-    is trusted only as far as its records have arrived, so a false count
-    fails as truncated without first allocating columns for it. Each block
-    is copied into columns of the dtypes ``LabeledDataset`` keeps, so the
-    file's samples are held once, not twice."""
-    with open(path, "rb") as fh:
-        records = _RecordReader(fh)
-        c, h, w = records.feature_shape
-        # A regular file has shown every record through its size; a pipe's
-        # columns start at one block and double as its blocks arrive.
-        shown = records.count if records.regular else min(records.count, records.rows)
-        ids = np.empty(shown, dtype=np.uint64)
-        patients = np.empty(shown, dtype=np.uint64)
-        groups = np.empty(shown, dtype=np.int64)
-        multi = records.task_kind == "multi_label"
-        labels = np.empty((shown, records.num_outputs) if multi else shown, dtype=np.int8 if multi else np.int64)
-        features = np.empty((shown, c, h, w), dtype=np.float32)
-        for start, part in records:
-            if start + len(part) > len(ids):
-                # In place, so the rows read are not copied; refcheck is off,
-                # which holds because no view of a column outlives its statement.
-                shown = min(records.count, 2 * len(ids))
-                for col in (ids, patients, groups, labels, features):
-                    col.resize((shown, *col.shape[1:]), refcheck=False)
-            rows = slice(start, start + len(part))
-            ids[rows], patients[rows], groups[rows] = part["id"], part["patient"], part["group"]
-            labels[rows], features.reshape(shown, c * h * w)[rows] = part["label"], part["features"]
-    _check_rows(ids, (ids < 2**63) & (patients < 2**63), _BEYOND_INT64)
-    return LabeledDataset(
-        ids.view(np.int64), features, labels, patients.view(np.int64), groups,
-        records.task_kind, records.num_outputs,
-    )
 
 
 class DatasetStream:
@@ -658,62 +561,139 @@ class DatasetStream:
     a time and keeps its other columns.
 
     Construction opens the file and checks its header and, for a regular
-    file, its size; ``task_kind``, ``num_outputs`` and ``len`` (the header's
-    record count) are known from then on. Iterating reads the records with
-    ``load_dataset``'s reader and yields each block's ``(rows, C, H, W)``
-    float32 features, a view valid until the next block, for as long as
-    every row read so far has passed every check ``load_dataset`` makes of
-    a row. Blocks hold a multiple of ``EVAL_BATCH`` records, all but the
-    last, so an eval pass takes the rows it would take from the loaded
-    dataset. A truncation or a feature length is raised as it is read; the
-    file's other problems, in ``load_dataset``'s order, once the whole file
-    has been read. After a clean pass, ``labels`` and ``groups`` are the
-    columns the loaded dataset would hold."""
+    file, its size against the header's record count, before anything is
+    allocated; ``task_kind``, ``num_outputs``, ``feature_shape`` and ``len``
+    (the header's record count) are known from then on. Iterating reads
+    blocks of ``rows`` records, a multiple of ``EVAL_BATCH`` (at least
+    ``_BLOCK_BYTES``' worth when a record fits in that), into one reused
+    buffer, and yields each block's ``(rows, C, H, W)`` float32 features, a
+    view valid until the next block, for as long as every row read so far
+    has passed every row check ``LabeledDataset`` makes. An eval pass thus
+    takes the rows it would take from the loaded dataset.
+
+    Any input that is not a regular file (a pipe, say) is checked as it is
+    read: a short read is a truncated file and a byte after the last record
+    is a trailing one. A truncation or a bad feature length is raised as it
+    is read; the file's other problems (ids or patients >= 2**63, then the
+    dataset's checks in ``LabeledDataset``'s order) once the whole file has
+    been read. After a clean pass the stream holds the id, patient, group
+    and label columns the loaded dataset would hold. A stream is read once.
+    """
 
     def __init__(self, path):
         self._fh = open(path, "rb")
         try:
-            self._records = _RecordReader(self._fh, EVAL_BATCH)
+            header = self._fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise ValueError("truncated dataset file header")
+            magic, version, tag, num_outputs, count, c, h, w = _HEADER.unpack(header)
+            if magic != DATASET_MAGIC:
+                raise ValueError(f"not a dataset file (magic {magic!r})")
+            if version != DATASET_FORMAT_VERSION:
+                raise ValueError(f"unsupported dataset format version {version}")
+            if tag not in (0, 1):
+                raise ValueError(f"unknown task-kind tag {tag}")
+            if count == 0:
+                raise ValueError("dataset file contains no samples")
+            if 0 in (c, h, w):
+                raise ValueError(f"dataset file has an empty feature shape {c}x{h}x{w}")
+            self.task_kind = "single_label" if tag == 0 else "multi_label"
+            try:
+                self._dtype = _record_dtype(self.task_kind, num_outputs, c * h * w)
+            except ValueError:
+                raise ValueError(f"dataset record of {num_outputs} outputs and {c}x{h}x{w} "
+                                 "features is too large") from None
+            payload = count * self._dtype.itemsize
+            self._truncated = f"truncated dataset file: {count} records need {payload} bytes"
+            st = os.fstat(self._fh.fileno())
+            self.regular = stat.S_ISREG(st.st_mode)
+            if self.regular:
+                if st.st_size - _HEADER.size < payload:
+                    raise ValueError(self._truncated)
+                if st.st_size - _HEADER.size > payload:
+                    raise ValueError(_TRAILING)
         except BaseException:
             self._fh.close()
             raise
-        self.task_kind, self.num_outputs = self._records.task_kind, self._records.num_outputs
-        self._ids = []
+        self.num_outputs, self._count, self.feature_shape = num_outputs, count, (c, h, w)
+        self.rows = max(EVAL_BATCH, _BLOCK_BYTES // self._dtype.itemsize // EVAL_BATCH * EVAL_BATCH)
+        self._ids = np.empty(0, np.int64)
 
     def __len__(self) -> int:
-        return self._records.count
+        return self._count
 
     def ids(self) -> np.ndarray:
-        """The ids of the records read so far: every id after a pass."""
-        return np.concatenate([np.empty(0, np.uint64), *self._ids]).view(np.int64)
+        """The file's ids after a clean pass; none before."""
+        return self._ids
 
     def __iter__(self):
-        records = self._records
-        kept = {"group": [], "label": []}
+        if self._fh.closed:
+            raise ValueError("a DatasetStream is read once; open the file again to read it again")
+        size = self._dtype["features"].shape[0]
+        block = np.empty(self.rows, dtype=self._dtype)
+        kept = {"id": [], "patient": [], "group": [], "label": []}
         problems = [None, None, None]  # each row check's first failure, in raising order
         with self._fh:
-            for _, part in records:
-                features = part["features"].reshape(len(part), *records.feature_shape)
-                checks = [((part["id"] < 2**63) & (part["patient"] < 2**63), _BEYOND_INT64),
+            for start in range(0, self._count, self.rows):
+                part = block[: min(self.rows, self._count - start)]
+                if self._fh.readinto(part.view(np.uint8)) != part.nbytes:
+                    raise ValueError(self._truncated)
+                _check_rows(part["id"], part["feature_len"] == size, f"feature length != {size}")
+                features = part["features"].reshape(len(part), *self.feature_shape)
+                checks = [((part["id"] < 2**63) & (part["patient"] < 2**63),
+                           "id or patient >= 2**63"),
                           *_row_checks(features, part["label"], self.task_kind, self.num_outputs)]
                 for i, (ok, problem) in enumerate(checks):
                     problems[i] = problems[i] or _row_problem(part["id"], ok, problem)
-                self._ids.append(part["id"].copy())
                 for name, column in kept.items():
                     column.append(part[name].copy())
                 if not any(problems):
                     yield features
+            if self._fh.read(1):
+                raise ValueError(_TRAILING)
         if problems[0]:
             raise ValueError(problems[0])
         _check_task(self.task_kind, self.num_outputs)
-        _check_unique(self.ids())
+        # Each column's blocks are let go as soon as they are joined.
+        ids = np.concatenate(kept.pop("id")).view(np.int64)
+        _check_unique(ids)
         for problem in problems[1:]:
             if problem:
                 raise ValueError(problem)
-        self.groups = np.concatenate(kept["group"]).astype(np.int64)
-        labels = np.concatenate(kept["label"])
+        self._ids = ids
+        self.patients = np.concatenate(kept.pop("patient")).view(np.int64)
+        self.groups = np.concatenate(kept.pop("group")).astype(np.int64)
+        labels = np.concatenate(kept.pop("label"))
         self.labels = labels if self.task_kind == "multi_label" else labels.astype(np.int64)
 
     def label_array(self) -> np.ndarray:
         """``LabeledDataset.label_array`` of the dataset the file holds."""
         return _label_array(self.labels, self.task_kind)
+
+    def group_array(self) -> np.ndarray:
+        return self.groups
+
+
+def load_dataset(path) -> LabeledDataset:
+    """Read a dataset file written by ``save_dataset``.
+
+    The file is read and checked by a ``DatasetStream``. A pipe's record
+    count is trusted only as far as its records have arrived, so a false
+    count fails as truncated without first allocating a column for it. Each
+    block's features are copied into one float32 column, so the file's
+    samples are held once, not twice."""
+    stream = DatasetStream(path)
+    # A regular file has shown every record through its size; a pipe's
+    # column starts at one block and doubles as its blocks arrive.
+    features = np.empty((len(stream) if stream.regular else min(len(stream), stream.rows),
+                         *stream.feature_shape), dtype=np.float32)
+    start = 0
+    for block in stream:
+        if start + len(block) > len(features):
+            # In place, so the rows read are not copied; refcheck is off,
+            # which holds because no view of the column outlives its statement.
+            features.resize((min(len(stream), 2 * len(features)), *stream.feature_shape), refcheck=False)
+        features[start : start + len(block)] = block
+        start += len(block)
+    return LabeledDataset(stream.ids(), features, stream.labels, stream.patients, stream.groups,
+                          stream.task_kind, stream.num_outputs)

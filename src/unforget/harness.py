@@ -113,6 +113,8 @@ class ExperimentConfig:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"{key} repeats {repeated[0]!r}")
+        if not self.forget_fractions:
+            raise ValueError("no forget fractions requested")
         for f in self.forget_fractions:
             if not (0.0 < f < 1.0):
                 raise ValueError(f"forget fractions must lie in (0, 1), got {f}")

@@ -25,7 +25,6 @@ __all__ = [
     "average_ranks",
     "predict_scores",
     "evaluate",
-    "evaluate_file",
     "rank_difficulty",
     "ranking_from_per_class",
 ]
@@ -91,27 +90,37 @@ class EvalResult:
         }
 
 
-def _logits(model: ModelState, features: np.ndarray) -> list[np.ndarray]:
-    """Eval-mode logits of ``features``, one array per ``EVAL_BATCH`` rows
-    from row 0."""
-    return [
-        forward(model, features[start : start + EVAL_BATCH], "eval")
-        for start in range(0, len(features), EVAL_BATCH)
-    ]
+def predict_scores(model: ModelState, ds: LabeledDataset | DatasetStream) -> np.ndarray:
+    """Eval-mode class scores: softmax probabilities for single-label data,
+    sigmoid probabilities per label for multi-label data.
 
-
-def _probabilities(logits: np.ndarray, task_kind: str) -> np.ndarray:
-    if task_kind == "single_label":
+    A dataset in memory is scored in ``EVAL_BATCH``-row passes from row 0; a
+    ``DatasetStream`` is scored the same way, block by block as it is read,
+    so the same passes reach ``forward`` and the scores are the same. A
+    stream's file errors come first, then a model whose output count does
+    not match the dataset's, then an error from a pass: passes stop at the
+    first error or mismatch, and the stream is still read to its end, so
+    each file fails as its loaded dataset would."""
+    blocks = ds if isinstance(ds, DatasetStream) else (ds.feature_array(),)
+    matches = model.arch.output_dim == ds.num_outputs
+    logits, failure = [], None
+    for features in blocks:
+        if failure is None and matches:
+            try:
+                logits += [forward(model, features[start : start + EVAL_BATCH], "eval")
+                           for start in range(0, len(features), EVAL_BATCH)]
+            except (ValueError, FloatingPointError) as exc:
+                failure = exc
+    if not matches:
+        raise ValueError(f"model emits {model.arch.output_dim} outputs, dataset has {ds.num_outputs}")
+    if failure is not None:
+        raise failure
+    logits = np.concatenate(logits)
+    if ds.task_kind == "single_label":
         shifted = logits - logits.max(axis=1, keepdims=True)
         expd = np.exp(shifted)
         return expd / expd.sum(axis=1, keepdims=True)
     return 1.0 / (1.0 + np.exp(-logits))
-
-
-def predict_scores(model: ModelState, ds: LabeledDataset) -> np.ndarray:
-    """Eval-mode class scores: softmax probabilities for single-label data,
-    sigmoid probabilities per label for multi-label data."""
-    return _probabilities(np.concatenate(_logits(model, ds.feature_array())), ds.task_kind)
 
 
 def _per_class(scores, positives) -> tuple[dict, list]:
@@ -124,11 +133,6 @@ def _per_class(scores, positives) -> tuple[dict, list]:
             continue
         per_class[c] = auroc_binary(scores[:, c], pos)
     return per_class, skipped
-
-
-def _check_outputs(model: ModelState, num_outputs: int) -> None:
-    if model.arch.output_dim != num_outputs:
-        raise ValueError(f"model emits {model.arch.output_dim} outputs, dataset has {num_outputs}")
 
 
 def _summary(scores: np.ndarray, labels: np.ndarray, groups: np.ndarray, set_name: str) -> EvalResult:
@@ -169,44 +173,16 @@ def evaluate(model: ModelState, ds: LabeledDataset | DatasetStream, set_name: st
     remaining per-class values. Group results restrict to each group's
     samples and macro-average the same way.
 
-    A ``DatasetStream`` is scored as its records are read, and answers what
-    its file's loaded dataset would: the same chunks reach ``forward``, so
-    the result is the same, and so is the error for a file or model that
-    fails. A block is scored only while every row read so far passes the
-    dataset's checks, and an error from the forward pass is raised only
-    after the whole file has passed them and the model's output count has
-    been checked. Scoring a stream holds one block of records, one
-    ``EVAL_BATCH``-row pass and, per sample, the id, group and label
-    columns and the logits.
+    A ``DatasetStream`` is scored by ``predict_scores`` as its records are
+    read, and answers what its file's loaded dataset would, with the same
+    result or the same error. Scoring a stream holds one block of records,
+    one ``EVAL_BATCH``-row pass and, per sample, the id, patient, group and
+    label columns and the logits.
     """
-    if isinstance(ds, DatasetStream):
-        return _evaluate_stream(model, ds, set_name)
     if len(ds) == 0:
         raise ValueError("empty dataset")
-    _check_outputs(model, ds.num_outputs)
     scores = predict_scores(model, ds)
     return _summary(scores, ds.label_array(), ds.group_array(), set_name)
-
-
-def _evaluate_stream(model: ModelState, stream: DatasetStream, set_name: str) -> EvalResult:
-    logits, failure = [], None
-    for features in stream:
-        if failure is None and model.arch.output_dim == stream.num_outputs:
-            try:
-                logits += _logits(model, features)
-            except (ValueError, FloatingPointError) as exc:
-                failure = exc
-    _check_outputs(model, stream.num_outputs)
-    if failure is not None:
-        raise failure
-    scores = _probabilities(np.concatenate(logits), stream.task_kind)
-    return _summary(scores, stream.label_array(), stream.groups, set_name)
-
-
-def evaluate_file(model: ModelState, path, set_name: str = "") -> EvalResult:
-    """``evaluate(model, load_dataset(path), set_name)``, scoring the file's
-    records as they are read instead of holding its features."""
-    return evaluate(model, DatasetStream(path), set_name)
 
 
 @dataclass(frozen=True)

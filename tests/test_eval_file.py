@@ -1,7 +1,7 @@
-"""``evaluate_file``: scoring a dataset file as it streams must answer what
-loading it and evaluating the loaded dataset answers, byte for byte, and
-fail with the same message, while holding one block instead of the
-features."""
+"""``evaluate`` on a ``DatasetStream``: scoring a dataset file as it streams
+must answer what loading it and evaluating the loaded dataset answers, byte
+for byte, and fail with the same message, while holding one block instead
+of the features."""
 
 import hashlib
 import json
@@ -17,6 +17,7 @@ from unforget.data import (
     _BLOCK_BYTES,
     _HEADER,
     LabeledDataset,
+    DatasetStream,
     _record_dtype,
     apply_u_one_dataset,
     generate_synthetic,
@@ -24,7 +25,7 @@ from unforget.data import (
     save_dataset,
 )
 from unforget.harness import default_arch
-from unforget.metrics import EvalResult, auroc_binary, evaluate, evaluate_file
+from unforget.metrics import EvalResult, auroc_binary, evaluate
 from unforget.nn_core import EVAL_BATCH, ArchSpec, BatchNorm, Dense, Flatten, clone_with_params, forward, init_model
 
 from test_data import (
@@ -98,7 +99,7 @@ def assert_same_answer(model, path):
     streams answers what the frozen loader and evaluator answer."""
     assert load_answer(load_dataset, path) == load_answer(frozen_load_dataset, path)
     expected = answer(lambda: frozen_evaluate(model, frozen_load_dataset(path), "data"))
-    assert answer(lambda: evaluate_file(model, path, "data")) == expected
+    assert answer(lambda: evaluate(model, DatasetStream(path), "data")) == expected
     return expected
 
 
@@ -212,7 +213,7 @@ class TestSameAnswer:
         expected = evaluate(model, ds, "data")
         from_memory = list(chunks)
         chunks.clear()
-        assert evaluate_file(model, path, "data") == expected
+        assert evaluate(model, DatasetStream(path), "data") == expected
         assert chunks == from_memory
         assert [rows for rows, _ in chunks] == [EVAL_BATCH] * 3 + [len(ds) - 3 * EVAL_BATCH]
 
@@ -224,7 +225,7 @@ class TestSameAnswer:
         expected = evaluate(model, ds, "data")
         from_memory = list(chunks)
         chunks.clear()
-        assert evaluate_file(model, path, "data") == expected
+        assert evaluate(model, DatasetStream(path), "data") == expected
         assert chunks == from_memory
 
     def test_output_count_mismatch_scores_nothing(self, tmp_path, chunks):
@@ -243,9 +244,42 @@ class TestSameAnswer:
             fh.seek(offset)
             fh.write(np.float32(np.nan).tobytes())
         with pytest.raises(ValueError, match=f"^sample {ds.ids()[row]} features outside"):
-            evaluate_file(init_model(default_arch(), 0), path)
+            evaluate(init_model(default_arch(), 0), DatasetStream(path))
         scored = sum(rows for rows, _ in chunks)
         assert 0 < scored <= row and scored % EVAL_BATCH == 0
+
+
+def test_stream_is_scored_through_the_module_predict_scores(tmp_path, monkeypatch):
+    """The benchmark's tracer times scoring by replacing
+    ``unforget.metrics.predict_scores``: evaluating a stream calls it once,
+    through the module global."""
+    path = tmp_path / "data.unds"
+    ds, _, _ = multi_block_file(path, "single_label")
+    model = init_model(default_arch(), 0)
+    expected = evaluate(model, ds, "data")
+    real, seen = unforget.metrics.predict_scores, []
+
+    def recording(model, ds):
+        seen.append(ds)
+        return real(model, ds)
+
+    monkeypatch.setattr(unforget.metrics, "predict_scores", recording)
+    stream = DatasetStream(path)
+    assert evaluate(model, stream, "data") == expected
+    assert len(seen) == 1 and seen[0] is stream
+
+
+@pytest.mark.parametrize("overflow", [False, True], ids=["clean", "failed"])
+def test_second_pass_over_a_stream_is_refused(tmp_path, overflow):
+    path = tmp_path / "data.unds"
+    save_dataset(generate_synthetic(small_spec(feature_shape=(1, 16, 16))), path)
+    model = init_model(default_arch(), 0)
+    model = overflowing(model) if overflow else model
+    stream = DatasetStream(path)
+    with np.errstate(all="ignore"):
+        answer(lambda: evaluate(model, stream))
+    with pytest.raises(ValueError, match="^a DatasetStream is read once"):
+        evaluate(model, stream)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -274,10 +308,10 @@ def test_pipe_is_scored_as_it_streams(tmp_path, cut, error):
     model = init_model(default_arch(), 0)
     try:
         if error is None:
-            assert evaluate_file(model, fifo, "data") == evaluate(model, ds, "data")
+            assert evaluate(model, DatasetStream(fifo), "data") == evaluate(model, ds, "data")
         else:
             with pytest.raises(ValueError, match=error):
-                evaluate_file(model, fifo, "data")
+                evaluate(model, DatasetStream(fifo), "data")
     finally:
         writer.join(timeout=60)
     assert not writer.is_alive()
@@ -299,11 +333,11 @@ def test_peak_grows_by_the_kept_columns_not_the_features(tmp_path):
             np.arange(n), rng.random((n, 1, 16, 16), dtype=np.float32),
             rng.integers(3, size=n), np.arange(n) // 4, rng.integers(2, size=n), "single_label", 3,
         ), path)
-        evaluate_file(model, path)  # warm up
+        evaluate(model, DatasetStream(path))  # warm up
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            evaluate_file(model, path)
+            evaluate(model, DatasetStream(path))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

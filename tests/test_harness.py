@@ -324,6 +324,7 @@ class TestConfigSerialization:
             (dict(group_names=("male", "male")), r"^group_names repeats 'male'$"),
             (dict(lr_grid=(1e-3, 5e-3, 1e-3)), r"^lr_grid repeats 0\.001$"),
             (dict(threshold_grid=(0.0, 0.0)), r"^threshold_grid repeats 0\.0$"),
+            (dict(forget_fractions=()), r"^no forget fractions requested$"),
         ],
     )
     def test_bad_config_rejected_before_data(self, overrides, match, monkeypatch):

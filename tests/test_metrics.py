@@ -11,6 +11,7 @@ from unforget.data import LabeledDataset
 from unforget.metrics import (
     auroc_binary,
     evaluate,
+    predict_scores,
     rank_difficulty,
     ranking_from_per_class,
 )
@@ -116,8 +117,6 @@ class TestEvaluate:
         assert a == b
 
     def test_per_class_matches_pairwise_oracle(self):
-        from unforget.metrics import predict_scores
-
         model = toy_model(seed=7)
         ds = toy_dataset(n=200, seed=7)
         result = evaluate(model, ds)
@@ -171,6 +170,10 @@ class TestEvaluate:
         model = toy_model(num_classes=4)
         with pytest.raises(ValueError, match="outputs"):
             evaluate(model, toy_dataset(num_classes=3))
+
+    def test_predict_scores_checks_the_output_count(self):
+        with pytest.raises(ValueError, match=r"^model emits 2 outputs, dataset has 3$"):
+            predict_scores(toy_model(num_classes=2), toy_dataset(num_classes=3))
 
 
 class TestDifficultyRanking:
