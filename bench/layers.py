@@ -236,7 +236,7 @@ def in_pass_times(mode: str, batch: int, repeats: int, seed: int = 0) -> dict:
     if mode == "train":
         _, grad = step()
         state = AdamState.fresh(model.num_params)
-        half = (rng.random(model.num_params) < 0.5).astype(np.uint8)  # a SaliencyMask's bits
+        half = (rng.random(model.num_params) < 0.5).astype(np.uint8)  # a 0/1 saliency mask
         for key, mask in (("adam_step", None), ("adam_step_masked", half)):
             table.update(_spread(key, _timed_ms(
                 lambda: adam_step(model.params, grad, state, 1e-3, mask), repeats)))

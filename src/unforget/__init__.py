@@ -45,7 +45,6 @@ from .nn_core import (
 )
 from .optim import AdamState, LrSchedule, TrainConfig, adam_step, cosine_lr, train
 from .unlearn import (
-    SaliencyMask,
     UnlearnConfig,
     compute_saliency_mask,
     exact_unlearn,

@@ -89,7 +89,7 @@ ROLES = ("easy", "intermediate", "hard")
 class ExperimentConfig:
     dataset: object  # SyntheticSpec, or str/Path to a dataset file
     arch: ArchSpec
-    train_cfg: TrainConfig = TrainConfig(epochs=6, batch_size=32, lr0=1e-3)
+    train_cfg: TrainConfig = TrainConfig()
     split_fractions: tuple[float, ...] = (0.6, 0.05, 0.35)
     forget_fractions: tuple[float, ...] = (0.05, 0.15, 0.30)
     forget_grouping: str = "patient_level"
@@ -147,6 +147,8 @@ class ExperimentConfig:
         if isinstance(self.dataset, SyntheticSpec):
             self.dataset.validate()
             self.check_group_names(len(self.dataset.group_proportions) - 1, "the dataset spec")
+            if self.relabel_policy is not None:
+                unlearn.check_relabel_policy(self.relabel_policy, self.dataset.task_kind)
 
     def check_group_names(self, top_group: int, where: str):
         """Every group id up to ``top_group`` needs a name in the report."""
@@ -285,8 +287,8 @@ def sweep_hparams(
     grid: list[dict],
     exact_reference: EvalResult,
     *,
-    epochs: int = 2,
-    batch_size: int = 32,
+    epochs: int,
+    batch_size: int,
     seed: int = 0,
     relabel_policy: str | None = None,
 ):
@@ -412,6 +414,8 @@ def _prepare_repeat(cfg: ExperimentConfig, r: int) -> tuple[_Repeat, float]:
     else:
         ds = load_dataset(cfg.dataset)
         cfg.check_group_names(int(ds.group_array().max()), f"dataset {cfg.dataset}")
+        if cfg.relabel_policy is not None:
+            unlearn.check_relabel_policy(cfg.relabel_policy, ds.task_kind)
     if ds.task_kind == "multi_label" and ds.has_unknown():
         ds = apply_u_one_dataset(ds)
     plan = split_train_val_test(

@@ -76,7 +76,7 @@ EVAL_BATCH = 256
 # and gradient vectors, one per role; backward writes its parameter gradients
 # into ``grads``. A layer may return None for dx when ``need_dx`` is False.
 # ``stats`` is a BatchNorm layer's running (mean, var), read in eval mode and
-# smoothed in place in train mode; None when train mode must not update it.
+# smoothed in place in train mode (not at all when None).
 # ``owned`` is True only in a cache-free pass, which owns every activation
 # after its batch copy: the layer may write its output into ``x``, and its
 # cache is dropped before the next layer runs.
@@ -190,37 +190,30 @@ def _im2col(x: np.ndarray, k: int, s: int) -> tuple[np.ndarray, int, int]:
     """The (B*H_out*W_out, C*k*k) patch matrix of a (B, C, H, W) batch, rows
     in (b, oy, ox) order and columns in (c, ki, kj) order, C-contiguous.
 
-    One gather from the input's own memory: a C-contiguous batch is read as
-    is, the NCHW view of channels-last memory that Conv2D emits is read
-    through its channels-last transpose, and any other layout is copied
-    once first."""
+    One gather from the batch's channels-last memory. The NCHW view of
+    channels-last memory that Conv2D emits, and a C-contiguous one-channel
+    batch, are read as they are; any other layout is copied once first."""
     bsz, c, h, w = x.shape
-    flat, channels_last = x, False
-    if not x.flags.c_contiguous:
-        flat = x.transpose(0, 2, 3, 1)
-        channels_last = flat.flags.c_contiguous
-        if not channels_last:
-            flat = np.ascontiguousarray(x)
-    idx = _im2col_index(c, h, w, channels_last, k, s)
+    flat = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
     h_out, w_out = (h - k) // s + 1, (w - k) // s + 1
-    cols = flat.reshape(bsz, -1).take(idx, axis=1).reshape(bsz * h_out * w_out, -1)
-    return cols, h_out, w_out
+    cols = flat.reshape(bsz, -1).take(_im2col_index(c, h, w, k, s), axis=1)
+    return cols.reshape(bsz * h_out * w_out, -1), h_out, w_out
 
 
 @functools.lru_cache(maxsize=None)
-def _im2col_index(c: int, h: int, w: int, channels_last: bool, k: int, s: int) -> np.ndarray:
+def _im2col_index(c: int, h: int, w: int, k: int, s: int) -> np.ndarray:
     """Per-sample gather index of ``_im2col``: entry (oy*W_out + ox,
     (ci*k + ki)*k + kj) is the position of pixel (ci, oy*s + ki, ox*s + kj)
-    in one sample's C*H*W values, stored CHW or, if ``channels_last``, HWC.
-    It does not depend on the batch size, so one cached copy serves all."""
+    in one sample's H*W*C channels-last values. It does not depend on the
+    batch size, so one cached copy serves all."""
     h_out, w_out = (h - k) // s + 1, (w - k) // s + 1
     ci = np.arange(c)[:, None, None]
     ki = np.arange(k)[None, :, None]
     kj = np.arange(k)[None, None, :]
     row = (np.arange(h_out) * s)[:, None, None, None, None] + ki
     col = (np.arange(w_out) * s)[None, :, None, None, None] + kj
-    idx = (row * w + col) * c + ci if channels_last else (ci * h + row) * w + col
-    idx = np.ascontiguousarray(idx.reshape(h_out * w_out, c * k * k), dtype=np.intp)
+    idx = ((row * w + col) * c + ci).reshape(h_out * w_out, c * k * k)
+    idx = np.ascontiguousarray(idx, dtype=np.intp)
     idx.flags.writeable = False
     return idx
 
@@ -647,16 +640,15 @@ def _forward_raw(
     x: np.ndarray,
     mode: str,
     cache: list | None = None,
-    update_stats: bool = True,
 ) -> np.ndarray:
     """Run the stack on a (batch, *input_shape) array; returns logits.
 
     ``cache`` collects per-layer context for the backward pass. In train mode
-    BatchNorm normalizes with batch statistics and (if ``update_stats``)
-    smooths the model's running statistics in place; eval mode reads running
-    statistics only and never mutates the model. Without a cache the pass
-    copies the batch once and owns every activation from there on, so the
-    layers may write into their input; the caller's array is never written.
+    BatchNorm normalizes with batch statistics and smooths the model's
+    running statistics in place; eval mode reads running statistics only and
+    never mutates the model. Without a cache the pass copies the batch once
+    and owns every activation from there on, so the layers may write into
+    their input; the caller's array is never written.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -670,9 +662,8 @@ def _forward_raw(
     _check_finite(x, "input")
 
     params = _layer_views(model, model.params)
-    stats = model.batchnorm_stats if mode == "eval" or update_stats else {}
     for i, layer in enumerate(model.arch.layers):
-        x, layer_cache = layer.forward(x, params[i], mode, stats.get(i), owned)
+        x, layer_cache = layer.forward(x, params[i], mode, model.batchnorm_stats.get(i), owned)
         if not owned:
             cache.append(layer_cache)
         del layer_cache  # without a cache, freed before the next layer runs
@@ -752,20 +743,20 @@ def loss_and_grad(
     targets: np.ndarray,
     loss_kind: str,
     bn_mode: str = "train",
-    update_stats: bool = True,
 ) -> tuple[float, np.ndarray]:
     """Mean batch loss and its gradient in ModelState layout.
 
     ``loss_kind`` is "ce" (softmax cross-entropy over class indices) or "bce"
     (elementwise binary cross-entropy with logits over 0/1 label matrices).
-    BatchNorm runs in ``bn_mode``; the training path uses "train". The loss
+    BatchNorm runs in ``bn_mode``: "train", the training path, smooths the
+    model's running statistics and "eval" only reads them. The loss
     kind and the targets are checked before the forward pass, so a rejected
     call leaves the model's running statistics as they were.
     """
     n = np.shape(batch)[0] if np.ndim(batch) else 0  # the pass rejects a scalar
     targets = _check_targets(targets, loss_kind, n, model.arch.output_dim)
     cache: list = []
-    logits = _forward_raw(model, batch, bn_mode, cache=cache, update_stats=update_stats)
+    logits = _forward_raw(model, batch, bn_mode, cache=cache)
     loss, dlogits = (_softmax_ce if loss_kind == "ce" else _bce_logits)(logits, targets)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")

@@ -1,9 +1,10 @@
 """Adam with per-parameter freeze masks, plus the cosine learning-rate
 schedule and the seeded mini-batch training loop.
 
-A freeze mask zeroes the gradient at its bit-0 coordinates. Every training
-run starts from zero moments, so a frozen parameter and its moments never
-move: freezing a coordinate removes it from the optimization.
+A freeze mask, a boolean or 0/1 vector over the parameters, zeroes the
+gradient where it is 0. Every training run starts from zero moments, so a
+frozen parameter and its moments never move: freezing a coordinate removes
+it from the optimization.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class AdamState:
 def _mask_bits(mask, params: np.ndarray) -> np.ndarray:
     """The trainable coordinates of ``mask`` as booleans, checked against
     the length of ``params``."""
-    sel = np.asarray(getattr(mask, "bits", mask)) != 0
+    sel = np.asarray(mask) != 0
     if sel.shape != params.shape:
         raise ValueError(f"mask length {sel.size} != params length {params.size}")
     return sel
@@ -61,15 +62,15 @@ def adam_step(
     grads: np.ndarray,
     state: AdamState,
     lr: float,
-    mask=None,
+    mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; returns (new params, new state).
 
-    ``mask`` (a SaliencyMask or any 0/1 vector) zeroes the gradient at its
-    bit-0 coordinates. Where those coordinates' moments are zero, as in every
-    state ``train`` steps (it starts from ``AdamState.fresh`` with one mask),
-    they keep their parameter values and zero moments bit-for-bit; nonzero
-    moments there would decay and keep moving the parameter.
+    ``mask`` (a boolean or 0/1 vector over the parameters) zeroes the
+    gradient where it is 0. Where those coordinates' moments are zero, as in
+    every state ``train`` steps (it starts from ``AdamState.fresh`` with one
+    mask), they keep their parameter values and zero moments bit-for-bit;
+    nonzero moments there would decay and keep moving the parameter.
     """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -135,11 +136,11 @@ class TrainConfig:
     batch_size: int = 32
     lr0: float = 1e-3
     seed: int = 0
-    mask: object = None
+    mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr0 <= 0:
@@ -168,9 +169,6 @@ def train(model: ModelState, data, cfg: TrainConfig) -> tuple[ModelState, list[f
         raise ValueError("empty dataset")
     mask = None if cfg.mask is None else _mask_bits(cfg.mask, model.params)
     model = clone_with_params(model, model.params)
-    if cfg.epochs == 0:
-        return model, []
-
     features = data.feature_array()
     labels = data.label_array()
     loss_kind = task_loss_kind(data)

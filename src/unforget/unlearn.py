@@ -24,8 +24,8 @@ from .optim import TrainConfig, task_loss_kind, train, train_from_scratch
 from .seeding import derive_seed
 
 __all__ = [
-    "SaliencyMask",
     "UnlearnConfig",
+    "check_relabel_policy",
     "exact_unlearn",
     "random_relabel",
     "relabel_finetune",
@@ -42,28 +42,11 @@ ALGORITHMS = ("exact", "relabel", "salun")
 RELABEL_POLICIES = ("exclude_original", "uniform", "bitwise_flip")
 
 
-@dataclass(frozen=True)
-class SaliencyMask:
-    """Per-parameter trainability bits aligned with ModelState.params:
-    bit 1 = update during unlearning, bit 0 = frozen."""
+def mask_from_gradient(grad: np.ndarray, threshold: float) -> np.ndarray:
+    """The saliency mask: a boolean vector aligned with ModelState.params,
+    True (trainable) where |grad_i| exceeds the threshold (strictly).
 
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if ((bits != 0) & (bits != 1)).any():
-            raise ValueError("mask bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def n_trainable(self) -> int:
-        return int(self.bits.sum())
-
-
-def mask_from_gradient(grad: np.ndarray, threshold: float) -> SaliencyMask:
-    """Bit i is 1 when |grad_i| exceeds the threshold (strictly).
-
-    A threshold of exactly 0 disables masking (all bits 1): coordinates with
+    A threshold of exactly 0 disables masking (all True): coordinates with
     an exactly-zero forget gradient (dead ReLU paths) would otherwise stay
     frozen and the degenerate run would not reduce to plain relabel
     fine-tuning."""
@@ -71,18 +54,15 @@ def mask_from_gradient(grad: np.ndarray, threshold: float) -> SaliencyMask:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     grad = np.asarray(grad, dtype=np.float64)
     if threshold == 0.0:
-        bits = np.ones(grad.shape, dtype=np.uint8)
-    else:
-        bits = (np.abs(grad) > threshold).astype(np.uint8)
-    return SaliencyMask(bits=bits)
+        return np.ones(grad.shape, dtype=bool)
+    return np.abs(grad) > threshold
 
 
 @dataclass(frozen=True)
 class UnlearnConfig:
     """Settings for one unlearning run. ``threshold`` is required for salun
     and rejected otherwise; ``relabel_policy`` of None picks the task default
-    (exclude_original for single-label, bitwise_flip for multi-label).
-    epochs=0 is permitted only as an identity check in tests."""
+    (exclude_original for single-label, bitwise_flip for multi-label)."""
 
     algorithm: str
     epochs: int = 2
@@ -95,8 +75,8 @@ class UnlearnConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if (self.threshold is not None) != (self.algorithm == "salun"):
@@ -107,6 +87,18 @@ class UnlearnConfig:
 
 def default_relabel_policy(ds: LabeledDataset) -> str:
     return "exclude_original" if ds.task_kind == "single_label" else "bitwise_flip"
+
+
+def check_relabel_policy(policy: str, task_kind: str) -> None:
+    """Raise ValueError unless ``policy`` is a known relabel policy that fits
+    ``task_kind``: bitwise_flip for multi-label data, the others for
+    single-label data."""
+    if policy not in RELABEL_POLICIES:
+        raise ValueError(f"unknown relabel_policy {policy!r}")
+    if policy == "bitwise_flip" and task_kind != "multi_label":
+        raise ValueError("bitwise_flip applies to multi-label datasets")
+    if policy != "bitwise_flip" and task_kind != "single_label":
+        raise ValueError(f"{policy} applies to single-label datasets")
 
 
 def exact_unlearn(
@@ -130,23 +122,17 @@ def random_relabel(forget: LabeledDataset, policy: str, seed: int) -> LabeledDat
     coin."""
     if len(forget) == 0:
         raise ValueError("empty forget set")
-    if policy not in RELABEL_POLICIES:
-        raise ValueError(f"unknown relabel_policy {policy!r}")
+    check_relabel_policy(policy, forget.task_kind)
     k, n = forget.num_outputs, len(forget)
     rng = np.random.default_rng(seed)
     if policy == "bitwise_flip":
-        if forget.task_kind != "multi_label":
-            raise ValueError("bitwise_flip applies to multi-label datasets")
         new_labels = rng.integers(0, 2, size=(n, k)).astype(np.int8)
-    else:
-        if forget.task_kind != "single_label":
-            raise ValueError(f"{policy} applies to single-label datasets")
-        if policy == "exclude_original" and k < 2:
+    elif policy == "exclude_original":
+        if k < 2:
             raise ValueError("exclude_original needs at least 2 classes")
-        if policy == "exclude_original":
-            new_labels = (forget.label_array() + 1 + rng.integers(k - 1, size=n)) % k
-        else:
-            new_labels = rng.integers(k, size=n)
+        new_labels = (forget.label_array() + 1 + rng.integers(k - 1, size=n)) % k
+    else:
+        new_labels = rng.integers(k, size=n)
     return forget.with_labels(new_labels)
 
 
@@ -165,13 +151,13 @@ def relabel_finetune(
     retain: LabeledDataset,
     noisy_forget: LabeledDataset,
     cfg: UnlearnConfig,
-    mask: SaliencyMask | None = None,
+    mask: np.ndarray | None = None,
 ) -> ModelState:
     """Fine-tune the pretrained model on retain plus the noisy forget set.
 
     The cosine schedule is re-initialized over the fine-tune duration from
     cfg.lr down to 0.1 * cfg.lr. With a mask, ``train`` zeroes the gradient
-    at every bit-0 coordinate from zero Adam moments, so those parameters
+    at every False coordinate from zero Adam moments, so those parameters
     stay frozen throughout (only BatchNorm running statistics may move)."""
     combined = concat_datasets(retain, noisy_forget)
     if len(combined) == 0:
@@ -206,7 +192,6 @@ def forget_gradient(pretrained: ModelState, forget: LabeledDataset) -> np.ndarra
             labels[start:stop],
             task_loss_kind(forget),
             bn_mode="eval",
-            update_stats=False,
         )
         total += grad * (stop - start)
     return total / n
@@ -214,7 +199,7 @@ def forget_gradient(pretrained: ModelState, forget: LabeledDataset) -> np.ndarra
 
 def compute_saliency_mask(
     pretrained: ModelState, forget: LabeledDataset, threshold: float
-) -> SaliencyMask:
+) -> np.ndarray:
     """Threshold the forget-set gradient magnitude into a trainability mask."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
@@ -243,7 +228,7 @@ def saliency_unlearn(
 ) -> ModelState:
     """Saliency unlearning: saliency mask from the forget-set gradient, noisy
     forget set, then masked relabel fine-tuning. Shares the relabel/shuffle
-    seed streams with relabel_unlearn, so a threshold of 0 (all-ones mask)
+    seed streams with relabel_unlearn, so a threshold of 0 (all-True mask)
     reproduces that run exactly."""
     if cfg.algorithm != "salun":
         raise ValueError(f"config is for {cfg.algorithm!r}, expected 'salun'")

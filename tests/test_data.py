@@ -809,9 +809,9 @@ class TestDatasetContainer:
         labels = ds.label_array()[rows]
         for bn_mode in ("train", "eval"):
             loss32, grad32 = loss_and_grad(model, ds.feature_array()[rows], labels, loss_kind,
-                                           bn_mode=bn_mode, update_stats=False)
+                                           bn_mode=bn_mode)
             loss64, grad64 = loss_and_grad(model, twin.feature_array()[rows], labels, loss_kind,
-                                           bn_mode=bn_mode, update_stats=False)
+                                           bn_mode=bn_mode)
             assert loss32 == loss64 and np.array_equal(grad32, grad64)
         assert np.array_equal(forget_gradient(model, ds), forget_gradient(model, twin))
         assert evaluate(model, ds).to_dict() == evaluate(model, twin).to_dict()

@@ -125,6 +125,7 @@ class TestSweep:
             [{"lr": 1e-3}],
             sweep_inputs["exact_forget_eval"],
             epochs=1,
+            batch_size=32,
             seed=5,
         )
         assert best_cfg.lr == 1e-3
@@ -141,6 +142,7 @@ class TestSweep:
             [{"lr": 3e-4}, {"lr": 1e-3}, {"lr": 1e-2}],
             sweep_inputs["exact_forget_eval"],
             epochs=1,
+            batch_size=32,
             seed=5,
         )
         gaps = {row["lr"]: row["forget_gap"] for row in table}
@@ -169,6 +171,7 @@ class TestSweep:
             grid,
             exact_eval,
             epochs=2,
+            batch_size=32,
             seed=6,
         )
         chosen = next(row for row in table if row["lr"] == best_cfg.lr)
@@ -194,6 +197,7 @@ class TestSweep:
             grid,
             sweep_inputs["exact_forget_eval"],
             epochs=1,
+            batch_size=32,
             seed=5,
         )
         assert len(table) == len(grid)
@@ -209,6 +213,8 @@ class TestSweep:
                 "relabel",
                 [],
                 sweep_inputs["exact_forget_eval"],
+                epochs=1,
+                batch_size=32,
             )
 
 
@@ -271,6 +277,16 @@ class TestConfigSerialization:
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
+        "section,message",
+        [("train", r"^epochs must be >= 1, got 0$"), ("unlearn", r"^unlearn_epochs must be >= 1$")],
+    )
+    def test_zero_epochs_rejected(self, section, message):
+        doc = config_to_dict(tiny_config())
+        doc[section]["epochs"] = 0
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
         "path,key,value,message",
         [
             ((), "lr_grid", 0.001, "config key 'lr_grid' must be list, got 0.001"),
@@ -325,6 +341,8 @@ class TestConfigSerialization:
             (dict(lr_grid=(1e-3, 5e-3, 1e-3)), r"^lr_grid repeats 0\.001$"),
             (dict(threshold_grid=(0.0, 0.0)), r"^threshold_grid repeats 0\.0$"),
             (dict(forget_fractions=()), r"^no forget fractions requested$"),
+            (dict(relabel_policy="foo"), r"^unknown relabel_policy 'foo'$"),
+            (dict(relabel_policy="bitwise_flip"), r"^bitwise_flip applies to multi-label datasets$"),
         ],
     )
     def test_bad_config_rejected_before_data(self, overrides, match, monkeypatch):
@@ -346,6 +364,26 @@ class TestConfigSerialization:
         monkeypatch.setattr(harness, "train_from_scratch", no_pretraining)
         with pytest.raises(ValueError, match="group_names has 2 entries.*group 2"):
             run_experiment(tiny_config(dataset=str(tmp_path / "three_groups.unds")))
+
+    @pytest.mark.parametrize(
+        "policy,message",
+        [
+            ("foo", "unknown relabel_policy 'foo'"),
+            ("bitwise_flip", "bitwise_flip applies to multi-label datasets"),
+        ],
+    )
+    def test_bad_relabel_policy_for_dataset_file_rejected_before_pretraining(
+        self, policy, message, tmp_path, monkeypatch
+    ):
+        save_dataset(generate_synthetic(tiny_spec()), tmp_path / "single_label.unds")
+
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("pretrained before the relabel policy was checked")
+
+        monkeypatch.setattr(harness, "train_from_scratch", no_pretraining)
+        cfg = tiny_config(dataset=str(tmp_path / "single_label.unds"), relabel_policy=policy)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_experiment(cfg)
 
     def test_validation_catches_bad_fraction(self):
         with pytest.raises(ValueError, match="fraction"):

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from unforget.nn_core import (
     param_layout,
     save_model,
 )
-from unforget.harness import default_arch
+from unforget.data import generate_synthetic
+from unforget.harness import default_arch, default_synthetic_spec
+from unforget.unlearn import forget_gradient
 
 
 def dense_arch(widths=(5, 4, 3), with_bn=False):
@@ -66,9 +69,9 @@ def numerical_gradient(model, x, y, loss_kind, h=1e-5):
     for i in range(model.params.size):
         orig = model.params[i]
         model.params[i] = orig + h
-        lp, _ = loss_and_grad(model, x, y, loss_kind, update_stats=False)
+        lp, _ = loss_and_grad(model, x, y, loss_kind)
         model.params[i] = orig - h
-        lm, _ = loss_and_grad(model, x, y, loss_kind, update_stats=False)
+        lm, _ = loss_and_grad(model, x, y, loss_kind)
         model.params[i] = orig
         num[i] = (lp - lm) / (2 * h)
     return num
@@ -202,14 +205,39 @@ class TestIm2col:
         _im2col_index.cache_clear()
         rng = np.random.default_rng(0)
         _im2col(batch_in_layout(rng, (32, 24, 7, 7), "channels_last"), 3, 2)
-        idx = _im2col_index(24, 7, 7, True, 3, 2)
+        idx = _im2col_index(24, 7, 7, 3, 2)
         cached = _im2col_index.cache_info().currsize
         _im2col(batch_in_layout(rng, (256, 24, 7, 7), "channels_last"), 3, 2)
-        assert _im2col_index(24, 7, 7, True, 3, 2) is idx
+        assert _im2col_index(24, 7, 7, 3, 2) is idx
         assert _im2col_index.cache_info().currsize == cached == 1
         assert idx.shape == (3 * 3, 24 * 3 * 3)
         assert idx.nbytes == 3 * 3 * 24 * 3 * 3 * 8
         assert not idx.flags.writeable
+
+    def test_protocol_passes_gather_without_a_copy(self, monkeypatch):
+        # _im2col copies any batch whose channels-last transpose is not
+        # C-contiguous. No input on the protocol's paths is such a batch: a
+        # train step at batch 32, an eval forward at batch 256 and the
+        # forget gradient, all through default_arch().
+        seen = []
+
+        def recording(x, k, s, _real=nn_core._im2col):
+            seen.append(x)
+            return _real(x, k, s)
+
+        monkeypatch.setattr(nn_core, "_im2col", recording)
+        ds = generate_synthetic(replace(default_synthetic_spec(), num_patients=15))
+        model = init_model(default_arch(), 0)
+        features, labels = ds.feature_array(), ds.label_array()
+        rows = np.random.default_rng(0).permutation(len(ds))[:32]
+        loss_and_grad(model, features[rows], labels[rows], "ce")
+        forward(model, features[:256])
+        forget_gradient(model, ds)
+        convs = sum(isinstance(layer, Conv2D) for layer in model.arch.layers)
+        assert len(seen) == convs * (1 + 1 + 2)  # the gradient runs 256 + 44 rows
+        assert [x.shape[0] for x in seen[: 2 * convs]] == [32] * convs + [256] * convs
+        for x in seen:
+            assert x.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
 def frozen_batchnorm(layer, x, params, mode, stats):
@@ -744,7 +772,7 @@ class TestGradients:
             y = rng.integers(arch.output_dim, size=4)
         else:
             y = rng.integers(0, 2, size=(4, arch.output_dim)).astype(float)
-        _, analytic = loss_and_grad(model, x, y, loss_kind, update_stats=False)
+        _, analytic = loss_and_grad(model, x, y, loss_kind)
         numeric = numerical_gradient(model, x, y, loss_kind)
         assert_gradients_close(analytic, numeric)
 
@@ -758,15 +786,15 @@ class TestGradients:
             var += rng.random(var.shape) * 0.5
         x = rng.random((4,) + arch.input_shape)
         y = rng.integers(arch.output_dim, size=4)
-        _, analytic = loss_and_grad(model, x, y, "ce", bn_mode="eval", update_stats=False)
+        _, analytic = loss_and_grad(model, x, y, "ce", bn_mode="eval")
         num = np.zeros_like(analytic)
         h = 1e-5
         for i in range(model.params.size):
             orig = model.params[i]
             model.params[i] = orig + h
-            lp, _ = loss_and_grad(model, x, y, "ce", bn_mode="eval", update_stats=False)
+            lp, _ = loss_and_grad(model, x, y, "ce", bn_mode="eval")
             model.params[i] = orig - h
-            lm, _ = loss_and_grad(model, x, y, "ce", bn_mode="eval", update_stats=False)
+            lm, _ = loss_and_grad(model, x, y, "ce", bn_mode="eval")
             model.params[i] = orig
             num[i] = (lp - lm) / (2 * h)
         assert_gradients_close(analytic, num)

@@ -204,11 +204,9 @@ class TestCosineSchedule:
 
 
 class TestTrain:
-    def test_zero_epochs_returns_model_unchanged(self):
-        model = init_model(blob_arch(), 0)
-        trained, trace = train(model, blob_dataset(), TrainConfig(epochs=0))
-        assert np.array_equal(trained.params, model.params)
-        assert trace == []
+    def test_zero_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
+            TrainConfig(epochs=0)
 
     def test_deterministic(self):
         model = init_model(blob_arch(), 0)

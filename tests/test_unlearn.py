@@ -8,8 +8,8 @@ from unforget.data import LabeledDataset, SyntheticSpec, generate_synthetic, spl
 from unforget.nn_core import ArchSpec, BatchNorm, Conv2D, Dense, GlobalAvgPool, ReLU, init_model
 from unforget.optim import TrainConfig, train_from_scratch
 from unforget.unlearn import (
-    SaliencyMask,
     UnlearnConfig,
+    check_relabel_policy,
     compute_saliency_mask,
     default_relabel_policy,
     exact_unlearn,
@@ -66,23 +66,21 @@ def fixture():
 class TestMaskFromGradient:
     def test_thresholding_rule(self):
         mask = mask_from_gradient(np.array([0.5, -0.05, 0.2]), 0.1)
-        assert np.array_equal(mask.bits, [1, 0, 1])
+        assert mask.dtype == bool
+        assert np.array_equal(mask, [1, 0, 1])
 
     def test_threshold_zero_trains_everything(self):
         mask = mask_from_gradient(np.array([0.5, 0.0, -0.2]), 0.0)
-        assert np.array_equal(mask.bits, [1, 1, 1])
+        assert mask.dtype == bool
+        assert np.array_equal(mask, [1, 1, 1])
 
     def test_threshold_above_max_freezes_everything(self):
         mask = mask_from_gradient(np.array([0.5, -0.05, 0.2]), 0.6)
-        assert np.array_equal(mask.bits, [0, 0, 0])
+        assert np.array_equal(mask, [0, 0, 0])
 
     def test_strict_inequality(self):
         mask = mask_from_gradient(np.array([0.1, 0.100001]), 0.1)
-        assert np.array_equal(mask.bits, [0, 1])
-
-    def test_bad_bits_rejected(self):
-        with pytest.raises(ValueError, match="bits"):
-            SaliencyMask(bits=np.array([0, 2]))
+        assert np.array_equal(mask, [0, 1])
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError, match="threshold must be >= 0"):
@@ -145,6 +143,20 @@ class TestRandomRelabel:
         with pytest.raises(ValueError, match="multi-label"):
             random_relabel(fixture["forget"], "bitwise_flip", seed=0)
 
+    @pytest.mark.parametrize(
+        "policy,task_kind,message",
+        [
+            ("foo", "single_label", "unknown relabel_policy 'foo'"),
+            ("foo", "multi_label", "unknown relabel_policy 'foo'"),
+            ("bitwise_flip", "single_label", "bitwise_flip applies to multi-label datasets"),
+            ("exclude_original", "multi_label", "exclude_original applies to single-label datasets"),
+            ("uniform", "multi_label", "uniform applies to single-label datasets"),
+        ],
+    )
+    def test_policy_check(self, policy, task_kind, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_relabel_policy(policy, task_kind)
+
     def test_default_policy(self, fixture):
         assert default_relabel_policy(fixture["forget"]) == "exclude_original"
 
@@ -183,7 +195,7 @@ class TestComputeSaliencyMask:
     def test_deterministic_and_batch_independent(self, fixture):
         a = compute_saliency_mask(fixture["model"], fixture["forget"], 1e-3)
         b = compute_saliency_mask(fixture["model"], fixture["forget"], 1e-3)
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a, b)
 
     def test_does_not_mutate_model(self, fixture):
         model = fixture["model"]
@@ -198,8 +210,8 @@ class TestComputeSaliencyMask:
     def test_monotone_in_threshold(self, fixture):
         low = compute_saliency_mask(fixture["model"], fixture["forget"], 1e-4)
         high = compute_saliency_mask(fixture["model"], fixture["forget"], 1e-2)
-        assert high.n_trainable <= low.n_trainable
-        assert np.all(low.bits >= high.bits)
+        assert high.sum() <= low.sum()
+        assert np.all(low >= high)
 
     @pytest.mark.parametrize("threshold", [0.0, 1e-3, 2e-3])
     def test_is_the_thresholded_forget_gradient(self, fixture, threshold):
@@ -207,7 +219,7 @@ class TestComputeSaliencyMask:
         # masks a per-run computation gives.
         mask = compute_saliency_mask(fixture["model"], fixture["forget"], threshold)
         grad = forget_gradient(fixture["model"], fixture["forget"])
-        assert np.array_equal(mask.bits, mask_from_gradient(grad, threshold).bits)
+        assert np.array_equal(mask, mask_from_gradient(grad, threshold))
 
     def test_empty_forget_rejected(self, fixture):
         with pytest.raises(ValueError, match="empty"):
@@ -215,16 +227,14 @@ class TestComputeSaliencyMask:
 
 
 class TestRelabelFinetune:
-    def test_zero_epochs_identity(self, fixture):
-        cfg = UnlearnConfig("relabel", epochs=0, lr=1e-3, seed=1)
-        noisy = random_relabel(fixture["forget"], "exclude_original", seed=1)
-        out = relabel_finetune(fixture["model"], fixture["retain"], noisy, cfg)
-        assert np.array_equal(out.params, fixture["model"].params)
+    def test_zero_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
+            UnlearnConfig("relabel", epochs=0, lr=1e-3, seed=1)
 
     def test_all_zero_mask_moves_nothing_but_bn_stats(self, fixture):
         cfg = UnlearnConfig("relabel", epochs=1, lr=1e-2, seed=2)
         noisy = random_relabel(fixture["forget"], "exclude_original", seed=2)
-        mask = SaliencyMask(bits=np.zeros(fixture["model"].num_params, dtype=np.uint8))
+        mask = np.zeros(fixture["model"].num_params, dtype=bool)
         out = relabel_finetune(fixture["model"], fixture["retain"], noisy, cfg, mask=mask)
         assert np.array_equal(out.params, fixture["model"].params)
         moved = any(
@@ -258,9 +268,9 @@ class TestSaliencyUnlearn:
     def test_frozen_coordinates_keep_pretrained_values(self, fixture):
         cfg = UnlearnConfig("salun", epochs=2, lr=1e-2, threshold=2e-3, seed=5)
         mask = compute_saliency_mask(fixture["model"], fixture["forget"], cfg.threshold)
-        assert 0 < mask.n_trainable < mask.bits.size
+        assert 0 < mask.sum() < mask.size
         out = saliency_unlearn(fixture["model"], fixture["forget"], fixture["retain"], cfg)
-        frozen = mask.bits == 0
+        frozen = ~mask
         assert np.array_equal(out.params[frozen], fixture["model"].params[frozen])
         assert not np.array_equal(out.params[~frozen], fixture["model"].params[~frozen])
 
