@@ -1,0 +1,137 @@
+"""Smoke tests of the benchmark record script, bench/record.py.
+
+One ``--repeats 2 --json`` run of the script serves every test that reads
+its output."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from unforget.harness import default_arch
+
+SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "record.py"
+COLUMNS = {"wall_s", "cpu_s", "minflt", "minflt_total", "maxrss_mb"}
+STAGES = ("datagen", "split", "pretrain", "exact", "relabel_sweep", "salun_sweep", "eval", "emit")
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """(the JSON record, the stdout lines) of one ``--repeats 2`` run."""
+    out = tmp_path_factory.mktemp("record") / "record.json"
+    run = subprocess.run(
+        [sys.executable, str(SCRIPT), "--repeats", "2", "--json", str(out)],
+        capture_output=True, text=True, timeout=600, check=True,
+    )
+    return json.loads(out.read_text()), run.stdout.splitlines()
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("record", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def spread(doc, name) -> bool:
+    """``{name}_ms`` is positive and lies between its own quartiles."""
+    return 0 < doc[f"{name}_p25_ms"] <= doc[f"{name}_ms"] <= doc[f"{name}_p75_ms"]
+
+
+def test_prints_every_layer_in_both_settings_at_one_blas_thread(recorded):
+    _, lines = recorded
+    assert any(line.startswith(("BLAS threads 1 ", "BLAS threads unknown ")) for line in lines)
+    assert any(line.startswith("env blas: ") for line in lines)
+    n = len(default_arch().layers)
+    for mode, batch in (("train", "32"), ("eval", "256")):
+        rows = [line.split()[1:] for line in lines if line.startswith(f"isolated {mode} ")]
+        assert [r[2] for r in rows[:n]] == [str(i) for i in range(n)]
+        assert rows[n][2] == "total" and len(rows) == n + 1
+        assert all(r[1] == batch for r in rows)
+        for r in rows[:n]:  # each median with its quartiles: "ms [p25 p75]"
+            fwd, fwd25, fwd75, bwd, bwd25, bwd75 = (float(t.strip("[]")) for t in r[4:])
+            assert 0 < fwd25 <= fwd <= fwd75 and 0 < bwd25 <= bwd <= bwd75
+        assert all(float(t) > 0 for t in rows[n][3:])
+
+
+def test_json_holds_environment_and_both_tables(recorded):
+    doc, lines = recorded
+    assert (doc["repeats"], doc["layer_calls"]) == (2, 80)
+    assert doc["blas_threads_reported"] in ("1", "unknown")
+    assert doc["environment"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert {"python", "numpy", "blas", "cpu_count", "commit"} <= set(doc["environment"])
+    names = [f"{type(layer).__name__}(" for layer in default_arch().layers]
+    for table in ("isolated", "in_pass"):
+        assert set(doc[table]) == {"train", "eval"}
+        for mode, batch in (("train", 32), ("eval", 256)):
+            rows = doc[table][mode]["layers"]
+            assert doc[table][mode]["batch"] == batch
+            assert [r["index"] for r in rows] == list(range(len(names)))
+            assert all(r["layer"].startswith(name) for r, name in zip(rows, names))
+            assert all(spread(r, "forward") for r in rows)
+    assert all(spread(r, "backward") for r in doc["isolated"]["eval"]["layers"])
+    # Eval passes run no backward; train steps skip layer 0's input gradient
+    # but still time its backward (the parameter gradients).
+    assert all(r["backward_ms"] is r["backward_p25_ms"] is r["backward_p75_ms"] is None
+               for r in doc["in_pass"]["eval"]["layers"])
+    assert all(spread(r, "backward") for r in doc["in_pass"]["train"]["layers"])
+    for mode, name in (("train", "loss_and_grad"), ("eval", "_forward_raw")):
+        table = doc["in_pass"][mode]
+        assert table["pass"] == name
+        assert table["step_ms"] >= table["layers_ms"] > 0 and spread(table, "step")
+        assert 0 <= table["minflt_per_step"] <= table["minflt_max"]
+        line = next(l for l in lines if l.startswith(f"in-pass  {mode} "))
+        assert line.split()[3] == "0"
+    train = doc["in_pass"]["train"]
+    assert spread(train, "adam_step") and spread(train, "adam_step_masked")
+    assert "adam_step_ms" not in doc["in_pass"]["eval"]
+    assert any(l.startswith("in-pass  train") and "adam_step:" in l for l in lines)
+
+
+def test_two_fresh_readings_each_with_quartiles(recorded):
+    doc, lines = recorded
+    fresh = doc["fresh"]
+    assert (doc["repeats"], fresh["corpus_samples"], fresh["run_patients"]) == (2, 20_000, 20)
+    for name in ("eval", "run"):
+        readings = fresh[name]["readings"]
+        assert len(readings) == 2
+        for r in readings:
+            assert r["code"] == 0 and r["wall_s"] > 0 and r["cpu_s"] > 0 and r["maxrss_mb"] > 0
+            assert 0 < r["minflt"] <= r["minflt_total"]
+        # The same command computes the same answer in every fresh process.
+        assert readings[0]["stdout_sha256"] == readings[1]["stdout_sha256"]
+        quartiles = fresh[name]["quartiles"]
+        assert set(quartiles) == COLUMNS
+        for col, q in quartiles.items():
+            assert q["p25"] <= q["median"] <= q["p75"]
+            assert min(r[col] for r in readings) <= q["median"] <= max(r[col] for r in readings)
+    rows = [line.split()[1:3] for line in lines if line.startswith("fresh ")]
+    assert rows[1:] == [["eval", "0"], ["run", "0"], ["eval", "1"], ["run", "1"],
+                        ["eval", "p25"], ["eval", "med"], ["eval", "p75"],
+                        ["run", "p25"], ["run", "med"], ["run", "p75"]]
+
+
+def test_run_stages_all_present_and_positive(recorded):
+    doc, lines = recorded
+    assert set(doc["stages"]) == {f"harness.stage.{stage}_s" for stage in STAGES}
+    assert all(seconds > 0 for seconds in doc["stages"].values())
+    assert sum(line.startswith("stage harness.stage.") for line in lines) == len(STAGES)
+
+
+def test_output_mismatch_names_command_and_readings():
+    record = load_script()
+    same = [{"stdout_sha256": "a" * 64}, {"stdout_sha256": "a" * 64}]
+    differ = [{"stdout_sha256": "a" * 64}, {"stdout_sha256": "b" * 64}]
+    assert record.output_mismatches({"eval": same, "run": same}) == []
+    (message,) = record.output_mismatches({"eval": same, "run": differ})
+    assert message.startswith("run: ")
+    assert f"#0 {'a' * 64}" in message and f"#1 {'b' * 64}" in message
+
+
+def test_failing_child_raises_with_its_stderr():
+    record = load_script()
+    with pytest.raises(RuntimeError, match="exited 3:\nboom"):
+        record.child("import sys; sys.stderr.write('boom'); sys.exit(3)")
