@@ -24,9 +24,10 @@ The steps run in this order, so that each measurement stays valid:
    directly on the input and gradient one pass through the stack hands it
    (an eval ``forward`` owns its input, as in the cache-free pass, on a copy
    made before the timer starts). In-pass: the layer methods wrapped with
-   timers inside real ``loss_and_grad`` steps and eval ``_forward_raw``
-   passes, with each pass's time and minor page faults, and in train mode
-   the step's ``adam_step``, unmasked and with half the parameters frozen.
+   timers inside real ``loss_and_grad`` steps and eval ``forward`` passes
+   (a layer's time adds up over the pass's ``EVAL_TILE``-row tiles), with
+   each pass's time and minor page faults, and in train mode the step's
+   ``adam_step``, unmasked and with half the parameters frozen.
 
 BLAS runs on one thread here and in every child, pinned before numpy loads,
 as in the repository benchmark (``perfbench/``). The script prints all of
@@ -304,7 +305,7 @@ def in_pass_times(mode: str, batch: int, repeats: int, seed: int = 0) -> dict:
     import numpy as np
 
     from unforget.harness import default_arch
-    from unforget.nn_core import _forward_raw, init_model, loss_and_grad
+    from unforget.nn_core import forward, init_model, loss_and_grad
     from unforget.optim import AdamState, adam_step
 
     model = init_model(default_arch(), seed)
@@ -315,7 +316,7 @@ def in_pass_times(mode: str, batch: int, repeats: int, seed: int = 0) -> dict:
     if mode == "train":
         name, step = "loss_and_grad", lambda: loss_and_grad(model, x, y, "ce")
     else:
-        name, step = "_forward_raw", lambda: _forward_raw(model, x, "eval")
+        name, step = "forward", lambda: forward(model, x, "eval")
     spent = defaultdict(float)
     samples, step_s, faults = defaultdict(list), [], []
     with timed_layers(layers, spent):

@@ -52,10 +52,20 @@ MODEL_MAGIC = b"UNFG"
 MODEL_FORMAT_VERSION = 1
 _READ_CHUNK = 1 << 20
 
-# Rows per eval-mode pass when a whole dataset is scored or its gradient is
-# summed. The chunking is part of the computed numbers (summation and BLAS
-# blocking follow it), so every such loop uses this one value.
+# Rows per chunk when a whole dataset is scored or its gradient is summed,
+# and the unit of a stream's read blocks. A gradient sum follows the
+# chunking, so every such loop uses this one value. Eval logits follow it
+# only in a chunk of a few rows, for which numpy and BLAS pick other kernels.
 EVAL_BATCH = 256
+
+# Rows per tile of a cache-free eval pass: ``forward`` runs a longer eval
+# batch as consecutive tiles of this many rows, the last one taking the
+# remainder, so one tile's largest temporary (the second default conv's
+# patch matrix) stays near the size of an L2 cache. Eval rows are
+# independent, so the logits are bit-equal to one whole-batch pass. A
+# separate tail of a few rows would not be: numpy and BLAS take other
+# kernels for a product over so few rows, which round differently.
+EVAL_TILE = 64
 
 
 # --------------------------------------------------------------------------
@@ -69,9 +79,6 @@ EVAL_BATCH = 256
 #   fan_in                       inputs per output unit (layers with weights)
 #   forward(x, params, mode, stats, owned) -> (out, cache)
 #   backward(d, params, cache, grads, need_dx) -> dx
-#   keeps_finite                 True when a finite input always gives a
-#                                finite output, so the forward pass need not
-#                                re-check it (a ClassVar, not a field)
 # ``params`` and ``grads`` are tuples of shaped views into the flat parameter
 # and gradient vectors, one per role; backward writes its parameter gradients
 # into ``grads``. A layer may return None for dx when ``need_dx`` is False.
@@ -97,7 +104,6 @@ class Dense:
     in_dim: int
     out_dim: int
     tag: ClassVar[str] = "dense"
-    keeps_finite: ClassVar[bool] = False
 
     @property
     def fan_in(self) -> int:
@@ -133,7 +139,6 @@ class Conv2D:
     kernel: int
     stride: int = 1
     tag: ClassVar[str] = "conv2d"
-    keeps_finite: ClassVar[bool] = False
 
     @property
     def fan_in(self) -> int:
@@ -221,7 +226,6 @@ def _im2col_index(c: int, h: int, w: int, k: int, s: int) -> np.ndarray:
 @dataclass(frozen=True)
 class ReLU:
     tag: ClassVar[str] = "relu"
-    keeps_finite: ClassVar[bool] = True
 
     def out_shape(self, shape):
         return shape
@@ -244,7 +248,6 @@ class BatchNorm:
     momentum: float = 0.1
     epsilon: float = 1e-5
     tag: ClassVar[str] = "batchnorm"
-    keeps_finite: ClassVar[bool] = False
 
     def out_shape(self, shape):
         if shape[0] != self.num_features:
@@ -326,8 +329,6 @@ def _like_sample(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class GlobalAvgPool:
     tag: ClassVar[str] = "global_avg_pool"
-    # A mean can overflow.
-    keeps_finite: ClassVar[bool] = False
 
     def out_shape(self, shape):
         if len(shape) != 3:
@@ -347,7 +348,6 @@ class GlobalAvgPool:
 @dataclass(frozen=True)
 class Flatten:
     tag: ClassVar[str] = "flatten"
-    keeps_finite: ClassVar[bool] = True
 
     def out_shape(self, shape):
         return (int(np.prod(shape)),)
@@ -635,13 +635,39 @@ def _check_finite(arr: np.ndarray, where: str):
         raise FloatingPointError(f"non-finite values after {where}")
 
 
+@functools.lru_cache(maxsize=None)
+def _check_points(arch: ArchSpec) -> tuple[bool, ...]:
+    """Per activation of a pass (the input, then each layer's output),
+    whether the pass checks it for non-finite values: the input of every
+    layer that can turn one into a finite value, and the logits.
+
+    ReLU maps -inf to 0. A Conv2D never reads the pixels its windows miss:
+    the last rows and columns when (h - k) % s is not 0, and those between
+    windows when k < s. Any other layer, and a Conv2D that reads every
+    pixel, keeps some output non-finite, since inf * 0 and inf - inf are
+    NaN. So a non-finite activation stays non-finite up to the next check
+    point, and these checks fail exactly when a check after every layer
+    would."""
+    shape, points = arch.input_shape, []
+    for layer in arch.layers:
+        if isinstance(layer, Conv2D):
+            k, s = layer.kernel, layer.stride
+            points.append(k < s or any((d - k) % s for d in shape[1:]))
+        else:
+            points.append(isinstance(layer, ReLU))
+        shape = layer.out_shape(shape)
+    return (*points, True)
+
+
 def _forward_raw(
     model: ModelState,
     x: np.ndarray,
     mode: str,
     cache: list | None = None,
+    every_layer: bool = False,
 ) -> np.ndarray:
-    """Run the stack on a (batch, *input_shape) array; returns logits.
+    """Run the stack on a (batch, *input_shape) array of a checked shape;
+    returns logits.
 
     ``cache`` collects per-layer context for the backward pass. In train mode
     BatchNorm normalizes with batch statistics and smooths the model's
@@ -649,27 +675,68 @@ def _forward_raw(
     never mutates the model. Without a cache the pass copies the batch once
     and owns every activation from there on, so the layers may write into
     their input; the caller's array is never written.
+
+    The pass checks the activations ``_check_points`` names, or with
+    ``every_layer`` the input and every layer's output, and raises
+    FloatingPointError naming the first that holds a non-finite value.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     owned = cache is None
     x = np.array(x, dtype=np.float64) if owned else np.asarray(x, dtype=np.float64)
-    expected = model.arch.input_shape
-    if x.ndim != len(expected) + 1 or x.shape[1:] != expected:
-        raise ValueError(f"batch shape {x.shape} does not match input {expected}")
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    _check_finite(x, "input")
-
+    checked = (True,) * (len(model.arch.layers) + 1) if every_layer else _check_points(model.arch)
+    if checked[0]:
+        _check_finite(x, "input")
     params = _layer_views(model, model.params)
     for i, layer in enumerate(model.arch.layers):
         x, layer_cache = layer.forward(x, params[i], mode, model.batchnorm_stats.get(i), owned)
         if not owned:
             cache.append(layer_cache)
         del layer_cache  # without a cache, freed before the next layer runs
-        if not layer.keeps_finite:
+        if checked[i + 1]:
             _check_finite(x, f"layer {i} ({type(layer).__name__})")
     return x
+
+
+def _forward(
+    model: ModelState, batch: np.ndarray, mode: str, cache: list | None = None
+) -> np.ndarray:
+    """Check the batch, then run ``_forward_raw`` at its check points. A
+    cache-free eval batch runs in tiles of ``EVAL_TILE`` rows, the last
+    taking the remainder, and its logits are bit-equal to one whole-batch
+    pass.
+
+    When a check fails, the running statistics go back to what they were
+    and the pass is replayed once over the whole batch with a check after
+    every layer. So the error names the first layer whose output is
+    non-finite, and the statistics end as a pass that stopped there leaves
+    them.
+    """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    x = np.asarray(batch)
+    expected = model.arch.input_shape
+    if x.ndim != len(expected) + 1 or x.shape[1:] != expected:
+        raise ValueError(f"batch shape {x.shape} does not match input {expected}")
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    stats = [s for pair in model.batchnorm_stats.values() for s in pair]
+    kept = [s.copy() for s in stats] if mode == "train" else []
+    n = x.shape[0]
+    tiled = mode == "eval" and cache is None
+    starts = range(0, max(n - EVAL_TILE, 0) + 1, EVAL_TILE) if tiled else [0]
+    try:
+        if len(starts) == 1:
+            return _forward_raw(model, x, mode, cache)
+        out = np.empty((n, model.arch.output_dim))
+        for start, stop in zip(starts, [*starts[1:], n]):
+            out[start:stop] = _forward_raw(model, x[start:stop], mode)
+        return out
+    except FloatingPointError:
+        pass  # replayed below, outside the handler, so no error chains to it
+    for s, before in zip(stats, kept):
+        s[...] = before
+    if cache is not None:
+        cache.clear()
+    return _forward_raw(model, x, mode, cache, every_layer=True)
 
 
 def _backward_raw(model: ModelState, cache: list, dlogits: np.ndarray) -> np.ndarray:
@@ -690,7 +757,7 @@ def forward(model: ModelState, batch: np.ndarray, mode: str = "eval") -> np.ndar
     Eval mode is a pure function of (model, batch); train mode uses batch
     statistics in BatchNorm layers and updates their running statistics.
     """
-    return _forward_raw(model, batch, mode)
+    return _forward(model, batch, mode)
 
 
 # --------------------------------------------------------------------------
@@ -756,7 +823,7 @@ def loss_and_grad(
     n = np.shape(batch)[0] if np.ndim(batch) else 0  # the pass rejects a scalar
     targets = _check_targets(targets, loss_kind, n, model.arch.output_dim)
     cache: list = []
-    logits = _forward_raw(model, batch, bn_mode, cache=cache)
+    logits = _forward(model, batch, bn_mode, cache)
     loss, dlogits = (_softmax_ce if loss_kind == "ce" else _bce_logits)(logits, targets)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")

@@ -78,7 +78,7 @@ def test_json_holds_environment_and_both_tables(recorded):
     assert all(r["backward_ms"] is r["backward_p25_ms"] is r["backward_p75_ms"] is None
                for r in doc["in_pass"]["eval"]["layers"])
     assert all(spread(r, "backward") for r in doc["in_pass"]["train"]["layers"])
-    for mode, name in (("train", "loss_and_grad"), ("eval", "_forward_raw")):
+    for mode, name in (("train", "loss_and_grad"), ("eval", "forward")):
         table = doc["in_pass"][mode]
         assert table["pass"] == name
         assert table["step_ms"] >= table["layers_ms"] > 0 and spread(table, "step")

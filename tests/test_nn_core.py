@@ -6,7 +6,10 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -128,8 +131,8 @@ def test_engine_pin():
 OTHER_SHAPES_PIN = "34e7e92ba1109b98ffb97e4085efd644622c083601556d602dfdfe99ec057aab"
 
 
-def test_engine_pin_other_shapes():
-    arch = ArchSpec(
+def other_shapes_arch():
+    return ArchSpec(
         (2, 7, 7),
         (
             Conv2D(2, 5, kernel=2, stride=1),
@@ -146,7 +149,10 @@ def test_engine_pin_other_shapes():
         ),
         3,
     )
-    model = init_model(arch, 1)
+
+
+def test_engine_pin_other_shapes():
+    model = init_model(other_shapes_arch(), 1)
     rng = np.random.default_rng(1)
     batches = [
         (rng.random((n, 2, 7, 7)), rng.integers(2, size=(n, 3)).astype(np.float64))
@@ -217,8 +223,8 @@ class TestIm2col:
     def test_protocol_passes_gather_without_a_copy(self, monkeypatch):
         # _im2col copies any batch whose channels-last transpose is not
         # C-contiguous. No input on the protocol's paths is such a batch: a
-        # train step at batch 32, an eval forward at batch 256 and the
-        # forget gradient, all through default_arch().
+        # train step at batch 32, an eval forward at batch 256 (in tiles of
+        # EVAL_TILE rows) and the forget gradient, all through default_arch().
         seen = []
 
         def recording(x, k, s, _real=nn_core._im2col):
@@ -234,8 +240,11 @@ class TestIm2col:
         forward(model, features[:256])
         forget_gradient(model, ds)
         convs = sum(isinstance(layer, Conv2D) for layer in model.arch.layers)
-        assert len(seen) == convs * (1 + 1 + 2)  # the gradient runs 256 + 44 rows
-        assert [x.shape[0] for x in seen[: 2 * convs]] == [32] * convs + [256] * convs
+        tiles = 256 // nn_core.EVAL_TILE
+        assert len(seen) == convs * (1 + tiles + 2)  # the gradient runs 256 + 44 rows
+        assert [x.shape[0] for x in seen[: (1 + tiles) * convs]] == (
+            [32] * convs + [nn_core.EVAL_TILE] * (tiles * convs)
+        )
         for x in seen:
             assert x.transpose(0, 2, 3, 1).flags.c_contiguous
 
@@ -452,9 +461,10 @@ class TestOneOperandLayout:
 
 
 class TestFiniteGuard:
-    """The forward pass names the first layer whose output is non-finite;
-    layers that keep a finite input finite (ReLU, Flatten) are not
-    re-checked."""
+    """The forward pass names the first layer whose output is non-finite.
+    It checks only the input of each layer that can hide a non-finite
+    value, and the logits; when one of those checks fails, it replays the
+    batch with a check after every layer to name the layer."""
 
     @staticmethod
     def run(model, x, mode):
@@ -464,9 +474,61 @@ class TestFiniteGuard:
             else:
                 loss_and_grad(model, x, np.zeros(x.shape[0], dtype=int), "ce", bn_mode=mode)
 
-    def test_only_relu_and_flatten_skip_the_check(self):
-        declared = {cls.__name__ for cls in nn_core._LAYER_BY_TAG.values() if cls.keeps_finite}
-        assert declared == {"ReLU", "Flatten"}
+    @pytest.mark.parametrize(
+        "arch,points",
+        [
+            # Conv0 (k 3, s 2) never reads the 16x16 input's last row and
+            # column; Conv1 reads all of its 7x7 input. Then every ReLU.
+            (default_arch(), (1, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1)),
+            # Stride 1 reads every pixel; Flatten, Dense and BatchNorm hide nothing.
+            (other_shapes_arch(), (0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1)),
+            # k < s skips pixels between windows, though (h - k) % s is 0.
+            (ArchSpec((1, 5, 5), (Conv2D(1, 2, 1, 2), Flatten(), Dense(18, 2)), 2), (1, 0, 0, 1)),
+            # (h - k) % s is 0 in height but not in width.
+            (ArchSpec((1, 5, 6), (Conv2D(1, 2, 3, 2), GlobalAvgPool(), Dense(2, 2)), 2), (1, 0, 0, 1)),
+            (ArchSpec((1, 5, 5), (Conv2D(1, 2, 3, 2), GlobalAvgPool(), Dense(2, 2)), 2), (0, 0, 0, 1)),
+        ],
+        ids=["default", "other_shapes", "kernel_below_stride", "uneven_width", "even"],
+    )
+    def test_check_points_are_the_inputs_of_hiding_layers_and_the_logits(self, arch, points):
+        assert nn_core._check_points(arch) == tuple(map(bool, points))
+
+    @staticmethod
+    def recorded_checks(monkeypatch):
+        checked = []
+        original = nn_core._check_finite
+
+        def record(arr, where):
+            checked.append(where)
+            original(arr, where)
+
+        monkeypatch.setattr(nn_core, "_check_finite", record)
+        return checked
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_a_finite_pass_checks_only_its_check_points(self, mode, monkeypatch):
+        checked = self.recorded_checks(monkeypatch)
+        model = init_model(default_arch(), 0)
+        batch = 256 if mode == "eval" else 32
+        self.run(model, np.random.default_rng(0).random((batch, 1, 16, 16)), mode)
+        points = ["input", "layer 1 (BatchNorm)", "layer 4 (BatchNorm)", "layer 7 (Dense)",
+                  "layer 9 (Dense)"]
+        tiles = batch // nn_core.EVAL_TILE if mode == "eval" else 1
+        assert checked[: len(points) * tiles] == points * tiles
+        # A train step then checks its gradient.
+        assert checked[len(points) * tiles :] == ([] if mode == "eval" else ["backward pass"])
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_a_failed_check_replays_with_a_check_after_every_layer(self, mode, monkeypatch):
+        checked = self.recorded_checks(monkeypatch)
+        model = init_model(default_arch(), 0)
+        model.slice(7, "weight")[:] = 1e308  # Dense(48, 128) overflows
+        with pytest.raises(FloatingPointError, match=r"after layer 7 \(Dense\)$"):
+            self.run(model, np.random.default_rng(0).random((8, 1, 16, 16)) + 1.0, mode)
+        fast = ["input", "layer 1 (BatchNorm)", "layer 4 (BatchNorm)", "layer 7 (Dense)"]
+        replay = ["input"] + [f"layer {i} ({type(l).__name__})"
+                              for i, l in enumerate(model.arch.layers[:8])]
+        assert checked == fast + replay
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_overflowing_dense_is_named(self, mode):
@@ -507,29 +569,239 @@ class TestFiniteGuard:
         with pytest.raises(FloatingPointError, match="after input$"):
             self.run(model, x, mode)
 
+ARCHES = {"default": default_arch, "other_shapes": other_shapes_arch}
+
+
+def model_with_stats(arch, seed=1):
+    """An initialized model whose BatchNorm running statistics are not the
+    identity, so that eval passes read them."""
+    model = init_model(arch, seed)
+    rng = np.random.default_rng(seed)
+    for mean, var in model.batchnorm_stats.values():
+        mean[:] = rng.standard_normal(mean.size) / 10
+        var[:] = rng.random(var.size) + 0.5
+    return model
+
+
+class TestEvalTiles:
+    """A cache-free eval pass over more than EVAL_TILE rows runs in tiles
+    that start at multiples of EVAL_TILE, the last taking the remainder;
+    its logits are bit-equal to one whole-batch pass."""
+
+    @pytest.mark.parametrize("arch", sorted(ARCHES))
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 255, 256, 300])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_tiled_logits_equal_one_whole_pass(self, arch, rows, dtype):
+        model = model_with_stats(ARCHES[arch]())
+        rng = np.random.default_rng(rows)
+        x = rng.random((rows, *model.arch.input_shape)).astype(dtype)
+        assert same_bits(forward(model, x), nn_core._forward_raw(model, x, "eval"))
+
+    @staticmethod
+    def recorded_rows(monkeypatch):
+        """The row count of every ``_forward_raw`` call from here on."""
+        seen = []
+
+        def recording(model, x, *args, _real=nn_core._forward_raw, **kwargs):
+            seen.append(len(x))
+            return _real(model, x, *args, **kwargs)
+
+        monkeypatch.setattr(nn_core, "_forward_raw", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "rows,tiles",
+        [(1, [1]), (64, [64]), (65, [65]), (127, [127]), (128, [64, 64]),
+         (255, [64, 64, 127]), (256, [64] * 4), (300, [64, 64, 64, 108])],
+    )
+    def test_tiles_start_at_multiples_of_the_tile_and_hold_at_least_a_tile(
+        self, rows, tiles, monkeypatch
+    ):
+        assert nn_core.EVAL_TILE == 64
+        seen = self.recorded_rows(monkeypatch)
+        model = init_model(default_arch(), 0)
+        forward(model, np.random.default_rng(0).random((rows, 1, 16, 16)))
+        assert seen == tiles
+
     @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_every_layer_but_relu_and_flatten_is_checked(self, mode, monkeypatch):
-        checked = []
-        original = nn_core._check_finite
+    def test_train_and_cached_passes_are_not_tiled(self, mode, monkeypatch):
+        seen = self.recorded_rows(monkeypatch)
+        model = init_model(default_arch(), 0)
+        rng = np.random.default_rng(0)
+        x = rng.random((256, 1, 16, 16))
+        loss_and_grad(model, x, rng.integers(3, size=256), "ce", bn_mode=mode)
+        if mode == "train":
+            forward(model, x, "train")
+        assert seen == [256] * len(seen) and seen
 
-        def record(arr, where):
-            checked.append(where)
-            original(arr, where)
+    def test_peak_memory_of_an_eval_256_pass_is_that_of_a_tile(self):
+        # One whole 256-row pass of default_arch allocates 7.0 MiB at its
+        # peak, most of it the second conv's 4 MiB patch matrix; a pass in
+        # 64-row tiles peaks at 1.8 MiB.
+        model = init_model(default_arch(), 0)
+        x = np.random.default_rng(0).random((256, 1, 16, 16)).astype(np.float32)
+        forward(model, x)  # the im2col indices are cached from here on
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            forward(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 3 * 2**20
 
-        monkeypatch.setattr(nn_core, "_check_finite", record)
-        arch = ArchSpec(
-            (1, 8, 8),
-            (Conv2D(1, 3, 3, 2), BatchNorm(3), ReLU(), Flatten(), Dense(27, 4), ReLU(),
-             Dense(4, 3)),
-            3,
-        )
-        model = init_model(arch, 0)
-        self.run(model, np.random.default_rng(0).random((4, 1, 8, 8)), mode)
-        layer_checks = [w for w in checked if w.startswith("layer")]
-        assert layer_checks == [
-            "layer 0 (Conv2D)", "layer 1 (BatchNorm)", "layer 4 (Dense)", "layer 6 (Dense)"
+
+def frozen_forward_raw(model, x, mode, cache=None):
+    """The forward pass before eval batches ran in tiles and the finite
+    checks moved to the inputs of the layers that can hide a non-finite
+    value, kept frozen as the oracle: one pass over the whole batch that
+    checks the input and the output of every layer but ReLU and Flatten."""
+
+    def check_finite(arr, where):
+        if not np.isfinite(arr).all():
+            raise FloatingPointError(f"non-finite values after {where}")
+
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    owned = cache is None
+    x = np.array(x, dtype=np.float64) if owned else np.asarray(x, dtype=np.float64)
+    expected = model.arch.input_shape
+    if x.ndim != len(expected) + 1 or x.shape[1:] != expected:
+        raise ValueError(f"batch shape {x.shape} does not match input {expected}")
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    check_finite(x, "input")
+    params = nn_core._layer_views(model, model.params)
+    for i, layer in enumerate(model.arch.layers):
+        x, layer_cache = layer.forward(x, params[i], mode, model.batchnorm_stats.get(i), owned)
+        if not owned:
+            cache.append(layer_cache)
+        del layer_cache
+        if not isinstance(layer, (ReLU, Flatten)):
+            check_finite(x, f"layer {i} ({type(layer).__name__})")
+    return x
+
+
+def pass_outcome(run, model):
+    """What a pass leaves behind: its logits, or its error's type and
+    message; then the model's running statistics."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = ("logits", run(model).tobytes())
+    except FloatingPointError as exc:
+        result = (type(exc).__name__, str(exc))
+    stats = [s.tobytes() for pair in model.batchnorm_stats.values() for s in pair]
+    return result, stats
+
+
+class TestFiniteParity:
+    """Every failure, and the running statistics it leaves, equal those of
+    the frozen pass.
+
+    A non-finite value is injected into the batch, or written into the
+    output of one layer as that layer returns it: for each such position,
+    each of NaN, +inf and -inf, at the first and at the last element (the
+    last pixel of a 16x16 input is one that default_arch's first conv never
+    reads). ReLU and Flatten outputs are not injection points: they are
+    non-finite only where their input was, which is checked before them.
+    Zero weights reach the inf * 0 cases."""
+
+    @staticmethod
+    def positions(arch):
+        return ["input"] + [
+            i for i, layer in enumerate(arch.layers) if not isinstance(layer, (ReLU, Flatten))
         ]
-        assert checked[0] == "input"
+
+    @pytest.mark.parametrize("arch", sorted(ARCHES))
+    @pytest.mark.parametrize("weights", ["init", "zero"])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("cached", [False, True], ids=["cache_free", "cached"])
+    def test_injected_values_fail_as_in_the_frozen_pass(self, arch, weights, mode, cached,
+                                                         monkeypatch):
+        model = model_with_stats(ARCHES[arch]())
+        if weights == "zero":
+            model.params[:] = 0.0
+        rng = np.random.default_rng(0)
+        batches = [5, 130] if mode == "eval" and not cached else [5]
+        mismatches, cases, failures = [], 0, 0
+        for rows in batches:
+            clean = rng.random((rows, *model.arch.input_shape)) - 0.25
+            for position in self.positions(model.arch):
+                for spot in ("first", "last"):
+                    for value in (np.nan, np.inf, -np.inf):
+                        x = clean.copy()
+                        with monkeypatch.context() as patch:
+                            if position == "input":
+                                x[(0 if spot == "first" else -1,) * x.ndim] = value
+                            else:
+                                self.inject(patch, model.arch.layers[position], spot, value)
+                            got = pass_outcome(
+                                lambda m: nn_core._forward(m, x, mode, [] if cached else None),
+                                clone_with_params(model, model.params))
+                            want = pass_outcome(
+                                lambda m: frozen_forward_raw(m, x, mode, [] if cached else None),
+                                clone_with_params(model, model.params))
+                        cases += 1
+                        failures += want[0][0] == "FloatingPointError"
+                        if got != want:
+                            mismatches.append((rows, position, spot, value, got[0], want[0]))
+        assert mismatches == []
+        assert failures == cases  # the frozen pass checks every injection point
+
+    @staticmethod
+    def inject(patch, target, spot, value):
+        cls = type(target)
+
+        def forward(self, x, *args, _real=cls.forward):
+            out, cache = _real(self, x, *args)
+            if self is target:
+                out[(0 if spot == "first" else -1,) * out.ndim] = value
+            return out, cache
+
+        patch.setattr(cls, "forward", forward)
+
+    def test_a_later_tile_failing_at_an_earlier_layer_names_that_layer(self):
+        # Every row overflows at Dense(48, 128) (layer 7), which tile 0 finds
+        # first; row 200, in tile 3, is already non-finite at the input.
+        model = init_model(default_arch(), 0)
+        model.slice(7, "weight")[:] = 1e308
+        x = np.random.default_rng(0).random((256, 1, 16, 16)) + 1.0
+        x[200, 0, 3, 3] = np.nan
+        got = pass_outcome(lambda m: forward(m, x), model)
+        assert got == pass_outcome(lambda m: frozen_forward_raw(m, x, "eval"), model)
+        assert got[0] == ("FloatingPointError", "non-finite values after input")
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["cache_free", "cached"])
+    def test_train_failure_leaves_the_statistics_of_a_pass_stopped_at_that_layer(self, cached):
+        # The second BatchNorm's output is non-finite; the fast pass runs on
+        # and smooths the statistics of both BatchNorms before it fails.
+        model = model_with_stats(default_arch())
+        model.slice(4, "shift")[:] = np.inf
+        x = np.random.default_rng(0).random((16, 1, 16, 16))
+        want = pass_outcome(lambda m: frozen_forward_raw(m, x, "train", [] if cached else None),
+                            clone_with_params(model, model.params))
+        got = pass_outcome(lambda m: nn_core._forward(m, x, "train", [] if cached else None), model)
+        assert got == want
+        assert want[0] == ("FloatingPointError", "non-finite values after layer 4 (BatchNorm)")
+        before = [s.tobytes() for pair in model_with_stats(default_arch()).batchnorm_stats.values()
+                  for s in pair]
+        assert got[1] != before  # the statistics moved, as far as layer 4
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_bits_and_failures_hold_at_one_and_two_blas_threads(threads):
+    """The tile, parity and engine pin tests, in a child process whose BLAS
+    runs on ``threads`` threads (set before numpy loads)."""
+    env = {**os.environ, **dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k",
+         "(TestEvalTiles or TestFiniteParity or test_engine_pin) and not blas_threads"],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+    assert " passed" in run.stdout.splitlines()[-1]
 
 
 class TestArchAndLayout:
