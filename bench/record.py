@@ -13,7 +13,9 @@ The steps run in this order, so that each measurement stays valid:
    allocator has no history. Linux counts the spawning process's resident
    set in a child's ``ru_maxrss``, so until the last child this process
    imports neither numpy nor the package, and a child writes the inputs.
-   The script exits 1 when two readings of one command print different stdout.
+   The script exits 1 when two readings of one command give different
+   answers: the stdout of ``eval``, the ``report.json`` of ``run`` with
+   ``strip_timing`` applied (its stdout names the temporary directory).
 2. Stages: one more child runs the same ``run`` with perfbench's spans
    installed (``perfbench/tracing.py``); its wall time is not a reading.
 3. Layers: this process imports numpy, settles glibc's malloc thresholds as
@@ -28,6 +30,10 @@ The steps run in this order, so that each measurement stays valid:
    (a layer's time adds up over the pass's ``EVAL_TILE``-row tiles), with
    each pass's time and minor page faults, and in train mode the step's
    ``adam_step``, unmasked and with half the parameters frozen.
+4. Allocation peaks: after the timed calls, the ``tracemalloc`` peak of one
+   untimed call each of a train-32 ``loss_and_grad``, a batch-256
+   ``loss_and_grad`` with BatchNorm in eval mode (a chunk of the saliency
+   gradient) and an eval-256 ``forward``.
 
 BLAS runs on one thread here and in every child, pinned before numpy loads,
 as in the repository benchmark (``perfbench/``). The script prints all of
@@ -38,7 +44,7 @@ it; ``--json PATH`` also writes one record:
 - ``fresh``: ``corpus_samples``, ``run_patients``, and for ``eval`` and
   ``run`` the N ``readings`` (``code``, ``wall_s``, ``cpu_s`` as the child's
   ``process_time``, ``minflt`` during the command, ``minflt_total`` in the
-  whole child, ``maxrss_mb``, ``stdout_sha256``) and the ``quartiles``
+  whole child, ``maxrss_mb``, ``answer_sha256``) and the ``quartiles``
   (``p25``, ``median``, ``p75``) of each numeric column;
 - ``stages``: the seconds of ``harness.stage.{datagen,split,pretrain,exact,
   relabel_sweep,salun_sweep,eval,emit}_s``, as perfbench names them;
@@ -47,7 +53,10 @@ it; ``--json PATH`` also writes one record:
   ``pass``, ``step_ms``, ``layers_ms`` (median summed layer time per step),
   ``minflt_per_step``, ``minflt_max`` and, in train mode, ``adam_step_ms``
   and ``adam_step_masked_ms``. Each ``<name>_ms`` has its quartiles beside
-  it as ``<name>_p25_ms`` and ``<name>_p75_ms``.
+  it as ``<name>_p25_ms`` and ``<name>_p75_ms``;
+- ``peak_alloc_mib``: the MiB of each allocation peak, keyed
+  ``train_loss_and_grad_32``, ``saliency_loss_and_grad_256`` and
+  ``eval_forward_256``.
 
 The quartiles show the spread within one run; host speed also drifts
 between runs, so comparing two versions still needs alternating runs of each.
@@ -66,6 +75,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import fields
@@ -103,7 +113,7 @@ print(len(corpus))
 # code. A non-empty TRACE is the directory of perfbench's ``tracing.py``: the
 # child then installs its spans and adds the stage times.
 CHILD = """
-import json, resource, sys, time
+import hashlib, json, resource, sys, time
 report, trace, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
 import unforget.cli  # imported before the clock starts
 if trace:
@@ -121,6 +131,11 @@ reading = {"code": code, "wall_s": wall, "cpu_s": cpu, "minflt": usage.ru_minflt
 if trace:
     reading["stages"] = {name: value for name, (value, _) in layer_metrics(tracer.spans, 0.0).items()
                          if name.startswith("harness.stage.")}
+if argv[0] == "run":  # its answer is the report it wrote, without the clock readings
+    from unforget.harness import strip_timing
+    with open(f"{argv[argv.index('--out') + 1]}/report.json") as fh:
+        answer = json.dumps(strip_timing(json.load(fh)), sort_keys=True)
+    reading["answer_sha256"] = hashlib.sha256(answer.encode()).hexdigest()
 with open(report, "w") as fh:
     json.dump(reading, fh)
 sys.exit(code)
@@ -153,23 +168,24 @@ def prepare(workdir: Path) -> tuple[dict, int]:
 
 
 def one_shot(argv: list[str], workdir: Path, trace: str = "") -> dict:
-    """One fresh child running the command; its own report, plus the
-    SHA-256 of its standard output."""
+    """One fresh child running the command; its own report, with the
+    SHA-256 of the command's answer: of ``run``'s stripped report as the
+    child read it, else of the standard output."""
     report = workdir / "child.json"
     stdout = child(CHILD, str(report), trace, *argv)
     reading = json.loads(report.read_text())
-    reading["stdout_sha256"] = hashlib.sha256(stdout).hexdigest()
+    reading.setdefault("answer_sha256", hashlib.sha256(stdout).hexdigest())
     return reading
 
 
 def output_mismatches(readings: dict[str, list[dict]]) -> list[str]:
-    """One message per command whose readings printed different stdout,
+    """One message per command whose readings gave different answers,
     naming each reading's digest."""
     return [
-        f"{name}: readings printed different stdout: "
-        + ", ".join(f"#{k} {r['stdout_sha256']}" for k, r in enumerate(rows))
+        f"{name}: readings gave different answers: "
+        + ", ".join(f"#{k} {r['answer_sha256']}" for k, r in enumerate(rows))
         for name, rows in readings.items()
-        if len({r["stdout_sha256"] for r in rows}) > 1
+        if len({r["answer_sha256"] for r in rows}) > 1
     ]
 
 
@@ -354,6 +370,37 @@ def in_pass_times(mode: str, batch: int, repeats: int, seed: int = 0) -> dict:
     return table
 
 
+def alloc_peaks(seed: int = 0) -> dict:
+    """The ``tracemalloc`` peak, in MiB, of one call each of a train-32
+    ``loss_and_grad``, a batch-256 eval-BatchNorm ``loss_and_grad`` (a
+    saliency chunk) and an eval-256 ``forward``. Run after the timed calls,
+    so the engine's cached im2col indices are not counted."""
+    import numpy as np
+
+    from unforget.harness import default_arch
+    from unforget.nn_core import EVAL_BATCH, forward, init_model, loss_and_grad
+
+    model = init_model(default_arch(), seed)
+    rng = np.random.default_rng(seed)
+    x32, x256 = (rng.random((n, *model.arch.input_shape)) for n in (TRAIN_BATCH, EVAL_BATCH))
+    y32, y256 = (rng.integers(model.arch.output_dim, size=n) for n in (TRAIN_BATCH, EVAL_BATCH))
+    calls = {
+        "train_loss_and_grad_32": lambda: loss_and_grad(model, x32, y32, "ce"),
+        "saliency_loss_and_grad_256": lambda: loss_and_grad(model, x256, y256, "ce", bn_mode="eval"),
+        "eval_forward_256": lambda: forward(model, x256, "eval"),
+    }
+    peaks = {}
+    for name, call in calls.items():
+        tracemalloc.start()  # traces only what is allocated from here on
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks[name] = peak / 2**20
+    return peaks
+
+
 def _ms(value) -> str:
     return "-" if value is None else f"{value:.3f}"
 
@@ -450,10 +497,13 @@ def main(argv=None) -> int:
     layer_calls = LAYER_CALLS * args.repeats
     print(f"BLAS threads {threads} (as the library reports), layer calls {layer_calls}")
     isolated, in_pass = layer_tables(layer_calls)
+    peaks = alloc_peaks()
+    for name, mib in peaks.items():
+        print(f"peak_alloc_mib {name} {mib:.3f}")
     if args.json:
         doc = {"environment": env, "blas_threads_reported": threads, "repeats": args.repeats,
                "layer_calls": layer_calls, "fresh": fresh, "stages": stages,
-               "isolated": isolated, "in_pass": in_pass}
+               "isolated": isolated, "in_pass": in_pass, "peak_alloc_mib": peaks}
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")

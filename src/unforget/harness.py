@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 import time
@@ -132,8 +133,8 @@ class ExperimentConfig:
                 raise ValueError("lr_grid must be non-empty for approximate algorithms")
         if "salun" in self.algorithms and not self.threshold_grid:
             raise ValueError("threshold_grid must be non-empty for salun")
-        if not all(lr > 0 for lr in self.lr_grid):
-            raise ValueError(f"lr_grid values must be > 0, got {self.lr_grid}")
+        if not all(0 < lr < math.inf for lr in self.lr_grid):
+            raise ValueError(f"lr_grid values must be positive and finite, got {self.lr_grid}")
         # A threshold of 0 means "no mask".
         if not all(t >= 0 for t in self.threshold_grid):
             raise ValueError(f"threshold_grid values must be >= 0, got {self.threshold_grid}")

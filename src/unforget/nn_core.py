@@ -82,6 +82,11 @@ EVAL_TILE = 64
 # ``params`` and ``grads`` are tuples of shaped views into the flat parameter
 # and gradient vectors, one per role; backward writes its parameter gradients
 # into ``grads``. A layer may return None for dx when ``need_dx`` is False.
+# The backward pass consumes the forward's cache: it hands each layer its
+# cache and keeps no reference, so a layer frees each cached buffer at its
+# last use. ``d`` is a fresh array the pass owns, which backward may write
+# into. ReLU caches a C-order boolean mask, not its output, so an
+# activation lives only until the next layer's forward has read it.
 # ``stats`` is a BatchNorm layer's running (mean, var), read in eval mode and
 # smoothed in place in train mode (not at all when None).
 # ``owned`` is True only in a cache-free pass, which owns every activation
@@ -174,6 +179,7 @@ class Conv2D:
         x_shape, cols = cache
         d2 = d.transpose(0, 2, 3, 1).reshape(-1, self.out_ch)
         grads[0][...] = d2.T @ cols
+        del cache, cols  # freed before dcols, a matrix of the same size, is made
         grads[1][...] = d.sum(axis=(0, 2, 3))
         if not need_dx:
             return None
@@ -235,11 +241,13 @@ class ReLU:
 
     def forward(self, x, params, mode, stats, owned=False):
         out = np.maximum(x, 0.0, out=x if owned else None)
-        return out, out
+        if owned:
+            return out, None
+        # A one-byte mask, so the activation is freed once the next layer has read it.
+        return out, np.greater(out, 0.0, out=np.empty(out.shape, bool))
 
-    def backward(self, d, params, out, grads, need_dx):
-        # The mask takes d's layout, so the product reads one layout.
-        return d * np.greater(out, 0.0, out=np.empty_like(d, dtype=bool))
+    def backward(self, d, params, mask, grads, need_dx):
+        return np.multiply(d, mask, out=d)  # in place, so dx keeps d's layout
 
 
 @dataclass(frozen=True)
@@ -287,6 +295,7 @@ class BatchNorm:
 
     def backward(self, d, params, cache, grads, need_dx):
         xhat, inv_std, mode = cache
+        del cache  # so that a copy of xhat below frees the original
         axes = _bn_axes(xhat)
         if d.flags.c_contiguous:
             # One copy, so every product below reads a single layout; a
@@ -297,6 +306,7 @@ class BatchNorm:
         grads[1][...] = d.sum(axis=axes)
         expand = functools.partial(_like_sample, d)  # dxhat takes d's layout
         dxhat = d * expand(params[0])
+        del d
         inv_std = expand(inv_std)
         if mode == "eval":
             dxhat *= inv_std
@@ -741,13 +751,15 @@ def _forward(
 
 def _backward_raw(model: ModelState, cache: list, dlogits: np.ndarray) -> np.ndarray:
     """Walk the cached stack in reverse, producing the flat gradient vector.
-    The input gradient of layer 0 is never needed, so it is not computed."""
+    Each layer's cache is popped as the layer runs, so the pass empties the
+    list and every buffer is freed at its last use. The input gradient of
+    layer 0 is never needed, so it is not computed."""
     grad = np.zeros_like(model.params)
     params = _layer_views(model, model.params)
     grads = _layer_views(model, grad)
     d = dlogits
     for i in range(len(model.arch.layers) - 1, -1, -1):
-        d = model.arch.layers[i].backward(d, params[i], cache[i], grads[i], i > 0)
+        d = model.arch.layers[i].backward(d, params[i], cache.pop(), grads[i], i > 0)
     return grad
 
 

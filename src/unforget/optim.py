@@ -78,8 +78,8 @@ def adam_step(
         raise ValueError("params, grads, and Adam moments must share one length")
     if not np.isfinite(grads).all():
         raise FloatingPointError("non-finite gradient")
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    if not 0 < lr < math.inf:  # NaN fails every comparison
+        raise ValueError(f"lr must be positive and finite, got {lr}")
 
     if mask is not None:  # grads are finite, so frozen coordinates become ±0.0
         grads = grads * _mask_bits(mask, params)
@@ -143,8 +143,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr0 <= 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
+        if not 0 < self.lr0 < math.inf:  # NaN fails every comparison
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0}")
 
     @property
     def floor(self) -> float:

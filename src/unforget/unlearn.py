@@ -14,6 +14,7 @@ of batch composition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,9 @@ def mask_from_gradient(grad: np.ndarray, threshold: float) -> np.ndarray:
     A threshold of exactly 0 disables masking (all True): coordinates with
     an exactly-zero forget gradient (dead ReLU paths) would otherwise stay
     frozen and the degenerate run would not reduce to plain relabel
-    fine-tuning."""
-    if threshold < 0:
+    fine-tuning. A NaN threshold is rejected: it would freeze every
+    coordinate."""
+    if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     grad = np.asarray(grad, dtype=np.float64)
     if threshold == 0.0:
@@ -77,8 +79,8 @@ class UnlearnConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:  # NaN fails every comparison
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if (self.threshold is not None) != (self.algorithm == "salun"):
             raise ValueError("threshold is required for salun and only for salun")
         if self.relabel_policy is not None and self.relabel_policy not in RELABEL_POLICIES:
@@ -201,7 +203,7 @@ def compute_saliency_mask(
     pretrained: ModelState, forget: LabeledDataset, threshold: float
 ) -> np.ndarray:
     """Threshold the forget-set gradient magnitude into a trainability mask."""
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     return mask_from_gradient(forget_gradient(pretrained, forget), threshold)
 

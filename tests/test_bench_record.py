@@ -3,15 +3,17 @@
 One ``--repeats 2 --json`` run of the script serves every test that reads
 its output."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from unforget.harness import default_arch
+from unforget.harness import default_arch, default_config, run_experiment, strip_timing
 
 SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "record.py"
 COLUMNS = {"wall_s", "cpu_s", "minflt", "minflt_total", "maxrss_mb"}
@@ -102,7 +104,7 @@ def test_two_fresh_readings_each_with_quartiles(recorded):
             assert r["code"] == 0 and r["wall_s"] > 0 and r["cpu_s"] > 0 and r["maxrss_mb"] > 0
             assert 0 < r["minflt"] <= r["minflt_total"]
         # The same command computes the same answer in every fresh process.
-        assert readings[0]["stdout_sha256"] == readings[1]["stdout_sha256"]
+        assert readings[0]["answer_sha256"] == readings[1]["answer_sha256"]
         quartiles = fresh[name]["quartiles"]
         assert set(quartiles) == COLUMNS
         for col, q in quartiles.items():
@@ -123,12 +125,36 @@ def test_run_stages_all_present_and_positive(recorded):
 
 def test_output_mismatch_names_command_and_readings():
     record = load_script()
-    same = [{"stdout_sha256": "a" * 64}, {"stdout_sha256": "a" * 64}]
-    differ = [{"stdout_sha256": "a" * 64}, {"stdout_sha256": "b" * 64}]
+    same = [{"answer_sha256": "a" * 64}, {"answer_sha256": "a" * 64}]
+    differ = [{"answer_sha256": "a" * 64}, {"answer_sha256": "b" * 64}]
     assert record.output_mismatches({"eval": same, "run": same}) == []
     (message,) = record.output_mismatches({"eval": same, "run": differ})
     assert message.startswith("run: ")
     assert f"#0 {'a' * 64}" in message and f"#1 {'b' * 64}" in message
+
+
+def test_run_answer_is_its_stripped_report(recorded):
+    # Not its stdout, which names the temporary directory of each invocation.
+    doc, _ = recorded
+    record = load_script()
+    cfg = default_config()
+    cfg = replace(cfg, dataset=replace(cfg.dataset, num_patients=record.RUN_PATIENTS), repeats=1)
+    text = json.dumps(strip_timing(run_experiment(cfg).to_dict()), sort_keys=True)
+    for reading in doc["fresh"]["run"]["readings"]:
+        assert reading["answer_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_allocation_peaks_of_the_three_passes(recorded):
+    doc, lines = recorded
+    peaks = doc["peak_alloc_mib"]
+    assert list(peaks) == ["train_loss_and_grad_32", "saliency_loss_and_grad_256", "eval_forward_256"]
+    assert all(mib > 0 for mib in peaks.values())
+    # A 256-row step with a cache holds more than a 32-row one or a tiled eval pass.
+    assert peaks["saliency_loss_and_grad_256"] > max(peaks["train_loss_and_grad_32"],
+                                                     peaks["eval_forward_256"])
+    printed = {line.split()[1]: float(line.split()[2]) for line in lines
+               if line.startswith("peak_alloc_mib ")}
+    assert printed == pytest.approx(peaks, abs=1e-3)
 
 
 def test_failing_child_raises_with_its_stderr():

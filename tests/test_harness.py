@@ -343,6 +343,9 @@ class TestConfigSerialization:
             (dict(forget_fractions=()), r"^no forget fractions requested$"),
             (dict(relabel_policy="foo"), r"^unknown relabel_policy 'foo'$"),
             (dict(relabel_policy="bitwise_flip"), r"^bitwise_flip applies to multi-label datasets$"),
+            (dict(lr_grid=(1e-3, float("inf"))), r"^lr_grid values must be positive and finite"),
+            (dict(lr_grid=(float("nan"),)), r"^lr_grid values must be positive and finite"),
+            (dict(threshold_grid=(float("nan"),)), r"^threshold_grid values must be >= 0"),
         ],
     )
     def test_bad_config_rejected_before_data(self, overrides, match, monkeypatch):
@@ -352,6 +355,13 @@ class TestConfigSerialization:
         monkeypatch.setattr(harness, "generate_synthetic", no_data)
         with pytest.raises(ValueError, match=match):
             run_experiment(tiny_config(**overrides))
+
+    @pytest.mark.parametrize("lr0", [float("nan"), float("inf")])
+    def test_non_finite_lr0_in_config_file_rejected(self, lr0):
+        doc = config_to_dict(tiny_config())
+        doc["train"]["lr0"] = lr0  # what json.loads reads from NaN or Infinity
+        with pytest.raises(ValueError, match=f"^lr0 must be positive and finite, got {lr0}$"):
+            config_from_dict(doc)
 
     def test_unnamed_group_in_dataset_file_rejected_before_pretraining(self, tmp_path, monkeypatch):
         ds = generate_synthetic(replace(tiny_spec(), group_proportions=(0.4, 0.3, 0.3)))

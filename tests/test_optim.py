@@ -164,6 +164,11 @@ class TestAdamStep:
         with pytest.raises(FloatingPointError):
             adam_step(np.zeros(2), np.array([np.nan, 0.0]), AdamState.fresh(2), 1e-3)
 
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, np.nan, np.inf])
+    def test_bad_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match=f"^lr must be positive and finite, got {lr}$"):
+            adam_step(np.zeros(2), np.zeros(2), AdamState.fresh(2), lr)
+
     @given(g=st.floats(min_value=1e-3, max_value=1e6))
     @settings(max_examples=60, deadline=None)
     def test_first_step_magnitude_bounded_by_lr(self, g):
@@ -207,6 +212,11 @@ class TestTrain:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("lr0", [0.0, -1e-3, np.nan, np.inf])
+    def test_bad_lr0_rejected(self, lr0):
+        with pytest.raises(ValueError, match=f"^lr0 must be positive and finite, got {lr0}$"):
+            TrainConfig(lr0=lr0)
 
     def test_deterministic(self):
         model = init_model(blob_arch(), 0)

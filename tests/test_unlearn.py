@@ -86,6 +86,11 @@ class TestMaskFromGradient:
         with pytest.raises(ValueError, match="threshold must be >= 0"):
             mask_from_gradient(np.array([0.5, -0.05]), -0.1)
 
+    def test_nan_threshold_rejected(self):
+        # NaN passes a `< 0` check, and `|g| > NaN` would freeze every coordinate.
+        with pytest.raises(ValueError, match="^threshold must be >= 0, got nan$"):
+            mask_from_gradient(np.array([0.5, -0.05]), np.nan)
+
 
 class TestUnlearnConfig:
     def test_threshold_only_for_salun(self):
@@ -97,6 +102,11 @@ class TestUnlearnConfig:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="algorithm"):
             UnlearnConfig(algorithm="sisa")
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, np.nan, np.inf])
+    def test_bad_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match=f"^lr must be positive and finite, got {lr}$"):
+            UnlearnConfig(algorithm="relabel", lr=lr)
 
 
 class TestRandomRelabel:
