@@ -20,15 +20,14 @@ The steps run in this order, so that each measurement stays valid:
    installed (``perfbench/tracing.py``); its wall time is not a reading.
 3. Layers: this process imports numpy, settles glibc's malloc thresholds as
    the command-line entry point does, and times each layer of
-   ``default_arch()`` in train mode at batch 32 and in eval mode at batch
-   ``EVAL_BATCH`` = 256, ``LAYER_CALLS`` × N times after one untimed call,
-   two ways. Isolated: the layer's ``forward`` and ``backward`` called
-   directly on the input and gradient one pass through the stack hands it
-   (an eval ``forward`` owns its input, as in the cache-free pass, on a copy
-   made before the timer starts). In-pass: the layer methods wrapped with
-   timers inside real ``loss_and_grad`` steps and eval ``forward`` passes
-   (a layer's time adds up over the pass's ``EVAL_TILE``-row tiles), with
-   each pass's time and minor page faults, and in train mode the step's
+   ``default_arch()`` inside the engine's own passes, ``LAYER_CALLS`` × N
+   passes after one untimed pass, with the layer methods wrapped with
+   timers. Three settings: ``train``, a train-mode ``loss_and_grad`` step at
+   batch 32; ``saliency``, a ``loss_and_grad`` with BatchNorm in eval mode
+   at batch ``EVAL_BATCH`` = 256 (a chunk of the saliency gradient); and
+   ``eval``, an eval ``forward`` pass at batch 256 (a layer's time adds up
+   over the pass's ``EVAL_TILE``-row tiles). Each setting records its
+   pass's time and minor page faults, and ``train`` the step's
    ``adam_step``, unmasked and with half the parameters frozen.
 4. Allocation peaks: after the timed calls, the ``tracemalloc`` peak of one
    untimed call each of a train-32 ``loss_and_grad``, a batch-256
@@ -48,12 +47,13 @@ it; ``--json PATH`` also writes one record:
   (``p25``, ``median``, ``p75``) of each numeric column;
 - ``stages``: the seconds of ``harness.stage.{datagen,split,pretrain,exact,
   relabel_sweep,salun_sweep,eval,emit}_s``, as perfbench names them;
-- ``isolated`` and ``in_pass``: per mode, ``batch`` and ``layers`` rows
-  (``index``, ``layer``, ``forward_ms``, ``backward_ms``); in-pass tables add
-  ``pass``, ``step_ms``, ``layers_ms`` (median summed layer time per step),
-  ``minflt_per_step``, ``minflt_max`` and, in train mode, ``adam_step_ms``
-  and ``adam_step_masked_ms``. Each ``<name>_ms`` has its quartiles beside
-  it as ``<name>_p25_ms`` and ``<name>_p75_ms``;
+- ``in_pass``: per setting (``train``, ``saliency``, ``eval``), ``batch``,
+  ``pass``, ``layers`` rows (``index``, ``layer``, ``forward_ms``,
+  ``backward_ms``, None for an eval pass), ``step_ms``, ``layers_ms``
+  (median summed layer time per step), ``minflt_per_step``, ``minflt_max``
+  and, for ``train``, ``adam_step_ms`` and ``adam_step_masked_ms``. Each
+  ``<name>_ms`` has its quartiles beside it as ``<name>_p25_ms`` and
+  ``<name>_p75_ms``;
 - ``peak_alloc_mib``: the MiB of each allocation peak, keyed
   ``train_loss_and_grad_32``, ``saliency_loss_and_grad_256`` and
   ``eval_forward_256``.
@@ -86,7 +86,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS_PATIENTS = 1000  # 20 samples each
 RUN_PATIENTS = 20
-LAYER_CALLS = 40  # timed calls per layer, direction and setting, per repeat
+LAYER_CALLS = 40  # timed passes per setting, per repeat
 TRAIN_BATCH = 32
 COLUMNS = ("wall_s", "cpu_s", "minflt", "minflt_total", "maxrss_mb")
 
@@ -222,15 +222,13 @@ def _quartiles(values, scale: float = 1.0) -> tuple[float, float, float] | None:
     return tuple(float(q) for q in scale * np.percentile(values, [25, 50, 75]))
 
 
-def _timed_ms(call, repeats: int, prepare=tuple) -> tuple[float, float, float]:
-    """Quartile ms of ``repeats`` timed ``call(*prepare())``, after one
-    untimed one; ``prepare`` runs outside the timer."""
-    call(*prepare())
+def _timed_ms(call, repeats: int) -> tuple[float, float, float]:
+    """Quartile ms of ``repeats`` timed calls, after one untimed one."""
+    call()
     times = []
     for _ in range(repeats):
-        args = prepare()
         start = time.perf_counter()
-        call(*args)
+        call()
         times.append(time.perf_counter() - start)
     return _quartiles(times, 1e3)
 
@@ -244,44 +242,6 @@ def _spread(name: str, quartiles) -> dict:
 def _row(i, layer, forward, backward) -> dict:
     return {"index": i, "layer": layer_name(layer), **_spread("forward", forward),
             **_spread("backward", backward)}
-
-
-def layer_times(mode: str, batch: int, repeats: int, seed: int = 0) -> list[dict]:
-    """The isolated forward and backward ms of each layer in one setting."""
-    import numpy as np
-
-    from unforget.harness import default_arch
-    from unforget.nn_core import _layer_views, init_model
-
-    model = init_model(default_arch(), seed)
-    layers = model.arch.layers
-    params = _layer_views(model, model.params)
-    grads = _layer_views(model, np.zeros_like(model.params))
-    stats = model.batchnorm_stats
-    rng = np.random.default_rng(seed)
-    x = rng.random((batch, *model.arch.input_shape))
-    inputs, caches = [], []
-    for i, layer in enumerate(layers):
-        inputs.append(x)
-        x, cache = layer.forward(x, params[i], mode, stats.get(i))
-        caches.append(cache)
-    d = rng.standard_normal(x.shape) / batch
-    incoming = [None] * len(layers)
-    for i in range(len(layers) - 1, -1, -1):
-        incoming[i] = d
-        d = layers[i].backward(d, params[i], caches[i], grads[i], i > 0)
-    rows = []
-    owned = mode == "eval"  # as in the cache-free pass, which may write into x
-    for i, layer in enumerate(layers):
-        fwd = _timed_ms(
-            lambda x: layer.forward(x, params[i], mode, stats.get(i), owned), repeats,
-            lambda: (inputs[i].copy(order="K") if owned else inputs[i],),
-        )
-        bwd = _timed_ms(
-            lambda: layer.backward(incoming[i], params[i], caches[i], grads[i], i > 0), repeats
-        )
-        rows.append(_row(i, layer, fwd, bwd))
-    return rows
 
 
 @contextmanager
@@ -313,11 +273,13 @@ def timed_layers(layers, spent):
             setattr(cls, direction, original)
 
 
-def in_pass_times(mode: str, batch: int, repeats: int, seed: int = 0) -> dict:
+def in_pass_times(setting: str, batch: int, repeats: int, seed: int = 0) -> dict:
     """Per-layer medians measured inside ``repeats`` real passes (after one
-    untimed pass): a train ``loss_and_grad`` step, or an eval forward pass.
-    A train step's ``adam_step`` is timed on its gradient, without a mask
-    and with a mask whose bits are 1 for half the parameters."""
+    untimed pass) of one setting: a train-mode ``loss_and_grad`` step
+    (``train``), an eval-BatchNorm ``loss_and_grad`` (``saliency``) or an
+    eval forward pass (``eval``). A train step's ``adam_step`` is timed on
+    its gradient, without a mask and with a mask whose bits are 1 for half
+    the parameters."""
     import numpy as np
 
     from unforget.harness import default_arch
@@ -329,10 +291,11 @@ def in_pass_times(mode: str, batch: int, repeats: int, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     x = rng.random((batch, *model.arch.input_shape))
     y = rng.integers(model.arch.output_dim, size=batch)
-    if mode == "train":
-        name, step = "loss_and_grad", lambda: loss_and_grad(model, x, y, "ce")
-    else:
+    if setting == "eval":
         name, step = "forward", lambda: forward(model, x, "eval")
+    else:
+        bn_mode = "eval" if setting == "saliency" else "train"
+        name, step = "loss_and_grad", lambda: loss_and_grad(model, x, y, "single_label", bn_mode=bn_mode)
     spent = defaultdict(float)
     samples, step_s, faults = defaultdict(list), [], []
     with timed_layers(layers, spent):
@@ -360,7 +323,7 @@ def in_pass_times(mode: str, batch: int, repeats: int, seed: int = 0) -> dict:
         "minflt_per_step": sum(faults) / repeats,
         "minflt_max": max(faults),
     }
-    if mode == "train":
+    if setting == "train":
         _, grad = step()
         state = AdamState.fresh(model.num_params)
         half = (rng.random(model.num_params) < 0.5).astype(np.uint8)  # a 0/1 saliency mask
@@ -385,8 +348,8 @@ def alloc_peaks(seed: int = 0) -> dict:
     x32, x256 = (rng.random((n, *model.arch.input_shape)) for n in (TRAIN_BATCH, EVAL_BATCH))
     y32, y256 = (rng.integers(model.arch.output_dim, size=n) for n in (TRAIN_BATCH, EVAL_BATCH))
     calls = {
-        "train_loss_and_grad_32": lambda: loss_and_grad(model, x32, y32, "ce"),
-        "saliency_loss_and_grad_256": lambda: loss_and_grad(model, x256, y256, "ce", bn_mode="eval"),
+        "train_loss_and_grad_32": lambda: loss_and_grad(model, x32, y32, "single_label"),
+        "saliency_loss_and_grad_256": lambda: loss_and_grad(model, x256, y256, "single_label", bn_mode="eval"),
         "eval_forward_256": lambda: forward(model, x256, "eval"),
     }
     peaks = {}
@@ -410,8 +373,8 @@ def _with_quartiles(row: dict, name: str) -> str:
     return f"{_ms(row[name + '_ms'])} [{_ms(row[name + '_p25_ms'])} {_ms(row[name + '_p75_ms'])}]"
 
 
-def _print_row(prefix, mode, batch, row):
-    print(f"{prefix}{mode:<6}{batch:>6}  {row['index']:>2}  {row['layer']:<28}"
+def _print_row(setting, batch, row):
+    print(f"in-pass {setting:<9}{batch:>6}  {row['index']:>2}  {row['layer']:<28}"
           f"{_with_quartiles(row, 'forward'):>27}{_with_quartiles(row, 'backward'):>28}")
 
 
@@ -420,41 +383,33 @@ def _print_fresh(name: str, label, row: dict) -> None:
           f"{row['minflt_total']:>9.0f}{row['maxrss_mb']:>11.1f}")
 
 
-def layer_tables(repeats: int) -> tuple[dict, dict]:
-    """Print and return the isolated and the in-pass tables, per mode."""
+def layer_tables(repeats: int) -> dict:
+    """Print and return the in-pass tables, per setting."""
     from unforget.cli import _settle_malloc
     from unforget.nn_core import EVAL_BATCH
 
     _settle_malloc()  # time the layers under the allocator settings the CLI runs with
-    settings = (("train", TRAIN_BATCH), ("eval", EVAL_BATCH))
-    print(f"{'table':<9}{'mode':<6}{'batch':>6}  {'#':>2}  {'layer':<28}{'forward_ms [p25 p75]':>27}"
-          f"{'backward_ms [p25 p75]':>28}")
-    isolated, in_pass = {}, {}
-    for mode, batch in settings:
-        rows = layer_times(mode, batch, repeats)
-        for row in rows:
-            _print_row("isolated ", mode, batch, row)
-        print(f"isolated {mode:<6}{batch:>6}  {'':>2}  {'total':<28}"
-              f"{_ms(sum(r['forward_ms'] for r in rows)):>27}{_ms(sum(r['backward_ms'] for r in rows)):>28}")
-        isolated[mode] = {"batch": batch, "layers": rows}
-    for mode, batch in settings:
-        table = in_pass[mode] = in_pass_times(mode, batch, repeats)
+    print(f"{'table':<8}{'setting':<9}{'batch':>6}  {'#':>2}  {'layer':<28}"
+          f"{'forward_ms [p25 p75]':>27}{'backward_ms [p25 p75]':>28}")
+    in_pass = {}
+    for setting, batch in (("train", TRAIN_BATCH), ("saliency", EVAL_BATCH), ("eval", EVAL_BATCH)):
+        table = in_pass[setting] = in_pass_times(setting, batch, repeats)
         for row in table["layers"]:
-            _print_row("in-pass  ", mode, batch, row)
-        print(f"in-pass  {mode:<6}{batch:>6}  step {table['pass']}: "
+            _print_row(setting, batch, row)
+        print(f"in-pass {setting:<9}{batch:>6}  step {table['pass']}: "
               f"{_with_quartiles(table, 'step')} ms (layers {table['layers_ms']:.3f} ms), "
               f"{table['minflt_per_step']:.1f} minor faults per step (max {table['minflt_max']})")
-        if mode == "train":
-            print(f"in-pass  {mode:<6}{batch:>6}  adam_step: {_with_quartiles(table, 'adam_step')} ms, "
+        if setting == "train":
+            print(f"in-pass {setting:<9}{batch:>6}  adam_step: {_with_quartiles(table, 'adam_step')} ms, "
                   f"half masked {_with_quartiles(table, 'adam_step_masked')} ms")
-    return isolated, in_pass
+    return in_pass
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5,
                         help=f"fresh readings per command; the layer tables time {LAYER_CALLS}× "
-                             "as many calls per layer and direction")
+                             "as many passes per setting")
     parser.add_argument("--json", metavar="PATH", help="also write the record to this JSON file")
     args = parser.parse_args(argv)
     if args.repeats < 1:
@@ -496,14 +451,14 @@ def main(argv=None) -> int:
         print(f"env {key}: {value}")
     layer_calls = LAYER_CALLS * args.repeats
     print(f"BLAS threads {threads} (as the library reports), layer calls {layer_calls}")
-    isolated, in_pass = layer_tables(layer_calls)
+    in_pass = layer_tables(layer_calls)
     peaks = alloc_peaks()
     for name, mib in peaks.items():
         print(f"peak_alloc_mib {name} {mib:.3f}")
     if args.json:
         doc = {"environment": env, "blas_threads_reported": threads, "repeats": args.repeats,
                "layer_calls": layer_calls, "fresh": fresh, "stages": stages,
-               "isolated": isolated, "in_pass": in_pass, "peak_alloc_mib": peaks}
+               "in_pass": in_pass, "peak_alloc_mib": peaks}
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")

@@ -135,9 +135,9 @@ class ExperimentConfig:
             raise ValueError("threshold_grid must be non-empty for salun")
         if not all(0 < lr < math.inf for lr in self.lr_grid):
             raise ValueError(f"lr_grid values must be positive and finite, got {self.lr_grid}")
-        # A threshold of 0 means "no mask".
-        if not all(t >= 0 for t in self.threshold_grid):
-            raise ValueError(f"threshold_grid values must be >= 0, got {self.threshold_grid}")
+        # A threshold of 0 means "no mask"; an infinite one would freeze every parameter.
+        if not all(0 <= t < math.inf for t in self.threshold_grid):
+            raise ValueError(f"threshold_grid values must be >= 0 and finite, got {self.threshold_grid}")
         check_grouping(self.forget_grouping)
         # The harness never reads the val split, so only val may be empty.
         train, _, test = check_split_fractions(self.split_fractions, allow_empty=True)

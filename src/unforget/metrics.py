@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetStream, LabeledDataset
-from .nn_core import EVAL_BATCH, ModelState, forward
+from .nn_core import EVAL_BATCH, ModelState, forward, probabilities
 
 __all__ = [
     "EvalResult",
@@ -115,12 +115,7 @@ def predict_scores(model: ModelState, ds: LabeledDataset | DatasetStream) -> np.
         raise ValueError(f"model emits {model.arch.output_dim} outputs, dataset has {ds.num_outputs}")
     if failure is not None:
         raise failure
-    logits = np.concatenate(logits)
-    if ds.task_kind == "single_label":
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        return expd / expd.sum(axis=1, keepdims=True)
-    return 1.0 / (1.0 + np.exp(-logits))
+    return probabilities(np.concatenate(logits), ds.task_kind)
 
 
 def _per_class(scores, positives) -> tuple[dict, list]:

@@ -39,6 +39,7 @@ __all__ = [
     "init_model",
     "forward",
     "loss_and_grad",
+    "probabilities",
     "clone_with_params",
     "save_model",
     "load_model",
@@ -773,28 +774,29 @@ def forward(model: ModelState, batch: np.ndarray, mode: str = "eval") -> np.ndar
 
 
 # --------------------------------------------------------------------------
-# Losses
+# Output heads: per task kind, the targets check, the loss and the eval
+# probabilities. ``_head`` is the one place that looks a head up.
 # --------------------------------------------------------------------------
 
-def _check_targets(targets, loss_kind: str, n: int, k: int) -> np.ndarray:
-    """``targets`` as an array, checked against n rows of k logits: n class
-    indices in [0, k) for "ce", an (n, k) 0/1 matrix for "bce"."""
-    if loss_kind == "ce":
-        targets = np.asarray(targets)
-        if targets.shape != (n,):
-            raise ValueError(f"expected {n} class indices, got shape {targets.shape}")
-        if targets.dtype.kind not in "iu":  # a float or bool index would fail in the loss
-            raise ValueError(f"class indices must be integers, got dtype {targets.dtype}")
-        if n and (targets.min() < 0 or targets.max() >= k):
-            raise ValueError(f"class index out of range [0, {k})")
-    elif loss_kind == "bce":
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.shape != (n, k):
-            raise ValueError(f"targets shape {targets.shape} != logits shape {(n, k)}")
-        if ((targets != 0.0) & (targets != 1.0)).any():
-            raise ValueError("bce targets must be 0/1 (apply the unknown-label policy first)")
-    else:
-        raise ValueError(f"loss_kind must be 'ce' or 'bce', got {loss_kind!r}")
+def _class_indices(targets, n: int, k: int) -> np.ndarray:
+    """``targets`` as n class indices in [0, k)."""
+    targets = np.asarray(targets)
+    if targets.shape != (n,):
+        raise ValueError(f"expected {n} class indices, got shape {targets.shape}")
+    if targets.dtype.kind not in "iu":  # a float or bool index would fail in the loss
+        raise ValueError(f"class indices must be integers, got dtype {targets.dtype}")
+    if n and (targets.min() < 0 or targets.max() >= k):
+        raise ValueError(f"class index out of range [0, {k})")
+    return targets
+
+
+def _zero_one_matrix(targets, n: int, k: int) -> np.ndarray:
+    """``targets`` as an (n, k) float64 matrix of 0/1 label bits."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != (n, k):
+        raise ValueError(f"targets shape {targets.shape} != logits shape {(n, k)}")
+    if ((targets != 0.0) & (targets != 1.0)).any():
+        raise ValueError("multi-label targets must be 0/1 (apply the unknown-label policy first)")
     return targets
 
 
@@ -809,34 +811,63 @@ def _softmax_ce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndar
     return float(loss), dlogits / n
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=1, keepdims=True)
+
+
+def _sigmoid(logits: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-logits))
+
+
 def _bce_logits(z: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     # max(z,0) - z*y + log1p(exp(-|z|)) is the stable elementwise form.
     loss = (np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))).mean()
-    sig = 1.0 / (1.0 + np.exp(-z))
-    return float(loss), (sig - targets) / z.size
+    return float(loss), (_sigmoid(z) - targets) / z.size
+
+
+_HEADS = {
+    "single_label": (_class_indices, _softmax_ce, _softmax),
+    "multi_label": (_zero_one_matrix, _bce_logits, _sigmoid),
+}
+
+
+def _head(task_kind: str) -> tuple:
+    if task_kind not in _HEADS:
+        raise ValueError(f"task_kind must be 'single_label' or 'multi_label', got {task_kind!r}")
+    return _HEADS[task_kind]
+
+
+def probabilities(logits: np.ndarray, task_kind: str) -> np.ndarray:
+    """Eval scores of (n, k) logits: softmax probabilities for single-label
+    data, a sigmoid probability per label for multi-label data."""
+    *_, scores = _head(task_kind)
+    return scores(logits)
 
 
 def loss_and_grad(
     model: ModelState,
     batch: np.ndarray,
     targets: np.ndarray,
-    loss_kind: str,
+    task_kind: str,
     bn_mode: str = "train",
 ) -> tuple[float, np.ndarray]:
     """Mean batch loss and its gradient in ModelState layout.
 
-    ``loss_kind`` is "ce" (softmax cross-entropy over class indices) or "bce"
-    (elementwise binary cross-entropy with logits over 0/1 label matrices).
-    BatchNorm runs in ``bn_mode``: "train", the training path, smooths the
-    model's running statistics and "eval" only reads them. The loss
-    kind and the targets are checked before the forward pass, so a rejected
-    call leaves the model's running statistics as they were.
+    ``task_kind`` "single_label" takes softmax cross-entropy over class
+    indices, "multi_label" binary cross-entropy with logits over 0/1 label
+    matrices. BatchNorm runs in ``bn_mode``: "train", the training path,
+    smooths the model's running statistics and "eval" only reads them. The
+    task kind and the targets are checked before the forward pass, so a
+    rejected call leaves the model's running statistics as they were.
     """
+    check_targets, loss_of, _ = _head(task_kind)
     n = np.shape(batch)[0] if np.ndim(batch) else 0  # the pass rejects a scalar
-    targets = _check_targets(targets, loss_kind, n, model.arch.output_dim)
+    targets = check_targets(targets, n, model.arch.output_dim)
     cache: list = []
     logits = _forward(model, batch, bn_mode, cache)
-    loss, dlogits = (_softmax_ce if loss_kind == "ce" else _bce_logits)(logits, targets)
+    loss, dlogits = loss_of(logits, targets)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
     grad = _backward_raw(model, cache, dlogits)

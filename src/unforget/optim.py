@@ -23,7 +23,6 @@ __all__ = [
     "TrainConfig",
     "adam_step",
     "cosine_lr",
-    "task_loss_kind",
     "train",
     "train_from_scratch",
 ]
@@ -151,11 +150,6 @@ class TrainConfig:
         return 0.1 * self.lr0
 
 
-def task_loss_kind(ds) -> str:
-    """The loss a dataset's task trains with: "ce" or "bce"."""
-    return "ce" if ds.task_kind == "single_label" else "bce"
-
-
 def train(model: ModelState, data, cfg: TrainConfig) -> tuple[ModelState, list[float]]:
     """Seeded mini-batch training on the loss of the data's task kind;
     returns the last-epoch model and the per-epoch mean loss trace.
@@ -171,7 +165,6 @@ def train(model: ModelState, data, cfg: TrainConfig) -> tuple[ModelState, list[f
     model = clone_with_params(model, model.params)
     features = data.feature_array()
     labels = data.label_array()
-    loss_kind = task_loss_kind(data)
     n = len(data)
     batches_per_epoch = -(-n // cfg.batch_size)
     schedule = LrSchedule(cfg.lr0, cfg.floor, cfg.epochs * batches_per_epoch)
@@ -186,7 +179,7 @@ def train(model: ModelState, data, cfg: TrainConfig) -> tuple[ModelState, list[f
         for b in range(batches_per_epoch):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             lr = cosine_lr(schedule, step)
-            loss, grad = loss_and_grad(model, features[idx], labels[idx], loss_kind)
+            loss, grad = loss_and_grad(model, features[idx], labels[idx], data.task_kind)
             model.params, adam = adam_step(model.params, grad, adam, lr, mask)
             epoch_losses.append(loss)
             step += 1

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import LabeledDataset, concat_datasets
 from .nn_core import EVAL_BATCH, ModelState, loss_and_grad
-from .optim import TrainConfig, task_loss_kind, train, train_from_scratch
+from .optim import TrainConfig, train, train_from_scratch
 from .seeding import derive_seed
 
 __all__ = [
@@ -50,10 +50,10 @@ def mask_from_gradient(grad: np.ndarray, threshold: float) -> np.ndarray:
     A threshold of exactly 0 disables masking (all True): coordinates with
     an exactly-zero forget gradient (dead ReLU paths) would otherwise stay
     frozen and the degenerate run would not reduce to plain relabel
-    fine-tuning. A NaN threshold is rejected: it would freeze every
-    coordinate."""
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    fine-tuning. A NaN or infinite threshold is rejected: it would freeze
+    every coordinate."""
+    if not 0 <= threshold < math.inf:  # NaN fails every comparison
+        raise ValueError(f"threshold must be >= 0 and finite, got {threshold}")
     grad = np.asarray(grad, dtype=np.float64)
     if threshold == 0.0:
         return np.ones(grad.shape, dtype=bool)
@@ -189,11 +189,7 @@ def forget_gradient(pretrained: ModelState, forget: LabeledDataset) -> np.ndarra
     for start in range(0, n, EVAL_BATCH):
         stop = min(start + EVAL_BATCH, n)
         _, grad = loss_and_grad(
-            pretrained,
-            features[start:stop],
-            labels[start:stop],
-            task_loss_kind(forget),
-            bn_mode="eval",
+            pretrained, features[start:stop], labels[start:stop], forget.task_kind, bn_mode="eval"
         )
         total += grad * (stop - start)
     return total / n
@@ -203,8 +199,8 @@ def compute_saliency_mask(
     pretrained: ModelState, forget: LabeledDataset, threshold: float
 ) -> np.ndarray:
     """Threshold the forget-set gradient magnitude into a trainability mask."""
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be >= 0 and finite, got {threshold}")
     return mask_from_gradient(forget_gradient(pretrained, forget), threshold)
 
 

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from report_diff import report_diff
 
 from unforget.data import generate_synthetic, split_forget_retain, split_train_val_test
 from unforget.harness import default_arch, default_config, default_synthetic_spec, run_experiment, strip_timing
@@ -68,48 +69,48 @@ def test_criterion_01_gradient_correctness():
     """Analytic gradients match central finite differences (step 1e-5) to
     relative error 1e-4 on 20 random small nets covering every layer type."""
     shapes = [
-        (ArchSpec((5,), (Dense(5, 7), ReLU(), Dense(7, 3)), 3), "ce"),
-        (ArchSpec((4,), (Dense(4, 6), BatchNorm(6), ReLU(), Dense(6, 3)), 3), "ce"),
+        (ArchSpec((5,), (Dense(5, 7), ReLU(), Dense(7, 3)), 3), "single_label"),
+        (ArchSpec((4,), (Dense(4, 6), BatchNorm(6), ReLU(), Dense(6, 3)), 3), "single_label"),
         (
             ArchSpec(
                 (1, 6, 6),
                 (Conv2D(1, 3, 3, 2), BatchNorm(3), ReLU(), GlobalAvgPool(), Dense(3, 3)),
                 3,
             ),
-            "ce",
+            "single_label",
         ),
-        (ArchSpec((2, 5, 5), (Conv2D(2, 2, 2, 1), ReLU(), Flatten(), Dense(32, 4)), 4), "bce"),
+        (ArchSpec((2, 5, 5), (Conv2D(2, 2, 2, 1), ReLU(), Flatten(), Dense(32, 4)), 4), "multi_label"),
         (
             ArchSpec(
                 (1, 7, 7),
                 (Conv2D(1, 2, 3, 2), BatchNorm(2), ReLU(), Flatten(), Dense(18, 2)),
                 2,
             ),
-            "bce",
+            "multi_label",
         ),
     ]
     nets = 0
     worst = 0.0
-    for arch, loss_kind in shapes:
+    for arch, task_kind in shapes:
         for seed in range(4):
-            rng = np.random.default_rng(derive_seed(seed, "gradcheck", loss_kind, nets))
+            rng = np.random.default_rng(derive_seed(seed, "gradcheck", task_kind, nets))
             model = init_model(arch, seed)
             assert model.num_params <= 200
             model.params += rng.normal(0, 0.3, model.params.shape)
             x = rng.random((4,) + arch.input_shape)
-            if loss_kind == "ce":
+            if task_kind == "single_label":
                 y = rng.integers(arch.output_dim, size=4)
             else:
                 y = rng.integers(0, 2, size=(4, arch.output_dim)).astype(float)
-            _, analytic = loss_and_grad(model, x, y, loss_kind)
+            _, analytic = loss_and_grad(model, x, y, task_kind)
             h = 1e-5
             numeric = np.zeros_like(analytic)
             for i in range(model.params.size):
                 orig = model.params[i]
                 model.params[i] = orig + h
-                lp, _ = loss_and_grad(model, x, y, loss_kind)
+                lp, _ = loss_and_grad(model, x, y, task_kind)
                 model.params[i] = orig - h
-                lm, _ = loss_and_grad(model, x, y, loss_kind)
+                lm, _ = loss_and_grad(model, x, y, task_kind)
                 model.params[i] = orig
                 numeric[i] = (lp - lm) / (2 * h)
             scale = np.maximum(np.abs(analytic), np.abs(numeric))
@@ -449,9 +450,10 @@ def test_criterion_10_determinism(default_report, default_report_rerun):
     a = json.dumps(strip_timing(default_report.to_dict()), sort_keys=True, indent=2)
     b = json.dumps(strip_timing(default_report_rerun.to_dict()), sort_keys=True, indent=2)
     digest = hashlib.sha256(a.encode()).hexdigest()
+    moved = "" if a == b else f"; rerun: {report_diff(json.loads(a), json.loads(b)).describe()}"
     check(
         10,
         "end-to-end determinism",
         a == b and digest == DEFAULT_REPORT_PIN,
-        f"{len(a)} bytes compared, sha256 {digest[:12]} (pin {DEFAULT_REPORT_PIN[:12]})",
+        f"{len(a)} bytes compared, sha256 {digest[:12]} (pin {DEFAULT_REPORT_PIN[:12]}){moved}",
     )

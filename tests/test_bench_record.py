@@ -18,6 +18,7 @@ from unforget.harness import default_arch, default_config, run_experiment, strip
 SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "record.py"
 COLUMNS = {"wall_s", "cpu_s", "minflt", "minflt_total", "maxrss_mb"}
 STAGES = ("datagen", "split", "pretrain", "exact", "relabel_sweep", "salun_sweep", "eval", "emit")
+SETTINGS = (("train", 32), ("saliency", 256), ("eval", 256))  # in-pass tables: (setting, batch)
 
 
 @pytest.fixture(scope="module")
@@ -43,54 +44,59 @@ def spread(doc, name) -> bool:
     return 0 < doc[f"{name}_p25_ms"] <= doc[f"{name}_ms"] <= doc[f"{name}_p75_ms"]
 
 
-def test_prints_every_layer_in_both_settings_at_one_blas_thread(recorded):
+def test_prints_every_layer_in_the_three_settings_at_one_blas_thread(recorded):
     _, lines = recorded
     assert any(line.startswith(("BLAS threads 1 ", "BLAS threads unknown ")) for line in lines)
     assert any(line.startswith("env blas: ") for line in lines)
+    assert not any(line.startswith("isolated ") for line in lines)
     n = len(default_arch().layers)
-    for mode, batch in (("train", "32"), ("eval", "256")):
-        rows = [line.split()[1:] for line in lines if line.startswith(f"isolated {mode} ")]
-        assert [r[2] for r in rows[:n]] == [str(i) for i in range(n)]
-        assert rows[n][2] == "total" and len(rows) == n + 1
-        assert all(r[1] == batch for r in rows)
-        for r in rows[:n]:  # each median with its quartiles: "ms [p25 p75]"
-            fwd, fwd25, fwd75, bwd, bwd25, bwd75 = (float(t.strip("[]")) for t in r[4:])
-            assert 0 < fwd25 <= fwd <= fwd75 and 0 < bwd25 <= bwd <= bwd75
-        assert all(float(t) > 0 for t in rows[n][3:])
+    for setting, batch in SETTINGS:
+        rows = [line.split()[1:] for line in lines
+                if line.startswith(f"in-pass {setting} ") and line.split()[3].isdigit()]
+        assert [r[2] for r in rows] == [str(i) for i in range(n)]
+        assert all(r[1] == str(batch) for r in rows)
+        for r in rows:  # each median with its quartiles: "ms [p25 p75]", "-" for no backward
+            fwd, fwd25, fwd75 = (float(t.strip("[]")) for t in r[4:7])
+            assert 0 < fwd25 <= fwd <= fwd75
+            if setting == "eval":
+                assert r[7:] == ["-", "[-", "-]"]
+            else:
+                bwd, bwd25, bwd75 = (float(t.strip("[]")) for t in r[7:])
+                assert 0 < bwd25 <= bwd <= bwd75
 
 
-def test_json_holds_environment_and_both_tables(recorded):
+def test_json_holds_environment_and_the_in_pass_tables(recorded):
     doc, lines = recorded
     assert (doc["repeats"], doc["layer_calls"]) == (2, 80)
     assert doc["blas_threads_reported"] in ("1", "unknown")
     assert doc["environment"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
     assert {"python", "numpy", "blas", "cpu_count", "commit"} <= set(doc["environment"])
+    # Layers are timed only inside the engine's own passes.
+    assert "isolated" not in doc
+    assert list(doc["in_pass"]) == [setting for setting, _ in SETTINGS]
     names = [f"{type(layer).__name__}(" for layer in default_arch().layers]
-    for table in ("isolated", "in_pass"):
-        assert set(doc[table]) == {"train", "eval"}
-        for mode, batch in (("train", 32), ("eval", 256)):
-            rows = doc[table][mode]["layers"]
-            assert doc[table][mode]["batch"] == batch
-            assert [r["index"] for r in rows] == list(range(len(names)))
-            assert all(r["layer"].startswith(name) for r, name in zip(rows, names))
-            assert all(spread(r, "forward") for r in rows)
-    assert all(spread(r, "backward") for r in doc["isolated"]["eval"]["layers"])
-    # Eval passes run no backward; train steps skip layer 0's input gradient
-    # but still time its backward (the parameter gradients).
-    assert all(r["backward_ms"] is r["backward_p25_ms"] is r["backward_p75_ms"] is None
-               for r in doc["in_pass"]["eval"]["layers"])
-    assert all(spread(r, "backward") for r in doc["in_pass"]["train"]["layers"])
-    for mode, name in (("train", "loss_and_grad"), ("eval", "forward")):
-        table = doc["in_pass"][mode]
-        assert table["pass"] == name
+    for (setting, batch), name in zip(SETTINGS, ("loss_and_grad", "loss_and_grad", "forward")):
+        table = doc["in_pass"][setting]
+        rows = table["layers"]
+        assert (table["batch"], table["pass"]) == (batch, name)
+        assert [r["index"] for r in rows] == list(range(len(names)))
+        assert all(r["layer"].startswith(name) for r, name in zip(rows, names))
+        assert all(spread(r, "forward") for r in rows)
         assert table["step_ms"] >= table["layers_ms"] > 0 and spread(table, "step")
         assert 0 <= table["minflt_per_step"] <= table["minflt_max"]
-        line = next(l for l in lines if l.startswith(f"in-pass  {mode} "))
+        line = next(l for l in lines if l.startswith(f"in-pass {setting} "))
         assert line.split()[3] == "0"
+    # Eval passes run no backward; steps with a cache skip layer 0's input
+    # gradient but still time its backward (the parameter gradients), and a
+    # saliency chunk runs eval-mode BatchNorm's backward.
+    assert all(r["backward_ms"] is r["backward_p25_ms"] is r["backward_p75_ms"] is None
+               for r in doc["in_pass"]["eval"]["layers"])
+    for setting in ("train", "saliency"):
+        assert all(spread(r, "backward") for r in doc["in_pass"][setting]["layers"])
     train = doc["in_pass"]["train"]
     assert spread(train, "adam_step") and spread(train, "adam_step_masked")
-    assert "adam_step_ms" not in doc["in_pass"]["eval"]
-    assert any(l.startswith("in-pass  train") and "adam_step:" in l for l in lines)
+    assert all("adam_step_ms" not in doc["in_pass"][s] for s in ("saliency", "eval"))
+    assert any(l.startswith("in-pass train") and "adam_step:" in l for l in lines)
 
 
 def test_two_fresh_readings_each_with_quartiles(recorded):

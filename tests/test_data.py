@@ -31,7 +31,7 @@ from unforget.data import (
 )
 from unforget.metrics import evaluate
 from unforget.nn_core import ArchSpec, BatchNorm, Conv2D, Dense, Flatten, GlobalAvgPool, ReLU, init_model, loss_and_grad
-from unforget.optim import TrainConfig, task_loss_kind, train_from_scratch
+from unforget.optim import TrainConfig, train_from_scratch
 from unforget.unlearn import forget_gradient
 
 
@@ -804,13 +804,12 @@ class TestDatasetContainer:
         twin = float64_twin(ds)
         assert twin.feature_array().dtype == np.float64
         model = init_model(tiny_conv_arch(ds.feature_shape, ds.num_outputs), 4)
-        loss_kind = task_loss_kind(ds)
         rows = np.arange(0, len(ds), 7)
         labels = ds.label_array()[rows]
         for bn_mode in ("train", "eval"):
-            loss32, grad32 = loss_and_grad(model, ds.feature_array()[rows], labels, loss_kind,
+            loss32, grad32 = loss_and_grad(model, ds.feature_array()[rows], labels, ds.task_kind,
                                            bn_mode=bn_mode)
-            loss64, grad64 = loss_and_grad(model, twin.feature_array()[rows], labels, loss_kind,
+            loss64, grad64 = loss_and_grad(model, twin.feature_array()[rows], labels, ds.task_kind,
                                            bn_mode=bn_mode)
             assert loss32 == loss64 and np.array_equal(grad32, grad64)
         assert np.array_equal(forget_gradient(model, ds), forget_gradient(model, twin))

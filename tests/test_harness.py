@@ -5,9 +5,11 @@ import hashlib
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from report_diff import report_diff
 
 from unforget import harness, unlearn
 from unforget.data import (
@@ -346,6 +348,7 @@ class TestConfigSerialization:
             (dict(lr_grid=(1e-3, float("inf"))), r"^lr_grid values must be positive and finite"),
             (dict(lr_grid=(float("nan"),)), r"^lr_grid values must be positive and finite"),
             (dict(threshold_grid=(float("nan"),)), r"^threshold_grid values must be >= 0"),
+            (dict(threshold_grid=(1e-3, float("inf"))), r"^threshold_grid values must be >= 0 and finite"),
         ],
     )
     def test_bad_config_rejected_before_data(self, overrides, match, monkeypatch):
@@ -361,6 +364,13 @@ class TestConfigSerialization:
         doc = config_to_dict(tiny_config())
         doc["train"]["lr0"] = lr0  # what json.loads reads from NaN or Infinity
         with pytest.raises(ValueError, match=f"^lr0 must be positive and finite, got {lr0}$"):
+            config_from_dict(doc)
+
+    def test_infinite_threshold_in_config_file_rejected(self):
+        doc = config_to_dict(tiny_config())
+        doc["threshold_grid"] = json.loads("[0.001, Infinity]")
+        message = r"^threshold_grid values must be >= 0 and finite, got \(0\.001, inf\)$"
+        with pytest.raises(ValueError, match=message):
             config_from_dict(doc)
 
     def test_unnamed_group_in_dataset_file_rejected_before_pretraining(self, tmp_path, monkeypatch):
@@ -480,7 +490,7 @@ class TestRunExperiment:
         assert small_report.timing["sweep_cost_exceeds_single_run"] in (True, False)
 
     def test_multi_label_pipeline(self):
-        # bce end to end: multi-label data, bitwise-flip relabeling, salun.
+        # Multi-label data end to end: binary cross-entropy, bitwise-flip relabeling, salun.
         spec = SyntheticSpec(
             num_patients=50,
             samples_per_patient=6,
@@ -500,19 +510,25 @@ class TestRunExperiment:
 # SHA-256 of the stripped report for default_config(0) cut to 20 patients
 # and one repeat: 9 cells, each approximate one sweeping the full default
 # lr and threshold grids. Any change to a number the report holds moves it.
+# FULL_GRID_REPORT holds those bytes, so a failure names what moved.
 FULL_GRID_REPORT_PIN = "d1cf4eab16fbecb93928cea914238f3ea9b855c8c28fbadf26d6f7cdf6275d56"
+FULL_GRID_REPORT = Path(__file__).resolve().parent / "data" / "full_grid_report.json"
 # SHA-256 over the CSV tables emit_report writes for that report: each
 # file's name, then its bytes, in the order emit_report returns them.
 FULL_GRID_CSV_PIN = "371067b473a88791bcf4fff678bba0c848dc544930fef3564d20c036feb45a7b"
 
 
 def test_full_grid_report_pin(tmp_path):
+    pinned = FULL_GRID_REPORT.read_bytes()
+    assert hashlib.sha256(pinned).hexdigest() == FULL_GRID_REPORT_PIN
     cfg = default_config(0)
     cfg = replace(cfg, dataset=replace(cfg.dataset, num_patients=20), repeats=1)
     report = run_experiment(cfg)
     assert len(report.cells) == 9 and not report.incomplete
     stripped = json.dumps(strip_timing(report.to_dict()), sort_keys=True)
-    assert hashlib.sha256(stripped.encode()).hexdigest() == FULL_GRID_REPORT_PIN
+    assert hashlib.sha256(stripped.encode()).hexdigest() == FULL_GRID_REPORT_PIN, (
+        report_diff(json.loads(pinned), json.loads(stripped)).describe()
+    )
     digest = hashlib.sha256()
     for path in emit_report(report, tmp_path):
         if path.suffix == ".csv":

@@ -34,6 +34,7 @@ from unforget.nn_core import (
     init_model,
     load_model,
     loss_and_grad,
+    probabilities,
     param_layout,
     save_model,
 )
@@ -67,14 +68,14 @@ def conv_arch():
     )
 
 
-def numerical_gradient(model, x, y, loss_kind, h=1e-5):
+def numerical_gradient(model, x, y, task_kind, h=1e-5):
     num = np.zeros_like(model.params)
     for i in range(model.params.size):
         orig = model.params[i]
         model.params[i] = orig + h
-        lp, _ = loss_and_grad(model, x, y, loss_kind)
+        lp, _ = loss_and_grad(model, x, y, task_kind)
         model.params[i] = orig - h
-        lm, _ = loss_and_grad(model, x, y, loss_kind)
+        lm, _ = loss_and_grad(model, x, y, task_kind)
         model.params[i] = orig
         num[i] = (lp - lm) / (2 * h)
     return num
@@ -92,14 +93,14 @@ def assert_gradients_close(analytic, numeric, rtol=1e-4, atol=1e-8):
     )
 
 
-def engine_digest(model, batches, loss_kind):
+def engine_digest(model, batches, task_kind):
     """SHA-256 over, per (x, y) batch, the train- and eval-mode loss and
     gradient and the eval logits, then the BatchNorm running statistics the
     train-mode passes leave behind."""
     digest = hashlib.sha256()
     for x, y in batches:
         for mode in ("train", "eval"):
-            loss, grad = loss_and_grad(model, x, y, loss_kind, bn_mode=mode)
+            loss, grad = loss_and_grad(model, x, y, task_kind, bn_mode=mode)
             digest.update(np.float64(loss).tobytes())
             digest.update(grad.tobytes())
         digest.update(forward(model, x).tobytes())
@@ -122,12 +123,12 @@ def test_engine_pin():
     rng = np.random.default_rng(0)
     x = rng.random((32, 1, 16, 16))
     y = rng.integers(3, size=32)
-    assert engine_digest(model, [(x, y)], "ce") == ENGINE_PIN
+    assert engine_digest(model, [(x, y)], "single_label") == ENGINE_PIN
 
 
 # The same digest on shapes default_arch lacks: stride-1 convolutions (whose
 # col2im windows overlap), a 2x2 kernel, Flatten, a BatchNorm over flat
-# features, bce loss, and batches of 1 and 33.
+# features, binary cross-entropy, and batches of 1 and 33.
 OTHER_SHAPES_PIN = "34e7e92ba1109b98ffb97e4085efd644622c083601556d602dfdfe99ec057aab"
 
 
@@ -158,7 +159,7 @@ def test_engine_pin_other_shapes():
         (rng.random((n, 2, 7, 7)), rng.integers(2, size=(n, 3)).astype(np.float64))
         for n in (1, 33)
     ]
-    assert engine_digest(model, batches, "bce") == OTHER_SHAPES_PIN
+    assert engine_digest(model, batches, "multi_label") == OTHER_SHAPES_PIN
 
 
 def strided_im2col(x, k, s):
@@ -236,7 +237,7 @@ class TestIm2col:
         model = init_model(default_arch(), 0)
         features, labels = ds.feature_array(), ds.label_array()
         rows = np.random.default_rng(0).permutation(len(ds))[:32]
-        loss_and_grad(model, features[rows], labels[rows], "ce")
+        loss_and_grad(model, features[rows], labels[rows], "single_label")
         forward(model, features[:256])
         forget_gradient(model, ds)
         convs = sum(isinstance(layer, Conv2D) for layer in model.arch.layers)
@@ -498,7 +499,7 @@ class TestCachedPass:
         monkeypatch.setattr(nn_core, "_backward_raw", recording)
         model = init_model(default_arch(), 0)
         rng = np.random.default_rng(0)
-        loss_and_grad(model, rng.random((8, 1, 16, 16)), rng.integers(3, size=8), "ce")
+        loss_and_grad(model, rng.random((8, 1, 16, 16)), rng.integers(3, size=8), "single_label")
         assert caches == [[]]
 
     @pytest.mark.parametrize("arch", [default_arch, lambda: ArchSpec((6,), (ReLU(), Dense(6, 3)), 3)],
@@ -510,7 +511,7 @@ class TestCachedPass:
         batch = rng.standard_normal((9, *model.arch.input_shape))
         assert batch.dtype == np.float64 and batch.flags.c_contiguous
         before = batch.copy()
-        loss_and_grad(model, batch, rng.integers(3, size=9), "ce", bn_mode=bn_mode)
+        loss_and_grad(model, batch, rng.integers(3, size=9), "single_label", bn_mode=bn_mode)
         assert batch.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize(
@@ -525,12 +526,12 @@ class TestCachedPass:
         rng = np.random.default_rng(0)
         x = rng.random((batch, 1, 16, 16))
         y = rng.integers(3, size=batch)
-        loss_and_grad(model, x, y, "ce", bn_mode=bn_mode)  # the im2col indices are cached from here on
+        loss_and_grad(model, x, y, "single_label", bn_mode=bn_mode)  # the im2col indices are cached from here on
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before, _ = tracemalloc.get_traced_memory()
-            loss_and_grad(model, x, y, "ce", bn_mode=bn_mode)
+            loss_and_grad(model, x, y, "single_label", bn_mode=bn_mode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -549,7 +550,7 @@ class TestFiniteGuard:
             if mode == "eval":
                 forward(model, x)
             else:
-                loss_and_grad(model, x, np.zeros(x.shape[0], dtype=int), "ce", bn_mode=mode)
+                loss_and_grad(model, x, np.zeros(x.shape[0], dtype=int), "single_label", bn_mode=mode)
 
     @pytest.mark.parametrize(
         "arch,points",
@@ -706,7 +707,7 @@ class TestEvalTiles:
         model = init_model(default_arch(), 0)
         rng = np.random.default_rng(0)
         x = rng.random((256, 1, 16, 16))
-        loss_and_grad(model, x, rng.integers(3, size=256), "ce", bn_mode=mode)
+        loss_and_grad(model, x, rng.integers(3, size=256), "single_label", bn_mode=mode)
         if mode == "train":
             forward(model, x, "train")
         assert seen == [256] * len(seen) and seen
@@ -1018,7 +1019,7 @@ class TestLosses:
         model = clone_with_params(model, np.zeros(model.num_params))
         x = np.random.default_rng(0).random((10, 6))
         y = np.random.default_rng(1).integers(8, size=10)
-        loss, _ = loss_and_grad(model, x, y, "ce")
+        loss, _ = loss_and_grad(model, x, y, "single_label")
         assert loss == pytest.approx(math.log(8), rel=1e-12)
 
     def test_zero_logits_bce_loss_is_log_two(self):
@@ -1027,44 +1028,60 @@ class TestLosses:
         model = clone_with_params(model, np.zeros(model.num_params))
         x = np.random.default_rng(2).random((7, 6))
         y = np.random.default_rng(3).integers(0, 2, size=(7, 5)).astype(float)
-        loss, _ = loss_and_grad(model, x, y, "bce")
+        loss, _ = loss_and_grad(model, x, y, "multi_label")
         assert loss == pytest.approx(math.log(2), rel=1e-12)
 
     def test_label_out_of_range_rejected(self):
         arch = ArchSpec((4,), (Dense(4, 3),), 3)
         model = init_model(arch, 0)
         with pytest.raises(ValueError, match="range"):
-            loss_and_grad(model, np.zeros((2, 4)), np.array([0, 3]), "ce")
+            loss_and_grad(model, np.zeros((2, 4)), np.array([0, 3]), "single_label")
 
     def test_non_binary_bce_targets_rejected(self):
         arch = ArchSpec((4,), (Dense(4, 3),), 3)
         model = init_model(arch, 0)
         with pytest.raises(ValueError, match="0/1"):
-            loss_and_grad(model, np.zeros((1, 4)), np.array([[0.0, -1.0, 1.0]]), "bce")
+            loss_and_grad(model, np.zeros((1, 4)), np.array([[0.0, -1.0, 1.0]]), "multi_label")
+
+    @pytest.mark.parametrize("task_kind", ["single_label", "multi_label"])
+    def test_probabilities_are_the_former_eval_scores(self, task_kind):
+        # The expressions predict_scores used before the heads moved here.
+        logits = np.random.default_rng(4).normal(0.0, 3.0, (9, 4))
+        if task_kind == "single_label":
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            expd = np.exp(shifted)
+            expected = expd / expd.sum(axis=1, keepdims=True)
+        else:
+            expected = 1.0 / (1.0 + np.exp(-logits))
+        assert same_bits(probabilities(logits, task_kind), expected)
+
+    def test_probabilities_reject_an_unknown_task_kind(self):
+        with pytest.raises(ValueError, match="^task_kind must be 'single_label' or 'multi_label', got 'xx'$"):
+            probabilities(np.zeros((2, 3)), "xx")
 
     @pytest.mark.parametrize(
-        "targets,loss_kind,message",
+        "targets,task_kind,message",
         [
-            (np.array([0, 1, 2, 0]), "xx", "loss_kind"),
-            (np.array([0, 1, 2]), "ce", "expected 4 class indices"),
-            (np.array([0, 1, 5, 0]), "ce", "range"),
-            (np.array([0, -1, 2, 0]), "ce", "range"),
-            (np.array([0.0, 1.0, 2.0, 0.0]), "ce", "integers, got dtype float64"),
-            (np.array([True, False, True, False]), "ce", "integers, got dtype bool"),
-            (np.zeros((4, 2)), "bce", "targets shape"),
-            (np.full((4, 4), 0.5), "bce", "0/1"),
+            (np.array([0, 1, 2, 0]), "xx", "task_kind must be 'single_label' or 'multi_label', got 'xx'"),
+            (np.array([0, 1, 2]), "single_label", "expected 4 class indices"),
+            (np.array([0, 1, 5, 0]), "single_label", "range"),
+            (np.array([0, -1, 2, 0]), "single_label", "range"),
+            (np.array([0.0, 1.0, 2.0, 0.0]), "single_label", "integers, got dtype float64"),
+            (np.array([True, False, True, False]), "single_label", "integers, got dtype bool"),
+            (np.zeros((4, 2)), "multi_label", "targets shape"),
+            (np.full((4, 4), 0.5), "multi_label", "0/1"),
         ],
-        ids=["loss_kind", "ce_count", "ce_above_range", "ce_below_range", "ce_float", "ce_bool",
-             "bce_shape", "bce_values"],
+        ids=["task_kind", "single_count", "single_above_range", "single_below_range", "single_float",
+             "single_bool", "multi_shape", "multi_values"],
     )
-    def test_rejected_call_leaves_the_model_as_it_was(self, targets, loss_kind, message):
-        """Bad targets and loss kinds are rejected before the forward pass,
+    def test_rejected_call_leaves_the_model_as_it_was(self, targets, task_kind, message):
+        """Bad targets and task kinds are rejected before the forward pass,
         so a train-mode call moves no running statistic."""
         model = init_model(conv_arch(), 0)
         before = clone_with_params(model, model.params)
         x = np.random.default_rng(0).random((4, 1, 8, 8))
         with pytest.raises(ValueError, match=message):
-            loss_and_grad(model, x, targets, loss_kind)
+            loss_and_grad(model, x, targets, task_kind)
         assert same_bits(model.params, before.params)
         for i, (mu, var) in before.batchnorm_stats.items():
             assert same_bits(model.batchnorm_stats[i][0], mu)
@@ -1073,18 +1090,18 @@ class TestLosses:
 
 class TestGradients:
     @pytest.mark.parametrize(
-        "arch,loss_kind",
+        "arch,task_kind",
         [
-            (dense_arch((5, 4, 3)), "ce"),
-            (dense_arch((4, 6, 3), with_bn=True), "ce"),
-            (conv_arch(), "ce"),
+            (dense_arch((5, 4, 3)), "single_label"),
+            (dense_arch((4, 6, 3), with_bn=True), "single_label"),
+            (conv_arch(), "single_label"),
             (
                 ArchSpec(
                     (2, 5, 5),
                     (Conv2D(2, 2, kernel=2), ReLU(), Flatten(), Dense(32, 4)),
                     4,
                 ),
-                "bce",
+                "multi_label",
             ),
             (
                 ArchSpec(
@@ -1092,21 +1109,21 @@ class TestGradients:
                     (Conv2D(1, 2, kernel=3, stride=2), BatchNorm(2), ReLU(), Flatten(), Dense(18, 2)),
                     2,
                 ),
-                "bce",
+                "multi_label",
             ),
         ],
     )
-    def test_matches_finite_differences(self, arch, loss_kind):
+    def test_matches_finite_differences(self, arch, task_kind):
         rng = np.random.default_rng(42)
         model = init_model(arch, 42)
         model.params += rng.normal(0, 0.3, model.params.shape)
         x = rng.random((4,) + arch.input_shape)
-        if loss_kind == "ce":
+        if task_kind == "single_label":
             y = rng.integers(arch.output_dim, size=4)
         else:
             y = rng.integers(0, 2, size=(4, arch.output_dim)).astype(float)
-        _, analytic = loss_and_grad(model, x, y, loss_kind)
-        numeric = numerical_gradient(model, x, y, loss_kind)
+        _, analytic = loss_and_grad(model, x, y, task_kind)
+        numeric = numerical_gradient(model, x, y, task_kind)
         assert_gradients_close(analytic, numeric)
 
     def test_eval_mode_batchnorm_gradient(self):
@@ -1119,15 +1136,15 @@ class TestGradients:
             var += rng.random(var.shape) * 0.5
         x = rng.random((4,) + arch.input_shape)
         y = rng.integers(arch.output_dim, size=4)
-        _, analytic = loss_and_grad(model, x, y, "ce", bn_mode="eval")
+        _, analytic = loss_and_grad(model, x, y, "single_label", bn_mode="eval")
         num = np.zeros_like(analytic)
         h = 1e-5
         for i in range(model.params.size):
             orig = model.params[i]
             model.params[i] = orig + h
-            lp, _ = loss_and_grad(model, x, y, "ce", bn_mode="eval")
+            lp, _ = loss_and_grad(model, x, y, "single_label", bn_mode="eval")
             model.params[i] = orig - h
-            lm, _ = loss_and_grad(model, x, y, "ce", bn_mode="eval")
+            lm, _ = loss_and_grad(model, x, y, "single_label", bn_mode="eval")
             model.params[i] = orig
             num[i] = (lp - lm) / (2 * h)
         assert_gradients_close(analytic, num)

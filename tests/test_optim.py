@@ -31,7 +31,6 @@ from unforget.optim import (
     TrainConfig,
     adam_step,
     cosine_lr,
-    task_loss_kind,
     train,
 )
 
@@ -249,21 +248,19 @@ class TestTrain:
         with pytest.raises(ValueError, match="num_outputs|empty"):
             train(model, blob_dataset().subset([]), TrainConfig())
 
-    @pytest.mark.parametrize("data,loss_kind", [
-        (blob_dataset, "ce"), (multi_label_blobs, "bce"),
+    @pytest.mark.parametrize("data,task_kind", [
+        (blob_dataset, "single_label"), (multi_label_blobs, "multi_label"),
     ], ids=["single_label", "multi_label"])
-    def test_task_loss_kind(self, data, loss_kind):
-        assert task_loss_kind(data()) == loss_kind
-
-    def test_loss_follows_the_task_kind(self):
-        """One epoch in one batch over multi-label data traces the BCE loss
-        of that batch, in the order the shuffle seed draws it."""
-        ds = multi_label_blobs()
+    def test_loss_follows_the_task_kind(self, data, task_kind):
+        """One epoch in one batch traces the loss of the data's task kind
+        (cross-entropy, or binary cross-entropy for multi-label data) over
+        that batch, in the order the shuffle seed draws it."""
+        ds = data()
         cfg = TrainConfig(epochs=1, batch_size=len(ds), seed=3)
         _, trace = train(init_model(blob_arch(), 0), ds, cfg)
         idx = np.random.default_rng(cfg.seed).permutation(len(ds))
         loss, _ = loss_and_grad(
-            init_model(blob_arch(), 0), ds.feature_array()[idx], ds.label_array()[idx], "bce"
+            init_model(blob_arch(), 0), ds.feature_array()[idx], ds.label_array()[idx], task_kind
         )
         assert trace == [loss]
 
@@ -310,7 +307,7 @@ class TestTrain:
             order = rng.permutation(n)
             for b in range(batches):
                 idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-                _, grad = loss_and_grad(model, features[idx], labels[idx], "ce")
+                _, grad = loss_and_grad(model, features[idx], labels[idx], "single_label")
                 model.params, state = reference_adam_step(
                     model.params, grad, state, cosine_lr(schedule, step), mask
                 )

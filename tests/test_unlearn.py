@@ -6,6 +6,7 @@ import pytest
 
 from unforget.data import LabeledDataset, SyntheticSpec, generate_synthetic, split_forget_retain, split_train_val_test
 from unforget.nn_core import ArchSpec, BatchNorm, Conv2D, Dense, GlobalAvgPool, ReLU, init_model
+from unforget import unlearn
 from unforget.optim import TrainConfig, train_from_scratch
 from unforget.unlearn import (
     UnlearnConfig,
@@ -88,8 +89,13 @@ class TestMaskFromGradient:
 
     def test_nan_threshold_rejected(self):
         # NaN passes a `< 0` check, and `|g| > NaN` would freeze every coordinate.
-        with pytest.raises(ValueError, match="^threshold must be >= 0, got nan$"):
+        with pytest.raises(ValueError, match="^threshold must be >= 0 and finite, got nan$"):
             mask_from_gradient(np.array([0.5, -0.05]), np.nan)
+
+    def test_infinite_threshold_rejected(self):
+        # `|g| > inf` is False everywhere, so SalUn would freeze every parameter.
+        with pytest.raises(ValueError, match="^threshold must be >= 0 and finite, got inf$"):
+            mask_from_gradient(np.array([0.5, -3.0]), np.inf)
 
 
 class TestUnlearnConfig:
@@ -234,6 +240,15 @@ class TestComputeSaliencyMask:
     def test_empty_forget_rejected(self, fixture):
         with pytest.raises(ValueError, match="empty"):
             compute_saliency_mask(fixture["model"], fixture["forget"].subset([]), 0.1)
+
+    @pytest.mark.parametrize("threshold", [-0.1, np.nan, np.inf])
+    def test_bad_threshold_rejected_before_the_gradient(self, fixture, threshold, monkeypatch):
+        def no_gradient(*args):
+            raise AssertionError("the forget gradient was computed")
+
+        monkeypatch.setattr(unlearn, "forget_gradient", no_gradient)
+        with pytest.raises(ValueError, match="^threshold must be >= 0 and finite"):
+            compute_saliency_mask(fixture["model"], fixture["forget"], threshold)
 
 
 class TestRelabelFinetune:
