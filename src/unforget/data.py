@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn_core import EVAL_BATCH
+from .nn_core import EVAL_BATCH, TASK_KINDS, UNKNOWN, kind_of
 
 __all__ = [
     "UNKNOWN",
@@ -35,8 +35,6 @@ __all__ = [
     "load_dataset",
     "DatasetStream",
 ]
-
-UNKNOWN = -1  # unknown multi-label entry, resolved by apply_u_one
 
 DATASET_MAGIC = b"UNDS"
 DATASET_FORMAT_VERSION = 1
@@ -70,14 +68,6 @@ def _check_rows(ids: np.ndarray, ok: np.ndarray, problem: str) -> None:
         raise ValueError(message)
 
 
-def _check_task(task_kind: str, num_outputs: int) -> None:
-    if task_kind not in ("single_label", "multi_label"):
-        raise ValueError(f"unknown task_kind {task_kind!r}")
-    min_outputs = 1 if task_kind == "multi_label" else 2
-    if num_outputs < min_outputs:
-        raise ValueError(f"{task_kind} needs num_outputs >= {min_outputs}")
-
-
 def _check_unique(ids: np.ndarray) -> None:
     """Raise ValueError naming the smallest id that appears twice."""
     ordered = np.sort(ids)
@@ -92,22 +82,8 @@ def _row_checks(features, labels, task_kind: str, num_outputs: int) -> list:
     ``(rows, C, H, W)``. Written so that NaN, which fails every comparison,
     is rejected."""
     lo, hi = features.min(axis=(1, 2, 3)), features.max(axis=(1, 2, 3))
-    checks = [((lo >= 0.0) & (hi <= 1.0), "features outside [0, 1] or not finite")]
-    if task_kind == "multi_label":
-        checks.append((np.isin(labels, (0, 1, UNKNOWN)).all(axis=1), "label entries must be 0/1/UNKNOWN"))
-    else:
-        checks.append(((labels >= 0) & (labels < num_outputs), f"class out of range [0, {num_outputs})"))
-    return checks
-
-
-def _label_array(labels: np.ndarray, task_kind: str) -> np.ndarray:
-    """Labels as training and evaluation read them: class indices, or a
-    float 0/1 matrix that must hold no unknown entry."""
-    if task_kind == "single_label":
-        return labels
-    if (labels == UNKNOWN).any():
-        raise ValueError("unknown label entries remain; apply the u-one policy first")
-    return labels.astype(np.float64)
+    return [((lo >= 0.0) & (hi <= 1.0), "features outside [0, 1] or not finite"),
+            kind_of(task_kind).check_rows(labels, num_outputs)]
 
 
 class LabeledDataset:
@@ -116,25 +92,26 @@ class LabeledDataset:
     ``ids``, ``patients`` and ``groups`` are int64 ``(N,)``; ``features`` is
     ``(N, C, H, W)``, float32 when given float32 (as the generator and the
     dataset file make it) and float64 otherwise, so no value is ever
-    rounded. ``task_kind`` is "single_label" (``labels`` is
-    int64 ``(N,)`` of class indices below ``num_outputs``) or "multi_label"
-    (``labels`` is int8 ``(N, num_outputs)`` over {0, 1, UNKNOWN}). An
+    rounded. ``task_kind`` names a record of ``nn_core.TASK_KINDS``, which
+    gives the label column's dtype, shape and row check: "single_label"
+    labels are int64 ``(N,)`` class indices below ``num_outputs``,
+    "multi_label" labels int8 ``(N, num_outputs)`` over {0, 1, UNKNOWN}. An
     argument already of the right dtype and layout is not copied, so the
     caller must not write to it afterwards.
     """
 
     def __init__(self, ids, features, labels, patients, groups, task_kind: str, num_outputs: int):
-        _check_task(task_kind, num_outputs)
-        multi = task_kind == "multi_label"
+        kind = kind_of(task_kind)
+        kind.check_outputs(num_outputs)
         self._ids = _readonly(ids, np.int64)
         features = np.asarray(features)
         self._features = _readonly(features, np.float32 if features.dtype == np.float32 else np.float64)
-        self._labels = _readonly(labels, np.int8 if multi else np.int64)
+        self._labels = _readonly(labels, kind.label_dtype)
         self._patients = _readonly(patients, np.int64)
         self._groups = _readonly(groups, np.int64)
         n = len(self._ids)
         shapes = [c.shape for c in (self._ids, self._patients, self._groups, self._labels)]
-        if shapes != [(n,)] * 3 + [(n, num_outputs) if multi else (n,)] or (
+        if shapes != [(n,)] * 3 + [(n, *kind.label_shape(num_outputs))] or (
             self._features.ndim != 4 or len(self._features) != n
         ):
             raise ValueError(f"column shapes {shapes} and features {self._features.shape} "
@@ -164,7 +141,7 @@ class LabeledDataset:
         return self._features
 
     def label_array(self) -> np.ndarray:
-        return _label_array(self._labels, self.task_kind)
+        return kind_of(self.task_kind).label_array(self._labels)
 
     def group_array(self) -> np.ndarray:
         return self._groups
@@ -173,7 +150,7 @@ class LabeledDataset:
         return self._patients
 
     def has_unknown(self) -> bool:
-        return self.task_kind == "multi_label" and bool((self._labels == UNKNOWN).any())
+        return bool((self._labels == UNKNOWN).any())
 
     def subset(self, ids) -> "LabeledDataset":
         """New dataset with the given sample ids, preserving original order."""
@@ -266,8 +243,7 @@ class SyntheticSpec:
         shape = self.feature_shape
         if len(shape) != 3 or not all(_is_int(d) and d >= 1 for d in shape):
             raise ValueError(f"feature_shape must be three positive ints (C, H, W), got {shape}")
-        if self.num_outputs < (2 if self.num_classes is not None else 1):
-            raise ValueError("too few classes/labels")
+        kind_of(self.task_kind).check_outputs(self.num_outputs)
         # Each check is written so that NaN, which fails every comparison,
         # is rejected here rather than turning into arbitrary draws.
         if self.class_weights is not None:
@@ -516,8 +492,8 @@ def split_forget_retain(
 # Dataset file format
 # --------------------------------------------------------------------------
 
-# Header: magic, format version, task-kind tag (0 single-label, 1 multi-label),
-# output count, sample count, then C, H, W of the feature shape.
+# Header: magic, format version, task-kind tag (the kind's index in
+# ``TASK_KINDS``), output count, sample count, then C, H, W of the feature shape.
 _HEADER = struct.Struct("<4sIBIQIII")
 # Bytes of records ``DatasetStream`` reads at a time (at least one record).
 _BLOCK_BYTES = 1 << 20
@@ -525,12 +501,12 @@ _BLOCK_BYTES = 1 << 20
 
 def _record_dtype(task_kind: str, num_outputs: int, feature_size: int) -> np.dtype:
     """One packed little-endian record per sample, shared by save and load."""
-    label = ("<u4", ()) if task_kind == "single_label" else ("i1", (num_outputs,))
+    kind = kind_of(task_kind)
     return np.dtype([
         ("id", "<u8"),
         ("patient", "<u8"),
         ("group", "u1"),
-        ("label", *label),
+        ("label", kind.record_label, kind.label_shape(num_outputs)),
         ("feature_len", "<u8"),
         ("features", "<f4", (feature_size,)),
     ])
@@ -547,7 +523,7 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     records["label"] = ds._labels
     records["feature_len"] = c * h * w
     records["features"] = ds._features.reshape(len(ds), c * h * w)
-    tag = 0 if ds.task_kind == "single_label" else 1
+    tag = TASK_KINDS.index(kind_of(ds.task_kind))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(DATASET_MAGIC, DATASET_FORMAT_VERSION, tag, ds.num_outputs, len(ds), c, h, w))
         fh.write(records.tobytes())
@@ -591,13 +567,13 @@ class DatasetStream:
                 raise ValueError(f"not a dataset file (magic {magic!r})")
             if version != DATASET_FORMAT_VERSION:
                 raise ValueError(f"unsupported dataset format version {version}")
-            if tag not in (0, 1):
+            if tag >= len(TASK_KINDS):
                 raise ValueError(f"unknown task-kind tag {tag}")
             if count == 0:
                 raise ValueError("dataset file contains no samples")
             if 0 in (c, h, w):
                 raise ValueError(f"dataset file has an empty feature shape {c}x{h}x{w}")
-            self.task_kind = "single_label" if tag == 0 else "multi_label"
+            self.task_kind = TASK_KINDS[tag].name
             try:
                 self._dtype = _record_dtype(self.task_kind, num_outputs, c * h * w)
             except ValueError:
@@ -653,7 +629,8 @@ class DatasetStream:
                 raise ValueError(_TRAILING)
         if problems[0]:
             raise ValueError(problems[0])
-        _check_task(self.task_kind, self.num_outputs)
+        kind = kind_of(self.task_kind)
+        kind.check_outputs(self.num_outputs)
         # Each column's blocks are let go as soon as they are joined.
         ids = np.concatenate(kept.pop("id")).view(np.int64)
         _check_unique(ids)
@@ -663,12 +640,11 @@ class DatasetStream:
         self._ids = ids
         self.patients = np.concatenate(kept.pop("patient")).view(np.int64)
         self.groups = np.concatenate(kept.pop("group")).astype(np.int64)
-        labels = np.concatenate(kept.pop("label"))
-        self.labels = labels if self.task_kind == "multi_label" else labels.astype(np.int64)
+        self.labels = np.concatenate(kept.pop("label")).astype(kind.label_dtype, copy=False)
 
     def label_array(self) -> np.ndarray:
         """``LabeledDataset.label_array`` of the dataset the file holds."""
-        return _label_array(self.labels, self.task_kind)
+        return kind_of(self.task_kind).label_array(self.labels)
 
     def group_array(self) -> np.ndarray:
         return self.groups

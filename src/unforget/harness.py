@@ -417,7 +417,7 @@ def _prepare_repeat(cfg: ExperimentConfig, r: int) -> tuple[_Repeat, float]:
         cfg.check_group_names(int(ds.group_array().max()), f"dataset {cfg.dataset}")
         if cfg.relabel_policy is not None:
             unlearn.check_relabel_policy(cfg.relabel_policy, ds.task_kind)
-    if ds.task_kind == "multi_label" and ds.has_unknown():
+    if ds.has_unknown():
         ds = apply_u_one_dataset(ds)
     plan = split_train_val_test(
         ds, cfg.split_fractions, derive_seed(cfg.base_seed, "repeat", r, "split"), allow_empty=True
@@ -627,29 +627,20 @@ def _aggregate(report: UnlearnReport, cfg: ExperimentConfig) -> dict:
 
 
 def _timing_summary(report: UnlearnReport, pretrain_seconds: list[float]) -> dict:
-    approx_cells = [c for c in report.cells if c["algorithm"] != "exact"]
-    faster = [
-        c["timing"]["unlearn_seconds"] < c["timing"]["exact_seconds"] for c in approx_cells
-    ]
-    sweep_exceeds = [
-        c["timing"]["sweep_seconds"] > c["timing"]["unlearn_seconds"]
-        for c in approx_cells
-    ]
-    exact_cells = [c for c in report.cells if c["algorithm"] == "exact"]
+    approx = [c["timing"] for c in report.cells if c["algorithm"] != "exact"]
+    exact = [c["timing"] for c in report.cells if c["algorithm"] == "exact"]
+    faster = [t["unlearn_seconds"] < t["exact_seconds"] for t in approx]
+    sweep_exceeds = [t["sweep_seconds"] > t["unlearn_seconds"] for t in approx]
+
+    def mean_seconds(timings: list[dict]) -> float | None:
+        return float(np.mean([t["unlearn_seconds"] for t in timings])) if timings else None
+
     return {
         "pretrain_seconds": pretrain_seconds,
         "approx_faster_than_exact": bool(faster) and all(faster),
         "sweep_cost_exceeds_single_run": bool(sweep_exceeds) and all(sweep_exceeds),
-        "exact_seconds_mean": (
-            float(np.mean([c["timing"]["unlearn_seconds"] for c in exact_cells]))
-            if exact_cells
-            else None
-        ),
-        "approx_seconds_mean": (
-            float(np.mean([c["timing"]["unlearn_seconds"] for c in approx_cells]))
-            if approx_cells
-            else None
-        ),
+        "exact_seconds_mean": mean_seconds(exact),
+        "approx_seconds_mean": mean_seconds(approx),
     }
 
 

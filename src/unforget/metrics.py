@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetStream, LabeledDataset
-from .nn_core import EVAL_BATCH, ModelState, forward, probabilities
+from .nn_core import EVAL_BATCH, ModelState, forward, kind_of, probabilities
 
 __all__ = [
     "EvalResult",
@@ -130,13 +130,9 @@ def _per_class(scores, positives) -> tuple[dict, list]:
     return per_class, skipped
 
 
-def _summary(scores: np.ndarray, labels: np.ndarray, groups: np.ndarray, set_name: str) -> EvalResult:
-    """The AUROC summary of (N, K) scores against labels as
-    ``LabeledDataset.label_array`` gives them, with each sample's group."""
-    if labels.ndim == 1:
-        positives = labels[:, None] == np.arange(scores.shape[1])[None, :]
-    else:
-        positives = labels > 0.5
+def _summary(scores: np.ndarray, positives: np.ndarray, groups: np.ndarray, set_name: str) -> EvalResult:
+    """The AUROC summary of (N, K) scores against (N, K) positives, with
+    each sample's group."""
     per_class, skipped = _per_class(scores, positives)
     if not per_class:
         raise ValueError("no class had both positives and negatives")
@@ -155,7 +151,7 @@ def _summary(scores: np.ndarray, labels: np.ndarray, groups: np.ndarray, set_nam
         per_class=per_class,
         per_group=per_group,
         set_name=set_name,
-        n_samples=len(labels),
+        n_samples=len(positives),
         skipped_classes=tuple(skipped),
     )
 
@@ -177,7 +173,8 @@ def evaluate(model: ModelState, ds: LabeledDataset | DatasetStream, set_name: st
     if len(ds) == 0:
         raise ValueError("empty dataset")
     scores = predict_scores(model, ds)
-    return _summary(scores, ds.label_array(), ds.group_array(), set_name)
+    positives = kind_of(ds.task_kind).positives(ds.label_array(), scores.shape[1])
+    return _summary(scores, positives, ds.group_array(), set_name)
 
 
 @dataclass(frozen=True)

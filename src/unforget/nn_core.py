@@ -20,6 +20,7 @@ import math
 import os
 import stat
 import struct
+from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
 from types import NoneType, UnionType
 from typing import ClassVar, Union, get_args, get_origin, get_type_hints
@@ -774,9 +775,12 @@ def forward(model: ModelState, batch: np.ndarray, mode: str = "eval") -> np.ndar
 
 
 # --------------------------------------------------------------------------
-# Output heads: per task kind, the targets check, the loss and the eval
-# probabilities. ``_head`` is the one place that looks a head up.
+# Task kinds: per kind, how labels are stored, checked, trained on and
+# scored. ``TASK_KINDS`` is the one table and ``kind_of`` the one lookup.
 # --------------------------------------------------------------------------
+
+UNKNOWN = -1  # unknown multi-label entry, resolved by the U-Ones policy
+
 
 def _class_indices(targets, n: int, k: int) -> np.ndarray:
     """``targets`` as n class indices in [0, k)."""
@@ -827,23 +831,78 @@ def _bce_logits(z: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     return float(loss), (_sigmoid(z) - targets) / z.size
 
 
-_HEADS = {
-    "single_label": (_class_indices, _softmax_ce, _softmax),
-    "multi_label": (_zero_one_matrix, _bce_logits, _sigmoid),
-}
+def _known_bits(labels: np.ndarray) -> np.ndarray:
+    """A 0/1/UNKNOWN label matrix as the float 0/1 matrix training reads."""
+    if (labels == UNKNOWN).any():
+        raise ValueError("unknown label entries remain; apply the u-one policy first")
+    return labels.astype(np.float64)
 
 
-def _head(task_kind: str) -> tuple:
-    if task_kind not in _HEADS:
-        raise ValueError(f"task_kind must be 'single_label' or 'multi_label', got {task_kind!r}")
-    return _HEADS[task_kind]
+@dataclass(frozen=True)
+class TaskKind:
+    """All that depends on a dataset's task kind.
+
+    A dataset of this kind has at least ``min_outputs`` outputs ``k``. Its
+    label column is ``label_dtype`` with ``label_shape(k)`` per sample, and
+    the dataset file stores each label as ``record_label`` of that shape.
+    ``check_rows(labels, k)`` gives a pass flag per row and the problem of a
+    failing row; ``label_array(labels)`` the labels as training and
+    evaluation read them; ``positives(labels, k)``, on those, the (n, k)
+    booleans AUROC ranks against. The output head: ``check_targets(targets,
+    n, k)`` gives the targets the loss takes, ``loss(logits, targets)`` the
+    mean loss and its logit gradient, ``scores(logits)`` the eval
+    probabilities. ``relabel_policies`` fit this kind; the first is its
+    default.
+    """
+
+    name: str
+    min_outputs: int
+    label_dtype: type
+    label_shape: Callable[[int], tuple]
+    record_label: str
+    check_rows: Callable
+    label_array: Callable
+    positives: Callable
+    check_targets: Callable
+    loss: Callable
+    scores: Callable
+    relabel_policies: tuple[str, ...]
+
+    def check_outputs(self, num_outputs: int) -> None:
+        if num_outputs < self.min_outputs:
+            raise ValueError(f"{self.name} needs num_outputs >= {self.min_outputs}")
+
+
+# A kind's index here is its task-kind tag in the dataset file.
+TASK_KINDS = (
+    TaskKind("single_label", 2, np.int64, lambda k: (), "<u4",
+             check_rows=lambda labels, k: ((labels >= 0) & (labels < k), f"class out of range [0, {k})"),
+             label_array=lambda labels: labels, positives=lambda labels, k: labels[:, None] == np.arange(k),
+             check_targets=_class_indices, loss=_softmax_ce, scores=_softmax,
+             relabel_policies=("exclude_original", "uniform")),
+    TaskKind("multi_label", 1, np.int8, lambda k: (k,), "i1",
+             check_rows=lambda labels, k: (np.isin(labels, (0, 1, UNKNOWN)).all(axis=1),
+                                           "label entries must be 0/1/UNKNOWN"),
+             label_array=_known_bits, positives=lambda labels, k: labels > 0.5,
+             check_targets=_zero_one_matrix, loss=_bce_logits, scores=_sigmoid,
+             relabel_policies=("bitwise_flip",)),
+)
+_KIND_BY_NAME = {kind.name: kind for kind in TASK_KINDS}
+
+
+def kind_of(task_kind: str) -> TaskKind:
+    """The ``TASK_KINDS`` record named ``task_kind``."""
+    try:
+        return _KIND_BY_NAME[task_kind]
+    except (KeyError, TypeError):
+        names = " or ".join(repr(kind.name) for kind in TASK_KINDS)
+        raise ValueError(f"task_kind must be {names}, got {task_kind!r}") from None
 
 
 def probabilities(logits: np.ndarray, task_kind: str) -> np.ndarray:
     """Eval scores of (n, k) logits: softmax probabilities for single-label
     data, a sigmoid probability per label for multi-label data."""
-    *_, scores = _head(task_kind)
-    return scores(logits)
+    return kind_of(task_kind).scores(logits)
 
 
 def loss_and_grad(
@@ -862,12 +921,12 @@ def loss_and_grad(
     task kind and the targets are checked before the forward pass, so a
     rejected call leaves the model's running statistics as they were.
     """
-    check_targets, loss_of, _ = _head(task_kind)
+    kind = kind_of(task_kind)
     n = np.shape(batch)[0] if np.ndim(batch) else 0  # the pass rejects a scalar
-    targets = check_targets(targets, n, model.arch.output_dim)
+    targets = kind.check_targets(targets, n, model.arch.output_dim)
     cache: list = []
     logits = _forward(model, batch, bn_mode, cache)
-    loss, dlogits = loss_of(logits, targets)
+    loss, dlogits = kind.loss(logits, targets)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
     grad = _backward_raw(model, cache, dlogits)

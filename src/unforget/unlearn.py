@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, concat_datasets
-from .nn_core import EVAL_BATCH, ModelState, loss_and_grad
+from .nn_core import EVAL_BATCH, TASK_KINDS, ModelState, kind_of, loss_and_grad
 from .optim import TrainConfig, train, train_from_scratch
 from .seeding import derive_seed
 
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 ALGORITHMS = ("exact", "relabel", "salun")
-RELABEL_POLICIES = ("exclude_original", "uniform", "bitwise_flip")
+RELABEL_POLICIES = tuple(policy for kind in TASK_KINDS for policy in kind.relabel_policies)
 
 
 def mask_from_gradient(grad: np.ndarray, threshold: float) -> np.ndarray:
@@ -63,8 +63,9 @@ def mask_from_gradient(grad: np.ndarray, threshold: float) -> np.ndarray:
 @dataclass(frozen=True)
 class UnlearnConfig:
     """Settings for one unlearning run. ``threshold`` is required for salun
-    and rejected otherwise; ``relabel_policy`` of None picks the task default
-    (exclude_original for single-label, bitwise_flip for multi-label)."""
+    and rejected otherwise; ``relabel_policy`` of None picks the task kind's
+    default, the first of its ``relabel_policies`` (exclude_original for
+    single-label, bitwise_flip for multi-label)."""
 
     algorithm: str
     epochs: int = 2
@@ -88,19 +89,17 @@ class UnlearnConfig:
 
 
 def default_relabel_policy(ds: LabeledDataset) -> str:
-    return "exclude_original" if ds.task_kind == "single_label" else "bitwise_flip"
+    return kind_of(ds.task_kind).relabel_policies[0]
 
 
 def check_relabel_policy(policy: str, task_kind: str) -> None:
     """Raise ValueError unless ``policy`` is a known relabel policy that fits
-    ``task_kind``: bitwise_flip for multi-label data, the others for
-    single-label data."""
+    ``task_kind``, as its ``TASK_KINDS`` record lists them."""
     if policy not in RELABEL_POLICIES:
         raise ValueError(f"unknown relabel_policy {policy!r}")
-    if policy == "bitwise_flip" and task_kind != "multi_label":
-        raise ValueError("bitwise_flip applies to multi-label datasets")
-    if policy != "bitwise_flip" and task_kind != "single_label":
-        raise ValueError(f"{policy} applies to single-label datasets")
+    if policy not in kind_of(task_kind).relabel_policies:
+        owner = next(kind.name for kind in TASK_KINDS if policy in kind.relabel_policies)
+        raise ValueError(f"{policy} applies to {owner.replace('_', '-')} datasets")
 
 
 def exact_unlearn(
@@ -130,8 +129,6 @@ def random_relabel(forget: LabeledDataset, policy: str, seed: int) -> LabeledDat
     if policy == "bitwise_flip":
         new_labels = rng.integers(0, 2, size=(n, k)).astype(np.int8)
     elif policy == "exclude_original":
-        if k < 2:
-            raise ValueError("exclude_original needs at least 2 classes")
         new_labels = (forget.label_array() + 1 + rng.integers(k - 1, size=n)) % k
     else:
         new_labels = rng.integers(k, size=n)

@@ -226,6 +226,10 @@ class TestGenerateSynthetic:
             SyntheticSpec(num_patients=5).validate()  # neither classes nor labels
         with pytest.raises(ValueError):
             small_spec(separations=(1.0, -1.0, 0.5)).validate()
+        with pytest.raises(ValueError, match="^single_label needs num_outputs >= 2$"):
+            small_spec(num_classes=1).validate()
+        with pytest.raises(ValueError, match="^multi_label needs num_outputs >= 1$"):
+            multi_label_spec(num_labels=0).validate()
         for samples_per_patient in (0, (0, 3), (4, 2)):
             with pytest.raises(ValueError, match="samples_per_patient"):
                 small_spec(samples_per_patient=samples_per_patient).validate()
@@ -392,7 +396,7 @@ UNDS_PIN = "be1d5fb5a8eb90eb6ca103bcc4718b61ff73f75fab25b976ede7eaa724b616e0"
 
 
 def multi_label_spec(**overrides):
-    return small_spec(num_classes=None, num_labels=3, **overrides)
+    return small_spec(**{"num_classes": None, "num_labels": 3, **overrides})
 
 
 class FrozenRecordReader:
@@ -771,10 +775,14 @@ class TestDatasetContainer:
         with pytest.raises(ValueError, match="outside"):
             LabeledDataset([0], features, [0], [0], [0], "single_label", 2)
 
-    @pytest.mark.parametrize("labels", [[[255, 0]], [[0.5, 1]]])
-    def test_label_values_that_do_not_fit_rejected(self, labels):
-        with pytest.raises(ValueError, match="do not fit"):
-            constant_dataset(np.array(labels), "multi_label", 2)
+    @pytest.mark.parametrize("labels,task_kind,message", [
+        ([[255, 0]], "multi_label", "do not fit"),
+        ([[0.5, 1]], "multi_label", "do not fit"),
+        ([0, 1], "xx", "^task_kind must be 'single_label' or 'multi_label', got 'xx'$"),
+    ], ids=["int8_overflow", "fraction", "unknown_task_kind"])
+    def test_labels_that_do_not_fit_rejected(self, labels, task_kind, message):
+        with pytest.raises(ValueError, match=message):
+            constant_dataset(np.array(labels), task_kind, 2)
 
     def test_subset_preserves_order(self):
         ds = generate_synthetic(small_spec())

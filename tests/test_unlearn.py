@@ -167,14 +167,20 @@ class TestRandomRelabel:
             ("bitwise_flip", "single_label", "bitwise_flip applies to multi-label datasets"),
             ("exclude_original", "multi_label", "exclude_original applies to single-label datasets"),
             ("uniform", "multi_label", "uniform applies to single-label datasets"),
+            ("bitwise_flip", "xx", "task_kind must be 'single_label' or 'multi_label', got 'xx'"),
+            ("exclude_original", "xx", "task_kind must be 'single_label' or 'multi_label', got 'xx'"),
         ],
     )
     def test_policy_check(self, policy, task_kind, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             check_relabel_policy(policy, task_kind)
 
-    def test_default_policy(self, fixture):
-        assert default_relabel_policy(fixture["forget"]) == "exclude_original"
+    @pytest.mark.parametrize("labels,task_kind,policy", [
+        ([0, 1], "single_label", "exclude_original"),
+        ([[0, 1], [1, 0]], "multi_label", "bitwise_flip"),
+    ])
+    def test_default_policy(self, labels, task_kind, policy):
+        assert default_relabel_policy(constant_dataset(labels, task_kind, 2)) == policy
 
 
 class TestExactUnlearn:
