@@ -40,6 +40,10 @@ it; ``--json PATH`` also writes one record:
 
 - ``environment`` (``perfbench/run.py``), ``blas_threads_reported`` (by the
   loaded OpenBLAS), ``repeats`` (N) and ``layer_calls`` (``LAYER_CALLS`` × N);
+- ``code``: the code measured, read before the first reading: ``sha256``
+  (``code_digest``, over the ``*.py`` files under ``src/`` and ``bench/``)
+  and ``dirty`` (whether ``git status`` lists changes there; None outside
+  a git checkout);
 - ``fresh``: ``corpus_samples``, ``run_patients``, and for ``eval`` and
   ``run`` the N ``readings`` (``code``, ``wall_s``, ``cpu_s`` as the child's
   ``process_time``, ``minflt`` during the command, ``minflt_total`` in the
@@ -89,6 +93,7 @@ RUN_PATIENTS = 20
 LAYER_CALLS = 40  # timed passes per setting, per repeat
 TRAIN_BATCH = 32
 COLUMNS = ("wall_s", "cpu_s", "minflt", "minflt_total", "maxrss_mb")
+CODE_DIRS = ("src", "bench")  # the code a record measures
 
 PREPARE = """
 import json, sys
@@ -187,6 +192,33 @@ def output_mismatches(readings: dict[str, list[dict]]) -> list[str]:
         for name, rows in readings.items()
         if len({r["answer_sha256"] for r in rows}) > 1
     ]
+
+
+def code_digest(root: Path) -> str:
+    """SHA-256 over the ``*.py`` files under ``CODE_DIRS`` of ``root``, in
+    order of relative path: each file's path, its length and its bytes."""
+    h = hashlib.sha256()
+    files = {p.relative_to(root).as_posix(): p for d in CODE_DIRS for p in (root / d).rglob("*.py")}
+    for rel in sorted(files):
+        data = files[rel].read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def code_dirty(root: Path) -> bool | None:
+    """Whether ``git status --porcelain`` lists changes under ``CODE_DIRS``
+    of ``root``; None where ``root`` is not a git checkout or git fails."""
+    if not (root / ".git").exists():
+        return None
+    try:
+        listed = subprocess.run(
+            ["git", "-C", str(root), "status", "--porcelain", "--", *CODE_DIRS],
+            capture_output=True, text=True, timeout=30, check=True,
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return bool(listed.strip())
 
 
 def blas_threads() -> str:
@@ -420,6 +452,7 @@ def main(argv=None) -> int:
     # Read when BLAS loads, so before numpy is first imported; children inherit it.
     os.environ.update({var: BLAS_THREADS for var in BLAS_THREAD_VARS})
 
+    code = {"sha256": code_digest(ROOT), "dirty": code_dirty(ROOT)}
     readings = {"eval": [], "run": []}
     with tempfile.TemporaryDirectory(prefix="record-") as tmp:
         commands, corpus_samples = prepare(Path(tmp))
@@ -449,6 +482,7 @@ def main(argv=None) -> int:
     env, threads = environment(), blas_threads()
     for key, value in env.items():
         print(f"env {key}: {value}")
+    print(f"code sha256 {code['sha256']} dirty {code['dirty']}")
     layer_calls = LAYER_CALLS * args.repeats
     print(f"BLAS threads {threads} (as the library reports), layer calls {layer_calls}")
     in_pass = layer_tables(layer_calls)
@@ -456,9 +490,9 @@ def main(argv=None) -> int:
     for name, mib in peaks.items():
         print(f"peak_alloc_mib {name} {mib:.3f}")
     if args.json:
-        doc = {"environment": env, "blas_threads_reported": threads, "repeats": args.repeats,
-               "layer_calls": layer_calls, "fresh": fresh, "stages": stages,
-               "in_pass": in_pass, "peak_alloc_mib": peaks}
+        doc = {"environment": env, "blas_threads_reported": threads, "code": code,
+               "repeats": args.repeats, "layer_calls": layer_calls, "fresh": fresh,
+               "stages": stages, "in_pass": in_pass, "peak_alloc_mib": peaks}
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")

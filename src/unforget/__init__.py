@@ -43,7 +43,7 @@ from .nn_core import (
     loss_and_grad,
     save_model,
 )
-from .optim import AdamState, LrSchedule, TrainConfig, adam_step, cosine_lr, train
+from .optim import AdamState, TrainConfig, adam_step, cosine_lr, train
 from .unlearn import (
     UnlearnConfig,
     compute_saliency_mask,

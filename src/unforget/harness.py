@@ -90,7 +90,7 @@ ROLES = ("easy", "intermediate", "hard")
 class ExperimentConfig:
     dataset: object  # SyntheticSpec, or str/Path to a dataset file
     arch: ArchSpec
-    train_cfg: TrainConfig = TrainConfig()
+    train: TrainConfig = TrainConfig()
     split_fractions: tuple[float, ...] = (0.6, 0.05, 0.35)
     forget_fractions: tuple[float, ...] = (0.05, 0.15, 0.30)
     forget_grouping: str = "patient_level"
@@ -217,15 +217,13 @@ def spec_from_dict(doc: dict) -> SyntheticSpec:
     return SyntheticSpec(**fields_from_json(SyntheticSpec, doc, "dataset spec"))
 
 
-# The TrainConfig fields a config file sets under "train" (seed and mask
-# are set per run), and the UnlearnConfig fields it sets under
-# "unlearn", held as ExperimentConfig.unlearn_<key>. Every other field but
-# dataset and arch is a top-level key of the same name.
-_TRAIN_KEYS = ("epochs", "batch_size", "lr0")
+# The UnlearnConfig fields a config file sets under "unlearn", held as
+# ExperimentConfig.unlearn_<key>. Every other field but dataset, arch and
+# train is a top-level key of the same name.
 _UNLEARN_KEYS = ("epochs", "batch_size")
 _TOP_LEVEL_KEYS = tuple(
     f.name for f in fields(ExperimentConfig)
-    if f.name not in ("dataset", "arch", "train_cfg") and not f.name.startswith("unlearn_")
+    if f.name not in ("dataset", "arch", "train") and not f.name.startswith("unlearn_")
 )
 
 
@@ -238,8 +236,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             value = {"spec": fields_to_json(value)} if is_spec else {"path": str(value)}
         elif key == "arch":
             value = json.loads(arch_to_json(value))
-        elif key == "train_cfg":
-            key, value = "train", fields_to_json(value, _TRAIN_KEYS)
+        elif key == "train":
+            value = fields_to_json(value)
         elif key.startswith("unlearn_"):
             doc.setdefault("unlearn", {})[key.removeprefix("unlearn_")] = value
             continue
@@ -262,12 +260,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     else:
         raise ValueError(f"config dataset key 'path' must be str, got {dataset_doc['path']!r}")
     top = {key: value for key, value in doc.items() if key in _TOP_LEVEL_KEYS}
-    train = fields_from_json(TrainConfig, doc.get("train", {}), "config", "train", _TRAIN_KEYS)
+    train = fields_from_json(TrainConfig, doc.get("train", {}), "config", "train")
     unlearn = fields_from_json(UnlearnConfig, doc.get("unlearn", {}), "config", "unlearn", _UNLEARN_KEYS)
     cfg = ExperimentConfig(
         dataset=dataset,
         arch=arch_from_json(json.dumps(doc["arch"])),
-        train_cfg=replace(ExperimentConfig.train_cfg, **train),
+        train=replace(ExperimentConfig.train, **train),
         **{f"unlearn_{key}": value for key, value in unlearn.items()},
         **fields_from_json(ExperimentConfig, top, "config", keys=_TOP_LEVEL_KEYS),
     )
@@ -426,7 +424,7 @@ def _prepare_repeat(cfg: ExperimentConfig, r: int) -> tuple[_Repeat, float]:
     test_ds = ds.subset(plan.test_ids)
     started = time.perf_counter()
     pretrained, _ = train_from_scratch(
-        cfg.arch, train_ds, cfg.train_cfg, derive_seed(cfg.base_seed, "repeat", r, "pretrain")
+        cfg.arch, train_ds, cfg.train, derive_seed(cfg.base_seed, "repeat", r, "pretrain")
     )
     seconds = time.perf_counter() - started
     try:
@@ -459,7 +457,7 @@ def _run_exact(cfg: ExperimentConfig, rep: _Repeat, fraction: float, split: tupl
     retain, forget = split
     started = time.perf_counter()
     model = exact_unlearn(
-        rep.pretrained, retain, cfg.train_cfg,
+        rep.pretrained, retain, cfg.train,
         derive_seed(cfg.base_seed, "repeat", rep.r, "unlearn", "exact", _frac_key(fraction)),
     )
     seconds = time.perf_counter() - started

@@ -19,7 +19,6 @@ from .seeding import derive_seed
 
 __all__ = [
     "AdamState",
-    "LrSchedule",
     "TrainConfig",
     "adam_step",
     "cosine_lr",
@@ -106,27 +105,6 @@ def adam_step(
 
 
 @dataclass(frozen=True)
-class LrSchedule:
-    lr0: float
-    eta_min: float
-    total_steps: int
-
-    def __post_init__(self):
-        if not (0.0 <= self.eta_min <= self.lr0):
-            raise ValueError(f"need 0 <= eta_min <= lr0, got {self.eta_min}, {self.lr0}")
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
-
-
-def cosine_lr(schedule: LrSchedule, step: int) -> float:
-    """Cosine annealing from lr0 (step 0) down to eta_min (step total_steps)."""
-    if not (0 <= step <= schedule.total_steps):
-        raise ValueError(f"step {step} outside [0, {schedule.total_steps}]")
-    span = schedule.lr0 - schedule.eta_min
-    return schedule.eta_min + 0.5 * span * (1.0 + math.cos(math.pi * step / schedule.total_steps))
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     """Recipe for one training run. The schedule decays to ``floor``, one
     decade below the initial rate."""
@@ -134,8 +112,6 @@ class TrainConfig:
     epochs: int = 6
     batch_size: int = 32
     lr0: float = 1e-3
-    seed: int = 0
-    mask: np.ndarray | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -150,26 +126,39 @@ class TrainConfig:
         return 0.1 * self.lr0
 
 
-def train(model: ModelState, data, cfg: TrainConfig) -> tuple[ModelState, list[float]]:
+def cosine_lr(cfg: TrainConfig, step: int, total_steps: int) -> float:
+    """Cosine annealing from cfg.lr0 (step 0) down to cfg.floor (step total_steps)."""
+    if total_steps < 1:
+        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
+    if not (0 <= step <= total_steps):
+        raise ValueError(f"step {step} outside [0, {total_steps}]")
+    floor = cfg.floor
+    return floor + 0.5 * (cfg.lr0 - floor) * (1.0 + math.cos(math.pi * step / total_steps))
+
+
+def train(
+    model: ModelState, data, cfg: TrainConfig, seed: int, mask: np.ndarray | None = None
+) -> tuple[ModelState, list[float]]:
     """Seeded mini-batch training on the loss of the data's task kind;
     returns the last-epoch model and the per-epoch mean loss trace.
 
-    Shuffling and batching come from ``default_rng(cfg.seed)``, the schedule
+    Shuffling and batching come from ``default_rng(seed)``, the schedule
     advances one cosine step per optimizer step over epochs * batches_per_epoch
-    steps, and the final incomplete batch is kept. Deterministic given
-    (model, data, cfg).
+    steps, and the final incomplete batch is kept. ``mask`` freezes every
+    parameter where it is 0 (see ``adam_step``). Deterministic given
+    (model, data, cfg, seed, mask).
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
-    mask = None if cfg.mask is None else _mask_bits(cfg.mask, model.params)
+    mask = None if mask is None else _mask_bits(mask, model.params)
     model = clone_with_params(model, model.params)
     features = data.feature_array()
     labels = data.label_array()
     n = len(data)
     batches_per_epoch = -(-n // cfg.batch_size)
-    schedule = LrSchedule(cfg.lr0, cfg.floor, cfg.epochs * batches_per_epoch)
+    total_steps = cfg.epochs * batches_per_epoch
     adam = AdamState.fresh(model.num_params)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     step = 0
     trace = []
@@ -178,7 +167,7 @@ def train(model: ModelState, data, cfg: TrainConfig) -> tuple[ModelState, list[f
         epoch_losses = []
         for b in range(batches_per_epoch):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            lr = cosine_lr(schedule, step)
+            lr = cosine_lr(cfg, step, total_steps)
             loss, grad = loss_and_grad(model, features[idx], labels[idx], data.task_kind)
             model.params, adam = adam_step(model.params, grad, adam, lr, mask)
             epoch_losses.append(loss)
@@ -194,5 +183,4 @@ def train_from_scratch(
     streams derived from one seed. Original pretraining and exact retraining
     both come through here, so equal seeds give bit-equal models."""
     model = init_model(arch, derive_seed(seed, "init"))
-    cfg = replace(cfg, seed=derive_seed(seed, "shuffle"))
-    return train(model, data, cfg)
+    return train(model, data, cfg, derive_seed(seed, "shuffle"))

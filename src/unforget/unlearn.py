@@ -43,6 +43,12 @@ ALGORITHMS = ("exact", "relabel", "salun")
 RELABEL_POLICIES = tuple(policy for kind in TASK_KINDS for policy in kind.relabel_policies)
 
 
+def _check_threshold(threshold: float) -> None:
+    """Raise ValueError unless ``threshold`` is a usable saliency threshold."""
+    if not 0 <= threshold < math.inf:  # NaN fails every comparison
+        raise ValueError(f"threshold must be >= 0 and finite, got {threshold}")
+
+
 def mask_from_gradient(grad: np.ndarray, threshold: float) -> np.ndarray:
     """The saliency mask: a boolean vector aligned with ModelState.params,
     True (trainable) where |grad_i| exceeds the threshold (strictly).
@@ -52,8 +58,7 @@ def mask_from_gradient(grad: np.ndarray, threshold: float) -> np.ndarray:
     frozen and the degenerate run would not reduce to plain relabel
     fine-tuning. A NaN or infinite threshold is rejected: it would freeze
     every coordinate."""
-    if not 0 <= threshold < math.inf:  # NaN fails every comparison
-        raise ValueError(f"threshold must be >= 0 and finite, got {threshold}")
+    _check_threshold(threshold)
     grad = np.asarray(grad, dtype=np.float64)
     if threshold == 0.0:
         return np.ones(grad.shape, dtype=bool)
@@ -84,6 +89,8 @@ class UnlearnConfig:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if (self.threshold is not None) != (self.algorithm == "salun"):
             raise ValueError("threshold is required for salun and only for salun")
+        if self.threshold is not None:
+            _check_threshold(self.threshold)
         if self.relabel_policy is not None and self.relabel_policy not in RELABEL_POLICIES:
             raise ValueError(f"unknown relabel_policy {self.relabel_policy!r}")
 
@@ -161,14 +168,8 @@ def relabel_finetune(
     combined = concat_datasets(retain, noisy_forget)
     if len(combined) == 0:
         raise ValueError("empty combined fine-tune set")
-    tc = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr0=cfg.lr,
-        seed=derive_seed(cfg.seed, "shuffle"),
-        mask=mask,
-    )
-    model, _ = train(pretrained, combined, tc)
+    recipe = TrainConfig(cfg.epochs, cfg.batch_size, cfg.lr)
+    model, _ = train(pretrained, combined, recipe, derive_seed(cfg.seed, "shuffle"), mask)
     return model
 
 
@@ -196,8 +197,7 @@ def compute_saliency_mask(
     pretrained: ModelState, forget: LabeledDataset, threshold: float
 ) -> np.ndarray:
     """Threshold the forget-set gradient magnitude into a trainability mask."""
-    if not 0 <= threshold < math.inf:
-        raise ValueError(f"threshold must be >= 0 and finite, got {threshold}")
+    _check_threshold(threshold)
     return mask_from_gradient(forget_gradient(pretrained, forget), threshold)
 
 

@@ -71,6 +71,9 @@ def test_json_holds_environment_and_the_in_pass_tables(recorded):
     assert doc["blas_threads_reported"] in ("1", "unknown")
     assert doc["environment"]["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
     assert {"python", "numpy", "blas", "cpu_count", "commit"} <= set(doc["environment"])
+    record, root = load_script(), SCRIPT.parents[1]
+    code = {"sha256": record.code_digest(root), "dirty": record.code_dirty(root)}
+    assert doc["code"] == code and f"code sha256 {code['sha256']} dirty {code['dirty']}" in lines
     # Layers are timed only inside the engine's own passes.
     assert "isolated" not in doc
     assert list(doc["in_pass"]) == [setting for setting, _ in SETTINGS]
@@ -161,6 +164,22 @@ def test_allocation_peaks_of_the_three_passes(recorded):
     printed = {line.split()[1]: float(line.split()[2]) for line in lines
                if line.startswith("peak_alloc_mib ")}
     assert printed == pytest.approx(peaks, abs=1e-3)
+
+
+def test_code_digest_names_the_measured_files(tmp_path):
+    record = load_script()
+    for root in (tmp_path / "a", tmp_path / "b"):
+        for rel, text in (("src/pkg/mod.py", "x = 1\n"), ("bench/run.py", "y = 2\n"),
+                          ("src/notes.txt", "not code\n")):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert record.code_digest(a) == record.code_digest(b)
+    (b / "src/notes.txt").write_text("still not code\n")  # not a *.py file
+    assert record.code_digest(a) == record.code_digest(b)
+    (b / "src/pkg/mod.py").write_text("x = 2\n")  # a one-byte edit
+    assert record.code_digest(a) != record.code_digest(b)
+    assert record.code_dirty(a) is None  # not a git checkout
 
 
 def test_failing_child_raises_with_its_stderr():

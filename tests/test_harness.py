@@ -65,7 +65,7 @@ def tiny_config(**overrides):
     base = dict(
         dataset=tiny_spec(),
         arch=tiny_arch(),
-        train_cfg=TrainConfig(epochs=2, batch_size=32, lr0=1e-3),
+        train=TrainConfig(epochs=2, batch_size=32, lr0=1e-3),
         split_fractions=(0.6, 0.1, 0.3),
         forget_fractions=(0.25,),
         algorithms=("exact", "relabel", "salun"),
@@ -205,6 +205,22 @@ class TestSweep:
         assert len(table) == len(grid)
         assert calls == {"forget_gradient": 1, "random_relabel": 1}
 
+    def test_bad_threshold_raises_instead_of_failing_its_point(self, sweep_inputs):
+        # As a bad lr does: a config error is not a diverging run.
+        with pytest.raises(ValueError, match=r"^threshold must be >= 0 and finite, got -1\.0$"):
+            sweep_hparams(
+                sweep_inputs["model"],
+                sweep_inputs["forget"],
+                sweep_inputs["retain"],
+                sweep_inputs["test"],
+                "salun",
+                [{"lr": 1e-3, "threshold": 1e-3}, {"lr": 1e-3, "threshold": -1.0}],
+                sweep_inputs["exact_forget_eval"],
+                epochs=1,
+                batch_size=32,
+                seed=5,
+            )
+
     def test_empty_grid_rejected(self, sweep_inputs):
         with pytest.raises(ValueError, match="grid"):
             sweep_hparams(
@@ -243,7 +259,8 @@ class TestConfigSerialization:
 
     @pytest.mark.parametrize(
         "path,key",
-        [((), "lr_grdi"), (("train",), "lr"), (("unlearn",), "epochz"), (("dataset", "spec"), "sed")],
+        [((), "lr_grdi"), (("train",), "lr"), (("unlearn",), "epochz"), (("dataset", "spec"), "sed"),
+         (("train",), "seed"), (("train",), "mask")],
     )
     def test_unknown_key_rejected(self, path, key):
         doc = config_to_dict(tiny_config())
@@ -272,7 +289,7 @@ class TestConfigSerialization:
             section = section[name]
         section[key] = 2.0  # integral: accepted as 2
         cfg = config_from_dict(doc)
-        assert 2 in (cfg.repeats, cfg.base_seed, cfg.train_cfg.epochs, cfg.train_cfg.batch_size,
+        assert 2 in (cfg.repeats, cfg.base_seed, cfg.train.epochs, cfg.train.batch_size,
                      cfg.unlearn_epochs, cfg.unlearn_batch_size)
         section[key] = 2.7
         with pytest.raises(ValueError, match=f"'{'.'.join((*path, key))}'"):

@@ -2,7 +2,7 @@
 cosine schedule endpoints and monotonicity, deterministic training, and
 convergence on a separable fixture."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,6 @@ from unforget.optim import (
     BETA2,
     EPSILON,
     AdamState,
-    LrSchedule,
     TrainConfig,
     adam_step,
     cosine_lr,
@@ -178,33 +177,38 @@ class TestAdamStep:
 
 class TestCosineSchedule:
     def test_initial_rate(self):
-        assert cosine_lr(LrSchedule(1e-3, 1e-4, 100), 0) == pytest.approx(1e-3, rel=1e-12)
+        assert cosine_lr(TrainConfig(lr0=1e-3), 0, 100) == pytest.approx(1e-3, rel=1e-12)
 
     def test_final_rate_is_tenth_of_initial(self):
-        assert cosine_lr(LrSchedule(1e-3, 1e-4, 100), 100) == pytest.approx(1e-4, rel=1e-12)
+        assert cosine_lr(TrainConfig(lr0=1e-3), 100, 100) == pytest.approx(1e-4, rel=1e-12)
 
     def test_midpoint(self):
-        assert cosine_lr(LrSchedule(1e-3, 1e-4, 100), 50) == pytest.approx(0.00055, rel=1e-12)
+        assert cosine_lr(TrainConfig(lr0=1e-3), 50, 100) == pytest.approx(0.00055, rel=1e-12)
 
     def test_non_increasing(self):
-        sched = LrSchedule(1e-3, 1e-4, 137)
-        values = [cosine_lr(sched, s) for s in range(138)]
+        cfg = TrainConfig(lr0=1e-3)
+        values = [cosine_lr(cfg, s, 137) for s in range(138)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_step_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            cosine_lr(LrSchedule(1e-3, 1e-4, 10), 11)
+            cosine_lr(TrainConfig(lr0=1e-3), 11, 10)
         with pytest.raises(ValueError, match="outside"):
-            cosine_lr(LrSchedule(1e-3, 1e-4, 10), -1)
+            cosine_lr(TrainConfig(lr0=1e-3), -1, 10)
 
     def test_invalid_schedule(self):
-        with pytest.raises(ValueError):
-            LrSchedule(1e-4, 1e-3, 10)
-        with pytest.raises(ValueError):
-            LrSchedule(1e-3, 1e-4, 0)
+        with pytest.raises(ValueError, match="^total_steps must be >= 1, got 0$"):
+            cosine_lr(TrainConfig(lr0=1e-3), 0, 0)
 
     def test_train_config_floor_defaults_to_tenth(self):
         assert TrainConfig(lr0=0.002).floor == pytest.approx(0.0002)
+
+    def test_train_config_holds_only_the_recipe(self):
+        # Seed and mask are per-run arguments of ``train``, so equal recipes
+        # compare and hash equal.
+        assert [f.name for f in fields(TrainConfig)] == ["epochs", "batch_size", "lr0"]
+        assert TrainConfig(lr0=2e-3) == TrainConfig(lr0=2e-3)
+        assert hash(TrainConfig(lr0=2e-3)) == hash(TrainConfig(lr0=2e-3))
 
 
 class TestTrain:
@@ -219,34 +223,34 @@ class TestTrain:
 
     def test_deterministic(self):
         model = init_model(blob_arch(), 0)
-        cfg = TrainConfig(epochs=2, batch_size=16, lr0=1e-2, seed=5)
-        a, trace_a = train(model, blob_dataset(), cfg)
-        b, trace_b = train(model, blob_dataset(), cfg)
+        cfg = TrainConfig(epochs=2, batch_size=16, lr0=1e-2)
+        a, trace_a = train(model, blob_dataset(), cfg, 5)
+        b, trace_b = train(model, blob_dataset(), cfg, 5)
         assert np.array_equal(a.params, b.params)
         assert trace_a == trace_b
 
     def test_input_model_not_mutated(self):
         model = init_model(blob_arch(), 0)
         before = model.params.copy()
-        train(model, blob_dataset(), TrainConfig(epochs=1, lr0=1e-2))
+        train(model, blob_dataset(), TrainConfig(epochs=1, lr0=1e-2), 0)
         assert np.array_equal(model.params, before)
 
     def test_converges_on_separable_blobs(self):
         model = init_model(blob_arch(), 1)
-        cfg = TrainConfig(epochs=6, batch_size=32, lr0=0.05, seed=2)
-        _, trace = train(model, blob_dataset(), cfg)
+        cfg = TrainConfig(epochs=6, batch_size=32, lr0=0.05)
+        _, trace = train(model, blob_dataset(), cfg, 2)
         assert trace[-1] < 0.1
 
     def test_loss_decreases_epoch_one_to_six(self):
         model = init_model(blob_arch(), 1)
-        cfg = TrainConfig(epochs=6, batch_size=32, lr0=0.05, seed=2)
-        _, trace = train(model, blob_dataset(), cfg)
+        cfg = TrainConfig(epochs=6, batch_size=32, lr0=0.05)
+        _, trace = train(model, blob_dataset(), cfg, 2)
         assert trace[5] < trace[0]
 
     def test_empty_dataset_rejected(self):
         model = init_model(blob_arch(), 0)
         with pytest.raises(ValueError, match="num_outputs|empty"):
-            train(model, blob_dataset().subset([]), TrainConfig())
+            train(model, blob_dataset().subset([]), TrainConfig(), 0)
 
     @pytest.mark.parametrize("data,task_kind", [
         (blob_dataset, "single_label"), (multi_label_blobs, "multi_label"),
@@ -256,9 +260,9 @@ class TestTrain:
         (cross-entropy, or binary cross-entropy for multi-label data) over
         that batch, in the order the shuffle seed draws it."""
         ds = data()
-        cfg = TrainConfig(epochs=1, batch_size=len(ds), seed=3)
-        _, trace = train(init_model(blob_arch(), 0), ds, cfg)
-        idx = np.random.default_rng(cfg.seed).permutation(len(ds))
+        cfg = TrainConfig(epochs=1, batch_size=len(ds))
+        _, trace = train(init_model(blob_arch(), 0), ds, cfg, 3)
+        idx = np.random.default_rng(3).permutation(len(ds))
         loss, _ = loss_and_grad(
             init_model(blob_arch(), 0), ds.feature_array()[idx], ds.label_array()[idx], task_kind
         )
@@ -270,9 +274,8 @@ class TestTrain:
 
         monkeypatch.setattr(optim, "loss_and_grad", no_step)
         model = init_model(blob_arch(), 0)
-        cfg = TrainConfig(epochs=1, mask=np.ones(model.num_params - 1))
         with pytest.raises(ValueError, match="mask length"):
-            train(model, blob_dataset(), cfg)
+            train(model, blob_dataset(), TrainConfig(epochs=1), 0, np.ones(model.num_params - 1))
 
     @pytest.mark.parametrize("epochs", [2, 3])
     def test_masked_train_equals_the_write_back_oracle(self, epochs, monkeypatch):
@@ -286,7 +289,7 @@ class TestTrain:
         pretrained = init_model(arch, 3)
         data = blob_dataset(n=90)
         mask = (np.random.default_rng(4).random(pretrained.num_params) < 0.5).astype(np.uint8)
-        cfg = TrainConfig(epochs=epochs, batch_size=16, lr0=1e-2, seed=7, mask=mask)
+        cfg = TrainConfig(epochs=epochs, batch_size=16, lr0=1e-2)
 
         states = []
 
@@ -296,20 +299,19 @@ class TestTrain:
             return params, state
 
         monkeypatch.setattr(optim, "adam_step", recording_adam_step)
-        trained, _ = train(pretrained, data, cfg)
+        trained, _ = train(pretrained, data, cfg, 7, mask)
 
         model = clone_with_params(pretrained, pretrained.params)
         features, labels, n = data.feature_array(), data.label_array(), len(data)
         batches = -(-n // cfg.batch_size)
-        schedule = LrSchedule(cfg.lr0, cfg.floor, epochs * batches)
-        state, rng, step = AdamState.fresh(model.num_params), np.random.default_rng(cfg.seed), 0
+        state, rng, step = AdamState.fresh(model.num_params), np.random.default_rng(7), 0
         for _ in range(epochs):
             order = rng.permutation(n)
             for b in range(batches):
                 idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
                 _, grad = loss_and_grad(model, features[idx], labels[idx], "single_label")
                 model.params, state = reference_adam_step(
-                    model.params, grad, state, cosine_lr(schedule, step), mask
+                    model.params, grad, state, cosine_lr(cfg, step, epochs * batches), mask
                 )
                 step += 1
 

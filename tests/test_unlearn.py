@@ -114,6 +114,13 @@ class TestUnlearnConfig:
         with pytest.raises(ValueError, match=f"^lr must be positive and finite, got {lr}$"):
             UnlearnConfig(algorithm="relabel", lr=lr)
 
+    @pytest.mark.parametrize("threshold", [-0.1, np.nan, np.inf])
+    def test_bad_threshold_rejected(self, threshold):
+        with pytest.raises(
+            ValueError, match=f"^threshold must be >= 0 and finite, got {threshold}$"
+        ):
+            UnlearnConfig(algorithm="salun", threshold=threshold)
+
 
 class TestRandomRelabel:
     def test_two_classes_forced_complement(self):
