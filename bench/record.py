@@ -47,8 +47,13 @@ it; ``--json PATH`` also writes one record:
 - ``fresh``: ``corpus_samples``, ``run_patients``, and for ``eval`` and
   ``run`` the N ``readings`` (``code``, ``wall_s``, ``cpu_s`` as the child's
   ``process_time``, ``minflt`` during the command, ``minflt_total`` in the
-  whole child, ``maxrss_mb``, ``answer_sha256``) and the ``quartiles``
-  (``p25``, ``median``, ``p75``) of each numeric column;
+  whole child, ``maxrss_mb``, ``answer_sha256``, and two read-only signs of
+  a slow spell over the command: ``run_delay_s``, the seconds the child
+  waited for a CPU, from ``/proc/self/schedstat``, and ``steal_ticks``, the
+  host's steal clock ticks, from the ``cpu`` line of ``/proc/stat``; each is
+  None where its file cannot be read) and the ``quartiles`` (``p25``,
+  ``median``, ``p75``) of each numeric column, None for a column with no
+  value;
 - ``stages``: the seconds of ``harness.stage.{datagen,split,pretrain,exact,
   relabel_sweep,salun_sweep,eval,emit}_s``, as perfbench names them;
 - ``in_pass``: per setting (``train``, ``saliency``, ``eval``), ``batch``,
@@ -92,7 +97,7 @@ CORPUS_PATIENTS = 1000  # 20 samples each
 RUN_PATIENTS = 20
 LAYER_CALLS = 40  # timed passes per setting, per repeat
 TRAIN_BATCH = 32
-COLUMNS = ("wall_s", "cpu_s", "minflt", "minflt_total", "maxrss_mb")
+COLUMNS = ("wall_s", "cpu_s", "minflt", "minflt_total", "maxrss_mb", "run_delay_s", "steal_ticks")
 CODE_DIRS = ("src", "bench")  # the code a record measures
 
 PREPARE = """
@@ -121,18 +126,29 @@ CHILD = """
 import hashlib, json, resource, sys, time
 report, trace, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
 import unforget.cli  # imported before the clock starts
+def slow_spell():  # [ns this process waited for a CPU, the host's steal ticks]; None where unreadable
+    values = []
+    for path, field in (("/proc/self/schedstat", 1), ("/proc/stat", 8)):  # /proc/stat's first line is "cpu ..."
+        try:
+            with open(path) as fh:
+                values.append(int(fh.readline().split()[field]))
+        except (OSError, IndexError, ValueError):
+            values.append(None)
+    return values
 if trace:
     sys.path.insert(0, trace)
     from tracing import Tracer, install_sites, layer_metrics
     tracer = Tracer()
     install_sites(tracer)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+before, spell0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, slow_spell()
 cpu0, started = time.process_time(), time.perf_counter()
 code = unforget.cli.main(argv)
 wall, cpu = time.perf_counter() - started, time.process_time() - cpu0
 usage = resource.getrusage(resource.RUSAGE_SELF)
+delay, steal = (None if a is None or b is None else b - a for a, b in zip(spell0, slow_spell()))
 reading = {"code": code, "wall_s": wall, "cpu_s": cpu, "minflt": usage.ru_minflt - before,
-           "minflt_total": usage.ru_minflt, "maxrss_mb": usage.ru_maxrss / 1024.0}
+           "minflt_total": usage.ru_minflt, "maxrss_mb": usage.ru_maxrss / 1024.0,
+           "run_delay_s": None if delay is None else delay / 1e9, "steal_ticks": steal}
 if trace:
     reading["stages"] = {name: value for name, (value, _) in layer_metrics(tracer.spans, 0.0).items()
                          if name.startswith("harness.stage.")}
@@ -411,8 +427,10 @@ def _print_row(setting, batch, row):
 
 
 def _print_fresh(name: str, label, row: dict) -> None:
+    delay = "-" if row["run_delay_s"] is None else f"{row['run_delay_s']:.3f}"
+    steal = "-" if row["steal_ticks"] is None else f"{row['steal_ticks']:.0f}"
     print(f"fresh {name:<5}{label:>4}{row['wall_s']:>9.3f}{row['cpu_s']:>9.3f}{row['minflt']:>9.0f}"
-          f"{row['minflt_total']:>9.0f}{row['maxrss_mb']:>11.1f}")
+          f"{row['minflt_total']:>9.0f}{row['maxrss_mb']:>11.1f}{delay:>9}{steal:>7}")
 
 
 def layer_tables(repeats: int) -> dict:
@@ -458,7 +476,7 @@ def main(argv=None) -> int:
         commands, corpus_samples = prepare(Path(tmp))
         print(f"eval corpus {corpus_samples} samples; run {RUN_PATIENTS} patients, 1 repeat")
         print(f"fresh {'cmd':<5}{'#':>4}{'wall_s':>9}{'cpu_s':>9}{'minflt':>9}{'total':>9}"
-              f"{'maxrss_mb':>11}")
+              f"{'maxrss_mb':>11}{'delay_s':>9}{'steal':>7}")
         for k in range(args.repeats):
             for name, command in commands.items():
                 reading = one_shot(command, Path(tmp))
@@ -472,7 +490,9 @@ def main(argv=None) -> int:
 
     fresh = {"corpus_samples": corpus_samples, "run_patients": RUN_PATIENTS}
     for name, rows in readings.items():
-        quartiles = {col: dict(zip(("p25", "median", "p75"), _quartiles([r[col] for r in rows])))
+        quartiles = {col: dict(zip(("p25", "median", "p75"),
+                                   _quartiles([r[col] for r in rows if r[col] is not None])
+                                   or (None, None, None)))
                      for col in COLUMNS}
         fresh[name] = {"readings": rows, "quartiles": quartiles}
         for label in ("p25", "median", "p75"):

@@ -367,15 +367,12 @@ def check_grouping(grouping: str) -> None:
         raise ValueError(f"unknown grouping {grouping!r}")
 
 
-def check_split_fractions(fractions, allow_empty: bool) -> np.ndarray:
+def check_split_fractions(fractions) -> np.ndarray:
     """The train/val/test fractions as an array; raises ValueError unless they
-    are three non-negative values summing to 1, and positive unless
-    ``allow_empty``."""
+    are three non-negative values summing to 1."""
     f = np.asarray(fractions, dtype=np.float64)
     if f.size != 3 or (f < 0).any() or abs(f.sum() - 1.0) > 1e-9:
         raise ValueError(f"fractions must be three non-negative values summing to 1, got {fractions}")
-    if (f == 0).any() and not allow_empty:
-        raise ValueError("zero fractions need allow_empty=True")
     return f
 
 
@@ -420,16 +417,15 @@ def split_train_val_test(
     ds: LabeledDataset,
     fractions: tuple[float, float, float],
     seed: int,
-    allow_empty: bool = False,
 ) -> SplitPlan:
     """Patient-level train/val/test split by seeded shuffle of patient ids.
 
     Whole patients are assigned in shuffled order against cumulative sample
     targets, so achieved fractions track the requested ones to within about
-    one patient's worth of samples per boundary. Splits with a positive
-    fraction must end up non-empty; zero fractions require ``allow_empty``.
+    one patient's worth of samples per boundary. A split with a positive
+    fraction must end up non-empty; a zero fraction gives an empty split.
     """
-    f = check_split_fractions(fractions, allow_empty)
+    f = check_split_fractions(fractions)
     placed = _placed_before(ds._patients, np.random.default_rng(seed))
     n = len(ds)
     bucket_of = np.searchsorted((f[0] * n, (f[0] + f[1]) * n), placed, side="right")

@@ -140,23 +140,29 @@ class ExperimentConfig:
             raise ValueError(f"threshold_grid values must be >= 0 and finite, got {self.threshold_grid}")
         check_grouping(self.forget_grouping)
         # The harness never reads the val split, so only val may be empty.
-        train, _, test = check_split_fractions(self.split_fractions, allow_empty=True)
+        train, _, test = check_split_fractions(self.split_fractions)
         if train == 0 or test == 0:
             raise ValueError(
                 f"split_fractions needs positive train and test fractions, got {self.split_fractions}"
             )
         if isinstance(self.dataset, SyntheticSpec):
             self.dataset.validate()
-            self.check_group_names(len(self.dataset.group_proportions) - 1, "the dataset spec")
-            if self.relabel_policy is not None:
-                unlearn.check_relabel_policy(self.relabel_policy, self.dataset.task_kind)
+            self.check_dataset(self.dataset, len(self.dataset.group_proportions) - 1, "the dataset spec")
 
-    def check_group_names(self, top_group: int, where: str):
-        """Every group id up to ``top_group`` needs a name in the report."""
+    def check_dataset(self, data, top_group: int, where: str):
+        """Raise ValueError unless ``data`` (a ``SyntheticSpec`` or a loaded
+        dataset, named ``where``) fits this run: its feature shape and output
+        count are the arch's, every group id up to ``top_group`` has a name
+        in the report, and the relabel policy fits its task kind."""
+        arch, shape = self.arch, tuple(data.feature_shape)
+        if (shape, data.num_outputs) != (arch.input_shape, arch.output_dim):
+            raise ValueError(f"arch takes input {arch.input_shape} and emits {arch.output_dim} outputs, "
+                             f"but {where} has features {shape} and {data.num_outputs} outputs")
         if top_group >= len(self.group_names):
-            raise ValueError(
-                f"group_names has {len(self.group_names)} entries, but {where} has group {top_group}"
-            )
+            raise ValueError(f"group_names has {len(self.group_names)} entries, "
+                             f"but {where} has group {top_group}")
+        if self.relabel_policy is not None:
+            unlearn.check_relabel_policy(self.relabel_policy, data.task_kind)
 
 
 def default_arch() -> ArchSpec:
@@ -405,21 +411,13 @@ class _Repeat:
     difficulty: dict
 
 
-def _prepare_repeat(cfg: ExperimentConfig, r: int) -> tuple[_Repeat, float]:
-    """Build the repeat's data, split it by patient, pretrain and rank class
-    difficulty; returns the repeat and its pretraining seconds."""
-    if isinstance(cfg.dataset, SyntheticSpec):
+def _prepare_repeat(cfg: ExperimentConfig, r: int, ds: LabeledDataset | None) -> tuple[_Repeat, float]:
+    """Split the repeat's data by patient (``ds``, or for a spec a fresh
+    draw), pretrain and rank class difficulty; returns the repeat and its
+    pretraining seconds."""
+    if ds is None:
         ds = generate_synthetic(replace(cfg.dataset, seed=derive_seed(cfg.base_seed, "repeat", r, "data")))
-    else:
-        ds = load_dataset(cfg.dataset)
-        cfg.check_group_names(int(ds.group_array().max()), f"dataset {cfg.dataset}")
-        if cfg.relabel_policy is not None:
-            unlearn.check_relabel_policy(cfg.relabel_policy, ds.task_kind)
-    if ds.has_unknown():
-        ds = apply_u_one_dataset(ds)
-    plan = split_train_val_test(
-        ds, cfg.split_fractions, derive_seed(cfg.base_seed, "repeat", r, "split"), allow_empty=True
-    )
+    plan = split_train_val_test(ds, cfg.split_fractions, derive_seed(cfg.base_seed, "repeat", r, "split"))
     train_ds = ds.subset(plan.train_ids)
     test_ds = ds.subset(plan.test_ids)
     started = time.perf_counter()
@@ -513,8 +511,10 @@ def run_experiment(cfg: ExperimentConfig) -> UnlearnReport:
     """The full protocol; a pure function of (config, base_seed) apart from
     the timing fields.
 
-    Per repeat: derive seeds, build data, split train/val/test by patient,
-    pretrain, rank class difficulty, then per forget fraction: carve
+    A dataset file is read, checked against the run and U-Ones-resolved
+    once, before repeat 0. Per repeat: derive seeds, draw a spec's data (a
+    file's is reused), split train/val/test by patient, pretrain, rank
+    class difficulty, then per forget fraction: carve
     forget/retain, run exact unlearning (always, as the tuning reference),
     then sweep and run each requested approximate algorithm in config order;
     every produced model is evaluated on retain/forget/test. A ValueError or
@@ -528,10 +528,14 @@ def run_experiment(cfg: ExperimentConfig) -> UnlearnReport:
     report = UnlearnReport(
         config=config_to_dict(cfg), base_seed=cfg.base_seed, repeats=cfg.repeats
     )
+    loaded = None if isinstance(cfg.dataset, SyntheticSpec) else load_dataset(cfg.dataset)
+    if loaded is not None:
+        cfg.check_dataset(loaded, int(loaded.group_array().max()), f"dataset {cfg.dataset}")
+        loaded = apply_u_one_dataset(loaded) if loaded.has_unknown() else loaded
     approximate = [a for a in cfg.algorithms if a != "exact"]
     pretrain_seconds = []
     for r in range(cfg.repeats):
-        rep, seconds = _prepare_repeat(cfg, r)
+        rep, seconds = _prepare_repeat(cfg, r, loaded)
         pretrain_seconds.append(seconds)
         report.difficulty.append(rep.difficulty)
         for fraction in cfg.forget_fractions:

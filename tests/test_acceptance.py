@@ -162,7 +162,7 @@ def test_criterion_02_auroc_oracle_equivalence():
 def small_run():
     spec = replace(default_synthetic_spec(), num_patients=60, samples_per_patient=8, seed=23)
     ds = generate_synthetic(spec)
-    plan = split_train_val_test(ds, (0.7, 0.05, 0.25), seed=3, allow_empty=True)
+    plan = split_train_val_test(ds, (0.7, 0.05, 0.25), seed=3)
     cfg = TrainConfig(epochs=2, batch_size=32, lr0=1e-3)
     model, _ = train_from_scratch(default_arch(), ds.subset(plan.train_ids), cfg, 5)
     plan_f = split_forget_retain(plan, 0.3, "patient_level", seed=7, dataset=ds)
@@ -356,9 +356,7 @@ def test_criterion_07_difficulty_ranking():
             seed=derive_seed(seed, "ranking", "data"),
         )
         ds = generate_synthetic(spec)
-        plan = split_train_val_test(
-            ds, (0.5, 0.05, 0.45), derive_seed(seed, "ranking", "split"), allow_empty=True
-        )
+        plan = split_train_val_test(ds, (0.5, 0.05, 0.45), derive_seed(seed, "ranking", "split"))
         model, _ = train_from_scratch(
             default_arch(),
             ds.subset(plan.train_ids),
@@ -397,7 +395,7 @@ def test_criterion_09_efficiency(default_report):
     from unforget.unlearn import exact_unlearn
 
     ds = generate_synthetic(default_synthetic_spec())
-    plan = split_train_val_test(ds, (0.6, 0.05, 0.35), seed=1, allow_empty=True)
+    plan = split_train_val_test(ds, (0.6, 0.05, 0.35), seed=1)
     cfg = TrainConfig(epochs=6, batch_size=32, lr0=1e-3)
     model, _ = train_from_scratch(default_arch(), ds.subset(plan.train_ids), cfg, 2)
     plan_f = split_forget_retain(plan, 0.15, "patient_level", seed=3, dataset=ds)
@@ -426,12 +424,27 @@ def test_criterion_09_efficiency(default_report):
     sweeps = default_report.timing["sweep_cost_exceeds_single_run"]
     always_faster = default_report.timing["approx_faster_than_exact"]
     ok = all(r < 0.5 for r in ratios.values()) and sweeps and always_faster
+
+    def extreme_cell(pick, num, den):
+        """The approximate cell of the report whose num/den timing ratio
+        ``pick`` (max or min) selects: the one nearest to failing a flag."""
+        cells = [
+            (c["timing"][num] / c["timing"][den], c)
+            for c in default_report.cells if c["algorithm"] != "exact"
+        ]
+        if not cells:
+            return "no approximate cell"
+        ratio, c = pick(cells, key=lambda rc: rc[0])
+        return f"{c['algorithm']} repeat {c['repeat']} fraction {c['fraction']} at {ratio:.3f}"
+
     check(
         9,
         "efficiency",
         ok,
         f"run/exact ratios at 0.15: relabel {ratios['relabel']:.3f}, salun {ratios['salun']:.3f}; "
-        f"sweep>single {sweeps}, faster-at-all-fractions {always_faster}",
+        f"sweep>single {sweeps}, faster-at-all-fractions {always_faster}; "
+        f"largest unlearn/exact: {extreme_cell(max, 'unlearn_seconds', 'exact_seconds')}; "
+        f"smallest sweep/unlearn: {extreme_cell(min, 'sweep_seconds', 'unlearn_seconds')}",
     )
 
 

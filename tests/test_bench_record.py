@@ -16,7 +16,7 @@ import pytest
 from unforget.harness import default_arch, default_config, run_experiment, strip_timing
 
 SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "record.py"
-COLUMNS = {"wall_s", "cpu_s", "minflt", "minflt_total", "maxrss_mb"}
+COLUMNS = {"wall_s", "cpu_s", "minflt", "minflt_total", "maxrss_mb", "run_delay_s", "steal_ticks"}
 STAGES = ("datagen", "split", "pretrain", "exact", "relabel_sweep", "salun_sweep", "eval", "emit")
 SETTINGS = (("train", 32), ("saliency", 256), ("eval", 256))  # in-pass tables: (setting, batch)
 
@@ -74,6 +74,9 @@ def test_json_holds_environment_and_the_in_pass_tables(recorded):
     record, root = load_script(), SCRIPT.parents[1]
     code = {"sha256": record.code_digest(root), "dirty": record.code_dirty(root)}
     assert doc["code"] == code and f"code sha256 {code['sha256']} dirty {code['dirty']}" in lines
+    # Every fresh reading holds the slow-spell deltas over its command, None where unreadable.
+    assert all(r[key] is None or r[key] >= 0 for name in ("eval", "run")
+               for r in doc["fresh"][name]["readings"] for key in ("run_delay_s", "steal_ticks"))
     # Layers are timed only inside the engine's own passes.
     assert "isolated" not in doc
     assert list(doc["in_pass"]) == [setting for setting, _ in SETTINGS]

@@ -301,11 +301,9 @@ class TestSplitTrainValTest:
         assert abs(len(plan.val_ids) / n - 0.1) <= 0.02
         assert abs(len(plan.test_ids) / n - 0.3) <= 0.02
 
-    def test_all_train_requires_allow_empty(self):
+    def test_zero_fractions_give_empty_splits(self):
         ds = generate_synthetic(small_spec())
-        with pytest.raises(ValueError, match="allow_empty"):
-            split_train_val_test(ds, (1.0, 0.0, 0.0), seed=1)
-        plan = split_train_val_test(ds, (1.0, 0.0, 0.0), seed=1, allow_empty=True)
+        plan = split_train_val_test(ds, (1.0, 0.0, 0.0), seed=1)
         assert len(plan.train_ids) == len(ds)
         assert not plan.val_ids and not plan.test_ids
 
@@ -335,7 +333,7 @@ def five_patient_dataset(sizes=(10, 10, 10, 10, 10)):
 class TestSplitForgetRetain:
     def test_sample_level_exact_count(self):
         ds = five_patient_dataset(sizes=(20, 20, 20, 20, 20))
-        plan = split_train_val_test(ds, (1.0, 0.0, 0.0), seed=0, allow_empty=True)
+        plan = split_train_val_test(ds, (1.0, 0.0, 0.0), seed=0)
         out = split_forget_retain(plan, 0.15, "sample_level", seed=3, dataset=ds)
         assert len(out.forget_ids) == 15
         assert len(out.retain_ids) == 85
@@ -344,7 +342,7 @@ class TestSplitForgetRetain:
         # Five patients of ten samples, target 15: the seeded greedy walk
         # stops at the second patient, so the forget set holds 20 samples.
         ds = five_patient_dataset()
-        plan = split_train_val_test(ds, (1.0, 0.0, 0.0), seed=0, allow_empty=True)
+        plan = split_train_val_test(ds, (1.0, 0.0, 0.0), seed=0)
         out = split_forget_retain(plan, 0.30, "patient_level", seed=5, dataset=ds)
         assert len(out.forget_ids) == 20
         patients = set(ds.subset(out.forget_ids).patient_array().tolist())
@@ -367,7 +365,7 @@ class TestSplitForgetRetain:
 
     def test_degenerate_fractions_rejected(self):
         ds = five_patient_dataset()
-        plan = split_train_val_test(ds, (1.0, 0.0, 0.0), seed=0, allow_empty=True)
+        plan = split_train_val_test(ds, (1.0, 0.0, 0.0), seed=0)
         with pytest.raises(ValueError):
             split_forget_retain(plan, 0.001, "sample_level", seed=0, dataset=ds)
         with pytest.raises(ValueError):

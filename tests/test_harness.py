@@ -15,6 +15,7 @@ from unforget import harness, unlearn
 from unforget.data import (
     SyntheticSpec,
     generate_synthetic,
+    load_dataset,
     save_dataset,
     split_forget_retain,
     split_train_val_test,
@@ -422,6 +423,38 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_experiment(cfg)
 
+    # (arch, dataset feature shape, message tail); tiny_spec() has 3 classes.
+    MISFITS = [
+        (ArchSpec((1, 8, 8), (*tiny_arch().layers[:-1], Dense(6, 5)), 5), (1, 8, 8),
+         "arch takes input (1, 8, 8) and emits 5 outputs, but {} has features (1, 8, 8) and 3 outputs"),
+        (tiny_arch(), (1, 16, 16),
+         "arch takes input (1, 8, 8) and emits 3 outputs, but {} has features (1, 16, 16) and 3 outputs"),
+    ]
+
+    @pytest.mark.parametrize("arch,shape,message", MISFITS, ids=["outputs", "features"])
+    def test_arch_that_does_not_fit_spec_rejected_at_config_load(self, arch, shape, message, monkeypatch):
+        def no_data(spec):
+            raise AssertionError("data generated before the arch was checked")
+
+        monkeypatch.setattr(harness, "generate_synthetic", no_data)
+        doc = config_to_dict(tiny_config(arch=arch, dataset=replace(tiny_spec(), feature_shape=shape)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format('the dataset spec'))}$"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("arch,shape,message", MISFITS, ids=["outputs", "features"])
+    def test_arch_that_does_not_fit_dataset_file_rejected_before_pretraining(
+        self, arch, shape, message, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "misfit.unds")
+        save_dataset(generate_synthetic(replace(tiny_spec(), feature_shape=shape)), path)
+
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("pretrained before the arch was checked")
+
+        monkeypatch.setattr(harness, "train_from_scratch", no_pretraining)
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(f'dataset {path}'))}$"):
+            run_experiment(tiny_config(arch=arch, dataset=path))
+
     def test_validation_catches_bad_fraction(self):
         with pytest.raises(ValueError, match="fraction"):
             tiny_config(forget_fractions=(1.5,)).validate()
@@ -552,6 +585,28 @@ def test_full_grid_report_pin(tmp_path):
             digest.update(path.name.encode())
             digest.update(path.read_bytes())
     assert digest.hexdigest() == FULL_GRID_CSV_PIN
+
+
+# The stripped report of a 3-repeat tiny_config() run over a file of
+# tiny_spec()'s data, named "tiny.unds" in the working directory.
+FILE_REPORT_PIN = "4dc21d0e20c3a026c2c15f99765e2a90e47a4d21bb6183e5a1bfe04b6baad561"
+
+
+def test_dataset_file_read_once_per_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_dataset(generate_synthetic(tiny_spec()), "tiny.unds")
+    loads = []
+
+    def counted_load(path):
+        loads.append(path)
+        return load_dataset(path)
+
+    monkeypatch.setattr(harness, "load_dataset", counted_load)
+    report = run_experiment(tiny_config(dataset="tiny.unds", repeats=3))
+    assert loads == ["tiny.unds"]
+    assert len(report.cells) == 9 and not report.incomplete
+    stripped = json.dumps(strip_timing(report.to_dict()), sort_keys=True)
+    assert hashlib.sha256(stripped.encode()).hexdigest() == FILE_REPORT_PIN
 
 
 class TestCellFailures:
