@@ -371,7 +371,8 @@ def check_split_fractions(fractions) -> np.ndarray:
     """The train/val/test fractions as an array; raises ValueError unless they
     are three non-negative values summing to 1."""
     f = np.asarray(fractions, dtype=np.float64)
-    if f.size != 3 or (f < 0).any() or abs(f.sum() - 1.0) > 1e-9:
+    # Written so that NaN, which fails every comparison, fails the check.
+    if f.size != 3 or not ((f >= 0).all() and abs(f.sum() - 1.0) <= 1e-9):
         raise ValueError(f"fractions must be three non-negative values summing to 1, got {fractions}")
     return f
 

@@ -299,8 +299,9 @@ def sweep_hparams(
 ):
     """Run every grid point and pick the one whose forget macro AUROC is
     closest to exact unlearning's; ties go to higher test AUROC, then lower
-    lr, then lower threshold. Returns (best config, best model, sweep table,
-    best model's {"forget", "test"} EvalResults).
+    lr, then lower threshold. Returns (the chosen point's row of the sweep
+    table, its model, the sweep table, its model's {"forget", "test"}
+    EvalResults).
 
     Grid points are dicts with "lr" and, for salun, "threshold". All points
     share one seed, so they differ only in hyper-parameters, and the work
@@ -355,7 +356,7 @@ def sweep_hparams(
         table.append(row)
         key = (gap, -test_eval.macro_auroc, ucfg.lr, ucfg.threshold or 0.0)
         if best is None or key < best[0]:
-            best = (key, ucfg, model, {"forget": forget_eval, "test": test_eval})
+            best = (key, row, model, {"forget": forget_eval, "test": test_eval})
     if best is None:
         raise ValueError(f"all grid points failed: {errors}")
     return best[1], best[2], table, best[3]
@@ -483,7 +484,7 @@ def _run_cell(
         grid = [{"lr": lr, "threshold": thr} for lr in cfg.lr_grid for thr in cfg.threshold_grid]
     else:
         grid = [{"lr": lr} for lr in cfg.lr_grid]
-    best_cfg, best_model, table, best_evals = sweep_hparams(
+    chosen, best_model, table, best_evals = sweep_hparams(
         rep.pretrained, forget, retain, rep.test, algorithm, grid,
         reference["evals"]["forget"],
         epochs=cfg.unlearn_epochs,
@@ -491,16 +492,12 @@ def _run_cell(
         seed=derive_seed(cfg.base_seed, "repeat", rep.r, "unlearn", algorithm, _frac_key(fraction)),
         relabel_policy=cfg.relabel_policy,
     )
-    chosen_row = next(
-        row for row in table
-        if row["lr"] == best_cfg.lr and row["threshold"] == best_cfg.threshold
-    )
     return {
         "evals": {"retain": evaluate(best_model, retain, "retain"), **best_evals},
-        "chosen": {"lr": best_cfg.lr, "threshold": best_cfg.threshold},
+        "chosen": {"lr": chosen["lr"], "threshold": chosen["threshold"]},
         "sweep": table,
         "timing": {
-            "unlearn_seconds": chosen_row["seconds"],
+            "unlearn_seconds": chosen["seconds"],
             "sweep_seconds": sum(row["seconds"] for row in table),
             "exact_seconds": reference["timing"]["unlearn_seconds"],
         },

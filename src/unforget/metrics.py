@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetStream, LabeledDataset
-from .nn_core import EVAL_BATCH, ModelState, forward, kind_of, probabilities
+from .nn_core import EVAL_BATCH, ModelState, forward, kind_of
 
 __all__ = [
     "EvalResult",
@@ -115,7 +115,7 @@ def predict_scores(model: ModelState, ds: LabeledDataset | DatasetStream) -> np.
         raise ValueError(f"model emits {model.arch.output_dim} outputs, dataset has {ds.num_outputs}")
     if failure is not None:
         raise failure
-    return probabilities(np.concatenate(logits), ds.task_kind)
+    return kind_of(ds.task_kind).scores(np.concatenate(logits))
 
 
 def _per_class(scores, positives) -> tuple[dict, list]:

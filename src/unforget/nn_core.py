@@ -40,7 +40,6 @@ __all__ = [
     "init_model",
     "forward",
     "loss_and_grad",
-    "probabilities",
     "clone_with_params",
     "save_model",
     "load_model",
@@ -264,6 +263,10 @@ class BatchNorm:
             raise ValueError(
                 f"BatchNorm({self.num_features}) mismatches feature dim {shape[0]}"
             )
+        # NaN fails every comparison; an epsilon of 0 divides a constant channel by 0.
+        if not (0 <= self.momentum <= 1 and 0 < self.epsilon < math.inf):
+            raise ValueError(f"BatchNorm needs momentum in [0, 1] and epsilon in (0, inf), "
+                             f"got {self.momentum} and {self.epsilon}")
         return shape
 
     def param_shapes(self):
@@ -505,13 +508,13 @@ def _json_value(value, kinds: tuple, item: type | None = None):
     raise TypeError(f"must be {allowed}, got {value!r}")
 
 
-def fields_to_json(obj, keys=None) -> dict:
-    """The named fields of the dataclass ``obj`` (default: all, in order),
-    with tuples as lists: the inverse of ``fields_from_json``."""
+def fields_to_json(obj) -> dict:
+    """The fields of the dataclass ``obj``, in order, with tuples as lists:
+    the inverse of ``fields_from_json``."""
     out = {}
-    for name in [f.name for f in fields(obj)] if keys is None else keys:
-        value = getattr(obj, name)
-        out[name] = list(value) if isinstance(value, tuple) else value
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -897,12 +900,6 @@ def kind_of(task_kind: str) -> TaskKind:
     except (KeyError, TypeError):
         names = " or ".join(repr(kind.name) for kind in TASK_KINDS)
         raise ValueError(f"task_kind must be {names}, got {task_kind!r}") from None
-
-
-def probabilities(logits: np.ndarray, task_kind: str) -> np.ndarray:
-    """Eval scores of (n, k) logits: softmax probabilities for single-label
-    data, a sigmoid probability per label for multi-label data."""
-    return kind_of(task_kind).scores(logits)
 
 
 def loss_and_grad(

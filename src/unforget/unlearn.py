@@ -36,7 +36,6 @@ __all__ = [
     "saliency_unlearn",
     "relabel_unlearn",
     "mask_from_gradient",
-    "default_relabel_policy",
 ]
 
 ALGORITHMS = ("exact", "relabel", "salun")
@@ -85,6 +84,8 @@ class UnlearnConfig:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.lr < math.inf:  # NaN fails every comparison
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if (self.threshold is not None) != (self.algorithm == "salun"):
@@ -93,10 +94,6 @@ class UnlearnConfig:
             _check_threshold(self.threshold)
         if self.relabel_policy is not None and self.relabel_policy not in RELABEL_POLICIES:
             raise ValueError(f"unknown relabel_policy {self.relabel_policy!r}")
-
-
-def default_relabel_policy(ds: LabeledDataset) -> str:
-    return kind_of(ds.task_kind).relabel_policies[0]
 
 
 def check_relabel_policy(policy: str, task_kind: str) -> None:
@@ -115,8 +112,6 @@ def exact_unlearn(
     """Retrain from random initialization on the retain set, using the same
     recipe as the original training. The pretrained parameters contribute
     nothing but the architecture."""
-    if len(retain) == 0:
-        raise ValueError("empty retain set")
     model, _ = train_from_scratch(pretrained.arch, retain, train_cfg, seed)
     return model
 
@@ -148,7 +143,7 @@ def noisy_forget_set(
     """The noisy forget set a relabel or salun run with this seed fine-tunes
     on; a policy of None picks the task default. It does not depend on lr or
     threshold, so every point of a sweep shares it."""
-    policy = relabel_policy or default_relabel_policy(forget)
+    policy = relabel_policy or kind_of(forget.task_kind).relabel_policies[0]
     return random_relabel(forget, policy, derive_seed(seed, "relabel"))
 
 
@@ -166,8 +161,6 @@ def relabel_finetune(
     at every False coordinate from zero Adam moments, so those parameters
     stay frozen throughout (only BatchNorm running statistics may move)."""
     combined = concat_datasets(retain, noisy_forget)
-    if len(combined) == 0:
-        raise ValueError("empty combined fine-tune set")
     recipe = TrainConfig(cfg.epochs, cfg.batch_size, cfg.lr)
     model, _ = train(pretrained, combined, recipe, derive_seed(cfg.seed, "shuffle"), mask)
     return model

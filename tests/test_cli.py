@@ -6,12 +6,12 @@ import pytest
 
 import unforget.cli
 from unforget.cli import main
-from unforget.data import generate_synthetic, load_dataset
+from unforget.data import generate_synthetic, load_dataset, save_dataset
 from unforget.harness import config_to_dict
 from unforget.nn_core import init_model, save_model
 from unforget.optim import TrainConfig
 
-from test_harness import tiny_arch, tiny_config, tiny_spec
+from test_harness import multi_label_with_unknowns, tiny_arch, tiny_config, tiny_spec
 
 
 def write_spec(path):
@@ -70,6 +70,17 @@ class TestEval:
         model_file = tmp_path / "model.unfg"
         save_model(init_model(tiny_arch(), 3), model_file)
         assert main(["eval", "--model", str(model_file), "--data", str(data_file)]) == 1
+
+    def test_unknown_labels_fail(self, tmp_path, capsys):
+        # run resolves them by the U-Ones policy; eval refuses them.
+        data_file = tmp_path / "multi.unds"
+        save_dataset(multi_label_with_unknowns(), data_file)
+        model_file = tmp_path / "model.unfg"
+        save_model(init_model(tiny_arch(), 3), model_file)
+        assert main(["eval", "--model", str(model_file), "--data", str(data_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown label entries remain; apply the u-one policy first\n"
+        assert captured.out == ""
 
 
 class TestMallocSettings:

@@ -3,6 +3,7 @@ round-trips, CSV table shapes, end-to-end determinism, and completeness."""
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from report_diff import report_diff
 from unforget import harness, unlearn
 from unforget.data import (
     SyntheticSpec,
+    apply_u_one_dataset,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -33,7 +35,7 @@ from unforget.harness import (
     sweep_hparams,
 )
 from unforget.metrics import evaluate
-from unforget.nn_core import ArchSpec, BatchNorm, Conv2D, Dense, GlobalAvgPool, ReLU
+from unforget.nn_core import UNKNOWN, ArchSpec, BatchNorm, Conv2D, Dense, GlobalAvgPool, ReLU
 from unforget.optim import TrainConfig, train_from_scratch
 from unforget.seeding import derive_seed
 
@@ -60,6 +62,26 @@ def tiny_spec(seed=0):
         label_noise_rate=0.05,
         seed=seed,
     )
+
+
+def tiny_multi_label_spec():
+    return SyntheticSpec(
+        num_patients=50,
+        samples_per_patient=6,
+        num_labels=3,
+        feature_shape=(1, 8, 8),
+        separations=(0.9, 0.6, 0.4),
+        seed=2,
+    )
+
+
+def multi_label_with_unknowns():
+    """tiny_multi_label_spec()'s data with label 1 unknown in every 7th row:
+    43 of its 300 rows."""
+    ds = generate_synthetic(tiny_multi_label_spec())
+    labels = ds.label_array().astype(np.int8)
+    labels[::7, 1] = UNKNOWN
+    return ds.with_labels(labels)
 
 
 def tiny_config(**overrides):
@@ -119,7 +141,7 @@ def sweep_inputs():
 
 class TestSweep:
     def test_single_point_selected(self, sweep_inputs):
-        best_cfg, model, table, _ = sweep_hparams(
+        best, model, table, _ = sweep_hparams(
             sweep_inputs["model"],
             sweep_inputs["forget"],
             sweep_inputs["retain"],
@@ -131,12 +153,12 @@ class TestSweep:
             batch_size=32,
             seed=5,
         )
-        assert best_cfg.lr == 1e-3
-        assert len(table) == 1
+        assert best["lr"] == 1e-3
+        assert len(table) == 1 and best is table[0]
         assert model is not None
 
     def test_smallest_forget_gap_wins(self, sweep_inputs):
-        best_cfg, _, table, _ = sweep_hparams(
+        best, _, table, _ = sweep_hparams(
             sweep_inputs["model"],
             sweep_inputs["forget"],
             sweep_inputs["retain"],
@@ -149,7 +171,8 @@ class TestSweep:
             seed=5,
         )
         gaps = {row["lr"]: row["forget_gap"] for row in table}
-        assert best_cfg.lr == min(gaps, key=gaps.get)
+        assert best["lr"] == min(gaps, key=gaps.get)
+        assert any(best is row for row in table)
 
     def test_salun_gap_small_on_stated_grid(self):
         # Needs a fixture the model can actually learn: 1,000 16x16 samples
@@ -165,7 +188,7 @@ class TestSweep:
         exact, _ = train_from_scratch(default_arch(), ds.subset(plan_f.retain_ids), cfg, 4)
         exact_eval = evaluate(exact, ds.subset(plan_f.forget_ids), "forget")
         grid = [{"lr": lr, "threshold": 1e-3} for lr in (1e-4, 5e-4, 1e-3, 5e-3)]
-        best_cfg, _, table, _ = sweep_hparams(
+        best, _, _, _ = sweep_hparams(
             model,
             ds.subset(plan_f.forget_ids),
             ds.subset(plan_f.retain_ids),
@@ -177,8 +200,7 @@ class TestSweep:
             batch_size=32,
             seed=6,
         )
-        chosen = next(row for row in table if row["lr"] == best_cfg.lr)
-        assert chosen["forget_gap"] <= 0.03
+        assert best["forget_gap"] <= 0.03
 
     def test_salun_sweep_shares_its_set_up(self, sweep_inputs, monkeypatch):
         calls = {"forget_gradient": 0, "random_relabel": 0}
@@ -219,6 +241,22 @@ class TestSweep:
                 sweep_inputs["exact_forget_eval"],
                 epochs=1,
                 batch_size=32,
+                seed=5,
+            )
+
+    def test_bad_batch_size_raises_instead_of_failing_every_point(self, sweep_inputs):
+        # As a bad epoch count does: a config error is not a diverging run.
+        with pytest.raises(ValueError, match=r"^batch_size must be >= 1, got 0$"):
+            sweep_hparams(
+                sweep_inputs["model"],
+                sweep_inputs["forget"],
+                sweep_inputs["retain"],
+                sweep_inputs["test"],
+                "relabel",
+                [{"lr": 1e-3}, {"lr": 5e-3}],
+                sweep_inputs["exact_forget_eval"],
+                epochs=1,
+                batch_size=0,
                 seed=5,
             )
 
@@ -455,6 +493,35 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match=f"^{re.escape(message.format(f'dataset {path}'))}$"):
             run_experiment(tiny_config(arch=arch, dataset=path))
 
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("split_fractions",), [0.6, math.nan, 0.3],
+             "fractions must be three non-negative values summing to 1, got (0.6, nan, 0.3)"),
+            (("arch", "layers", 1, "momentum"), 1.5, "1.5 and 1e-05"),
+            (("arch", "layers", 1, "momentum"), -0.5, "-0.5 and 1e-05"),
+            (("arch", "layers", 1, "epsilon"), -1.0, "0.1 and -1.0"),
+            (("arch", "layers", 1, "epsilon"), math.nan, "0.1 and nan"),
+            (("arch", "layers", 1, "epsilon"), 0.0, "0.1 and 0.0"),
+        ],
+        ids=["nan-split", "momentum-above-1", "negative-momentum", "negative-epsilon", "nan-epsilon",
+             "zero-epsilon"],
+    )
+    def test_out_of_range_value_rejected_at_config_load(self, path, value, message, monkeypatch):
+        def no_data(spec):
+            raise AssertionError("data generated before validation")
+
+        monkeypatch.setattr(harness, "generate_synthetic", no_data)
+        if path[0] == "arch":
+            message = f"layer 1 BatchNorm needs momentum in [0, 1] and epsilon in (0, inf), got {message}"
+        doc = config_to_dict(tiny_config())
+        section = doc
+        for name in path[:-1]:
+            section = section[name]
+        section[path[-1]] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict(doc)
+
     def test_validation_catches_bad_fraction(self):
         with pytest.raises(ValueError, match="fraction"):
             tiny_config(forget_fractions=(1.5,)).validate()
@@ -535,21 +602,24 @@ class TestRunExperiment:
             }
             assert cells[algorithm]["evals"] == fresh
 
+    def test_cell_timing_is_its_chosen_row(self, small_report):
+        # The pins strip timing, so they do not cover it.
+        approximate = [c for c in small_report.cells if c["algorithm"] != "exact"]
+        assert len(approximate) == 4
+        for cell in approximate:
+            table = cell["sweep"]
+            row = min(table, key=lambda r: (r["forget_gap"], -r["test_macro"], r["lr"], r["threshold"] or 0.0))
+            assert cell["chosen"] == {"lr": row["lr"], "threshold": row["threshold"]}
+            assert cell["timing"]["unlearn_seconds"] == row["seconds"]
+            assert cell["timing"]["sweep_seconds"] == sum(r["seconds"] for r in table)
+
     def test_timing_flags_present(self, small_report):
         assert small_report.timing["approx_faster_than_exact"] in (True, False)
         assert small_report.timing["sweep_cost_exceeds_single_run"] in (True, False)
 
     def test_multi_label_pipeline(self):
         # Multi-label data end to end: binary cross-entropy, bitwise-flip relabeling, salun.
-        spec = SyntheticSpec(
-            num_patients=50,
-            samples_per_patient=6,
-            num_labels=3,
-            feature_shape=(1, 8, 8),
-            separations=(0.9, 0.6, 0.4),
-            seed=2,
-        )
-        cfg = tiny_config(dataset=spec, repeats=1)  # tiny_arch emits 3 outputs
+        cfg = tiny_config(dataset=tiny_multi_label_spec(), repeats=1)  # tiny_arch emits 3 outputs
         report = run_experiment(cfg)
         assert not report.incomplete
         assert set(report.summary) == {"exact", "relabel", "salun"}
@@ -607,6 +677,28 @@ def test_dataset_file_read_once_per_run(tmp_path, monkeypatch):
     assert len(report.cells) == 9 and not report.incomplete
     stripped = json.dumps(strip_timing(report.to_dict()), sort_keys=True)
     assert hashlib.sha256(stripped.encode()).hexdigest() == FILE_REPORT_PIN
+
+
+# The stripped report of a 2-repeat tiny_config() run over a file of
+# multi_label_with_unknowns(), named "multi.unds" in the working directory.
+UNKNOWN_LABELS_REPORT_PIN = "af6146053e36198071abe3901e7cdf117ba7b907c5e0d4f8aaf79cabdabcd9d6"
+
+
+def test_unknown_labels_in_dataset_file_resolved_once_per_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_dataset(multi_label_with_unknowns(), "multi.unds")
+    resolved = []
+
+    def counted_u_one(ds):
+        resolved.append(len(ds))
+        return apply_u_one_dataset(ds)
+
+    monkeypatch.setattr(harness, "apply_u_one_dataset", counted_u_one)
+    report = run_experiment(tiny_config(dataset="multi.unds", repeats=2))
+    assert resolved == [300]
+    assert len(report.cells) == 6 and not report.incomplete
+    stripped = json.dumps(strip_timing(report.to_dict()), sort_keys=True)
+    assert hashlib.sha256(stripped.encode()).hexdigest() == UNKNOWN_LABELS_REPORT_PIN
 
 
 class TestCellFailures:

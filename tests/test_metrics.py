@@ -15,7 +15,7 @@ from unforget.metrics import (
     rank_difficulty,
     ranking_from_per_class,
 )
-from unforget.nn_core import ArchSpec, Dense, Flatten, clone_with_params, init_model
+from unforget.nn_core import UNKNOWN, ArchSpec, Dense, Flatten, clone_with_params, init_model
 
 
 def pairwise_auroc(scores, labels):
@@ -103,6 +103,15 @@ def toy_model(num_classes=3, seed=0):
 
 
 class TestEvaluate:
+    def test_unknown_labels_rejected(self):
+        ds = toy_dataset()
+        labels = (ds.label_array()[:, None] == np.arange(3)).astype(np.int8)
+        labels[5, 2] = UNKNOWN
+        ds = LabeledDataset(np.arange(len(ds)), ds.feature_array(), labels, ds.patient_array(),
+                            ds.group_array(), "multi_label", 3)
+        with pytest.raises(ValueError, match="^unknown label entries remain; apply the u-one policy first$"):
+            evaluate(toy_model(), ds)
+
     def test_constant_logits_give_half(self):
         model = toy_model()
         model = clone_with_params(model, np.zeros(model.num_params))

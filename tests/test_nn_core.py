@@ -32,9 +32,9 @@ from unforget.nn_core import (
     clone_with_params,
     forward,
     init_model,
+    kind_of,
     load_model,
     loss_and_grad,
-    probabilities,
     param_layout,
     save_model,
 )
@@ -895,6 +895,19 @@ class TestArchAndLayout:
         with pytest.raises(ValueError, match="output_dim"):
             ArchSpec((4,), (Dense(4, 3),), 2).validate()
 
+    @pytest.mark.parametrize("momentum,epsilon,ok", [
+        (0.0, 1e-5, True), (1.0, 1e-5, True), (0.1, 1e300, True),
+        (1.5, 1e-5, False), (-0.5, 1e-5, False), (math.nan, 1e-5, False),
+        (0.1, 0.0, False), (0.1, -1.0, False), (0.1, math.nan, False), (0.1, math.inf, False),
+    ])
+    def test_batchnorm_settings_checked(self, momentum, epsilon, ok):
+        arch = ArchSpec((4,), (Dense(4, 3), BatchNorm(3, momentum, epsilon)), 3)
+        if ok:
+            arch.validate()
+        else:
+            with pytest.raises(ValueError, match=r"^layer 1 BatchNorm needs momentum in \[0, 1\]"):
+                arch.validate()
+
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(ValueError, match="kernel"):
             ArchSpec((1, 2, 2), (Conv2D(1, 1, kernel=3), Flatten(), Dense(1, 2)), 2).validate()
@@ -1044,7 +1057,7 @@ class TestLosses:
             loss_and_grad(model, np.zeros((1, 4)), np.array([[0.0, -1.0, 1.0]]), "multi_label")
 
     @pytest.mark.parametrize("task_kind", ["single_label", "multi_label"])
-    def test_probabilities_are_the_former_eval_scores(self, task_kind):
+    def test_scores_are_the_former_eval_scores(self, task_kind):
         # The expressions predict_scores used before the heads moved here.
         logits = np.random.default_rng(4).normal(0.0, 3.0, (9, 4))
         if task_kind == "single_label":
@@ -1053,11 +1066,11 @@ class TestLosses:
             expected = expd / expd.sum(axis=1, keepdims=True)
         else:
             expected = 1.0 / (1.0 + np.exp(-logits))
-        assert same_bits(probabilities(logits, task_kind), expected)
+        assert same_bits(kind_of(task_kind).scores(logits), expected)
 
-    def test_probabilities_reject_an_unknown_task_kind(self):
+    def test_kind_of_rejects_an_unknown_task_kind(self):
         with pytest.raises(ValueError, match="^task_kind must be 'single_label' or 'multi_label', got 'xx'$"):
-            probabilities(np.zeros((2, 3)), "xx")
+            kind_of("xx")
 
     @pytest.mark.parametrize(
         "targets,task_kind,message",

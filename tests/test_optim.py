@@ -18,6 +18,7 @@ from unforget.nn_core import (
     Dense,
     Flatten,
     ReLU,
+    UNKNOWN,
     clone_with_params,
     init_model,
     loss_and_grad,
@@ -220,6 +221,18 @@ class TestTrain:
     def test_bad_lr0_rejected(self, lr0):
         with pytest.raises(ValueError, match=f"^lr0 must be positive and finite, got {lr0}$"):
             TrainConfig(lr0=lr0)
+
+    def test_unknown_labels_rejected_before_the_first_step(self, monkeypatch):
+        ds = multi_label_blobs()
+        labels = ds.label_array().astype(np.int8)
+        labels[3, 0] = UNKNOWN
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(optim, "loss_and_grad", no_step)
+        with pytest.raises(ValueError, match="^unknown label entries remain; apply the u-one policy first$"):
+            train(init_model(blob_arch(), 0), ds.with_labels(labels), TrainConfig(epochs=1), 0)
 
     def test_deterministic(self):
         model = init_model(blob_arch(), 0)

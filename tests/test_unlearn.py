@@ -8,11 +8,11 @@ from unforget.data import LabeledDataset, SyntheticSpec, generate_synthetic, spl
 from unforget.nn_core import ArchSpec, BatchNorm, Conv2D, Dense, GlobalAvgPool, ReLU, init_model
 from unforget import unlearn
 from unforget.optim import TrainConfig, train_from_scratch
+from unforget.seeding import derive_seed
 from unforget.unlearn import (
     UnlearnConfig,
     check_relabel_policy,
     compute_saliency_mask,
-    default_relabel_policy,
     exact_unlearn,
     forget_gradient,
     mask_from_gradient,
@@ -109,6 +109,11 @@ class TestUnlearnConfig:
         with pytest.raises(ValueError, match="algorithm"):
             UnlearnConfig(algorithm="sisa")
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_bad_batch_size_rejected(self, batch_size):
+        with pytest.raises(ValueError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+            UnlearnConfig(algorithm="relabel", batch_size=batch_size)
+
     @pytest.mark.parametrize("lr", [0.0, -1e-3, np.nan, np.inf])
     def test_bad_lr_rejected(self, lr):
         with pytest.raises(ValueError, match=f"^lr must be positive and finite, got {lr}$"):
@@ -187,7 +192,10 @@ class TestRandomRelabel:
         ([[0, 1], [1, 0]], "multi_label", "bitwise_flip"),
     ])
     def test_default_policy(self, labels, task_kind, policy):
-        assert default_relabel_policy(constant_dataset(labels, task_kind, 2)) == policy
+        ds = constant_dataset(labels, task_kind, 2)
+        default = unlearn.noisy_forget_set(ds, None, 3)
+        expected = random_relabel(ds, policy, derive_seed(3, "relabel"))
+        assert np.array_equal(default.label_array(), expected.label_array())
 
 
 class TestExactUnlearn:
@@ -211,7 +219,7 @@ class TestExactUnlearn:
         assert np.array_equal(retrained.params, fixture["model"].params)
 
     def test_empty_retain_rejected(self, fixture):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty dataset$"):
             exact_unlearn(
                 fixture["model"],
                 fixture["retain"].subset([]),
@@ -280,6 +288,12 @@ class TestRelabelFinetune:
             for i in out.batchnorm_stats
         )
         assert moved
+
+    def test_empty_fine_tune_set_rejected(self, fixture):
+        empty = fixture["retain"].subset([])
+        cfg = UnlearnConfig("relabel", epochs=1, lr=1e-3, seed=0)
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            relabel_finetune(fixture["model"], empty, empty, cfg)
 
     def test_task_kind_mismatch_rejected(self, fixture):
         other = LabeledDataset(
