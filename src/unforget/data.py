@@ -367,6 +367,11 @@ def check_grouping(grouping: str) -> None:
         raise ValueError(f"unknown grouping {grouping!r}")
 
 
+def check_forget_fraction(fraction: float) -> None:
+    if not 0.0 < fraction < 1.0:  # NaN fails every comparison
+        raise ValueError(f"forget fraction must lie in (0, 1), got {fraction}")
+
+
 def check_split_fractions(fractions) -> np.ndarray:
     """The train/val/test fractions as an array; raises ValueError unless they
     are three non-negative values summing to 1."""
@@ -456,8 +461,7 @@ def split_forget_retain(
     patient_level accumulates whole patients in seeded order until the sample
     count first reaches the target, so the achieved fraction is approximate.
     """
-    if not (0.0 < fraction < 1.0):
-        raise ValueError(f"forget fraction must lie in (0, 1), got {fraction}")
+    check_forget_fraction(fraction)
     check_grouping(grouping)
     train = np.array(sorted(plan.train_ids), dtype=np.int64)
     if not train.size:

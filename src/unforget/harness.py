@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import tempfile
 import time
@@ -31,6 +30,7 @@ from .data import (
     SplitPlan,
     SyntheticSpec,
     apply_u_one_dataset,
+    check_forget_fraction,
     check_grouping,
     check_split_fractions,
     generate_synthetic,
@@ -117,27 +117,23 @@ class ExperimentConfig:
         if not self.forget_fractions:
             raise ValueError("no forget fractions requested")
         for f in self.forget_fractions:
-            if not (0.0 < f < 1.0):
-                raise ValueError(f"forget fractions must lie in (0, 1), got {f}")
+            check_forget_fraction(f)
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ValueError(f"unknown algorithms {sorted(unknown)}")
         if not self.algorithms:
             raise ValueError("no algorithms requested")
-        if self.unlearn_epochs < 1:
-            raise ValueError("unlearn_epochs must be >= 1")
-        if self.unlearn_batch_size < 1:
-            raise ValueError(f"unlearn_batch_size must be >= 1, got {self.unlearn_batch_size}")
         if "relabel" in self.algorithms or "salun" in self.algorithms:
             if not self.lr_grid:
                 raise ValueError("lr_grid must be non-empty for approximate algorithms")
         if "salun" in self.algorithms and not self.threshold_grid:
             raise ValueError("threshold_grid must be non-empty for salun")
-        if not all(0 < lr < math.inf for lr in self.lr_grid):
-            raise ValueError(f"lr_grid values must be positive and finite, got {self.lr_grid}")
-        # A threshold of 0 means "no mask"; an infinite one would freeze every parameter.
-        if not all(0 <= t < math.inf for t in self.threshold_grid):
-            raise ValueError(f"threshold_grid values must be >= 0 and finite, got {self.threshold_grid}")
+        # Before the grids, so an unknown policy reads the same with or without a sweep.
+        if self.relabel_policy is not None:
+            unlearn.check_relabel_policy(self.relabel_policy)
+        for algorithm in self.algorithms:
+            if algorithm != "exact":
+                self.grid(algorithm, self.base_seed)
         check_grouping(self.forget_grouping)
         # The harness never reads the val split, so only val may be empty.
         train, _, test = check_split_fractions(self.split_fractions)
@@ -163,6 +159,21 @@ class ExperimentConfig:
                              f"but {where} has group {top_group}")
         if self.relabel_policy is not None:
             unlearn.check_relabel_policy(self.relabel_policy, data.task_kind)
+
+    def grid(self, algorithm: str, seed: int) -> list[UnlearnConfig]:
+        """The runs of one approximate algorithm's sweep, lr-major with the
+        thresholds inner for salun. Every point shares ``seed``, the relabel
+        policy and the unlearn epochs and batch size; a value that
+        ``UnlearnConfig`` rejects raises ValueError naming the sweep."""
+        thresholds = tuple(map(float, self.threshold_grid)) if algorithm == "salun" else (None,)
+        try:
+            return [
+                UnlearnConfig(algorithm, self.unlearn_epochs, float(lr), t, seed, self.relabel_policy,
+                              self.unlearn_batch_size)
+                for lr in self.lr_grid for t in thresholds
+            ]
+        except ValueError as exc:
+            raise ValueError(f"{algorithm} grid: {exc}") from None
 
 
 def default_arch() -> ArchSpec:
@@ -289,13 +300,8 @@ def sweep_hparams(
     retain: LabeledDataset,
     test: LabeledDataset,
     algorithm: str,
-    grid: list[dict],
+    grid: list[UnlearnConfig],
     exact_reference: EvalResult,
-    *,
-    epochs: int,
-    batch_size: int,
-    seed: int = 0,
-    relabel_policy: str | None = None,
 ):
     """Run every grid point and pick the one whose forget macro AUROC is
     closest to exact unlearning's; ties go to higher test AUROC, then lower
@@ -303,8 +309,9 @@ def sweep_hparams(
     table, its model, the sweep table, its model's {"forget", "test"}
     EvalResults).
 
-    Grid points are dicts with "lr" and, for salun, "threshold". All points
-    share one seed, so they differ only in hyper-parameters, and the work
+    Grid points are ``algorithm``'s UnlearnConfigs, as
+    ``ExperimentConfig.grid`` builds them. All points share one seed and
+    relabel policy, so they differ only in hyper-parameters, and the work
     that depends on neither (the noisy forget set and, for salun, the forget
     gradient) is done once; each row's seconds include that shared set-up,
     so a row is the cost of one run.
@@ -313,27 +320,18 @@ def sweep_hparams(
         raise ValueError("empty hyper-parameter grid")
     if algorithm not in ("relabel", "salun"):
         raise ValueError(f"not an approximate algorithm: {algorithm!r}")
+    shared = grid[0]
+    if any((p.algorithm, p.seed, p.relabel_policy) != (algorithm, shared.seed, shared.relabel_policy)
+           for p in grid):
+        raise ValueError(f"a {algorithm} sweep's grid points must share its algorithm, seed and relabel_policy")
     started = time.perf_counter()
-    noisy = unlearn.noisy_forget_set(forget, relabel_policy, seed)
-    gradient = (
-        unlearn.forget_gradient(pretrained, forget)
-        if algorithm == "salun"
-        else None
-    )
+    noisy = unlearn.noisy_forget_set(forget, shared.relabel_policy, shared.seed)
+    gradient = unlearn.forget_gradient(pretrained, forget) if algorithm == "salun" else None
     setup_seconds = time.perf_counter() - started
     table = []
     best = None
     errors = []
-    for point in grid:
-        ucfg = UnlearnConfig(
-            algorithm=algorithm,
-            epochs=epochs,
-            lr=float(point["lr"]),
-            threshold=(float(point["threshold"]) if algorithm == "salun" else None),
-            seed=seed,
-            relabel_policy=relabel_policy,
-            batch_size=batch_size,
-        )
+    for ucfg in grid:
         started = time.perf_counter()
         try:
             mask = None if gradient is None else unlearn.mask_from_gradient(gradient, ucfg.threshold)
@@ -341,6 +339,7 @@ def sweep_hparams(
             forget_eval = evaluate(model, forget, "forget")
             test_eval = evaluate(model, test, "test")
         except (ValueError, FloatingPointError) as exc:  # a diverging lr must not kill the sweep
+            point = {"lr": ucfg.lr, "threshold": ucfg.threshold} if algorithm == "salun" else {"lr": ucfg.lr}
             errors.append(f"{point}: {exc}")
             continue
         seconds = time.perf_counter() - started + setup_seconds
@@ -480,17 +479,10 @@ def _run_cell(
     if reference is None:
         raise ValueError("no exact-unlearning reference available")
     retain, forget = split
-    if algorithm == "salun":
-        grid = [{"lr": lr, "threshold": thr} for lr in cfg.lr_grid for thr in cfg.threshold_grid]
-    else:
-        grid = [{"lr": lr} for lr in cfg.lr_grid]
+    seed = derive_seed(cfg.base_seed, "repeat", rep.r, "unlearn", algorithm, _frac_key(fraction))
     chosen, best_model, table, best_evals = sweep_hparams(
-        rep.pretrained, forget, retain, rep.test, algorithm, grid,
+        rep.pretrained, forget, retain, rep.test, algorithm, cfg.grid(algorithm, seed),
         reference["evals"]["forget"],
-        epochs=cfg.unlearn_epochs,
-        batch_size=cfg.unlearn_batch_size,
-        seed=derive_seed(cfg.base_seed, "repeat", rep.r, "unlearn", algorithm, _frac_key(fraction)),
-        relabel_policy=cfg.relabel_policy,
     )
     return {
         "evals": {"retain": evaluate(best_model, retain, "retain"), **best_evals},

@@ -92,16 +92,16 @@ class UnlearnConfig:
             raise ValueError("threshold is required for salun and only for salun")
         if self.threshold is not None:
             _check_threshold(self.threshold)
-        if self.relabel_policy is not None and self.relabel_policy not in RELABEL_POLICIES:
-            raise ValueError(f"unknown relabel_policy {self.relabel_policy!r}")
+        if self.relabel_policy is not None:
+            check_relabel_policy(self.relabel_policy)
 
 
-def check_relabel_policy(policy: str, task_kind: str) -> None:
-    """Raise ValueError unless ``policy`` is a known relabel policy that fits
-    ``task_kind``, as its ``TASK_KINDS`` record lists them."""
+def check_relabel_policy(policy: str, task_kind: str | None = None) -> None:
+    """Raise ValueError unless ``policy`` is a known relabel policy and, for
+    a ``task_kind``, one that fits it, as its ``TASK_KINDS`` record lists them."""
     if policy not in RELABEL_POLICIES:
         raise ValueError(f"unknown relabel_policy {policy!r}")
-    if policy not in kind_of(task_kind).relabel_policies:
+    if task_kind is not None and policy not in kind_of(task_kind).relabel_policies:
         owner = next(kind.name for kind in TASK_KINDS if policy in kind.relabel_policies)
         raise ValueError(f"{policy} applies to {owner.replace('_', '-')} datasets")
 

@@ -8,8 +8,10 @@ compares bytes and checks them against a pinned digest. The whole module takes a
 """
 
 import hashlib
+import importlib.util
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,6 +386,17 @@ def test_criterion_08_fairness_null_result(default_report):
 
 # -- 9 ----------------------------------------------------------------------
 
+def blas_threads() -> str:
+    """The OpenBLAS thread count of this process, read as the benchmark
+    record script (bench/record.py) reads it."""
+    spec = importlib.util.spec_from_file_location(
+        "record", Path(__file__).resolve().parents[1] / "bench" / "record.py"
+    )
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    return record.blas_threads()
+
+
 def test_criterion_09_efficiency(default_report):
     """A 2-epoch approximate run costs less than half an exact retraining on
     the same fixture (measured back to back at fraction 0.15, where the
@@ -444,7 +457,8 @@ def test_criterion_09_efficiency(default_report):
         f"run/exact ratios at 0.15: relabel {ratios['relabel']:.3f}, salun {ratios['salun']:.3f}; "
         f"sweep>single {sweeps}, faster-at-all-fractions {always_faster}; "
         f"largest unlearn/exact: {extreme_cell(max, 'unlearn_seconds', 'exact_seconds')}; "
-        f"smallest sweep/unlearn: {extreme_cell(min, 'sweep_seconds', 'unlearn_seconds')}",
+        f"smallest sweep/unlearn: {extreme_cell(min, 'sweep_seconds', 'unlearn_seconds')}; "
+        f"OpenBLAS threads {blas_threads()}",
     )
 
 

@@ -147,11 +147,8 @@ class TestSweep:
             sweep_inputs["retain"],
             sweep_inputs["test"],
             "relabel",
-            [{"lr": 1e-3}],
+            tiny_config(lr_grid=(1e-3,)).grid("relabel", 5),
             sweep_inputs["exact_forget_eval"],
-            epochs=1,
-            batch_size=32,
-            seed=5,
         )
         assert best["lr"] == 1e-3
         assert len(table) == 1 and best is table[0]
@@ -164,11 +161,8 @@ class TestSweep:
             sweep_inputs["retain"],
             sweep_inputs["test"],
             "relabel",
-            [{"lr": 3e-4}, {"lr": 1e-3}, {"lr": 1e-2}],
+            tiny_config(lr_grid=(3e-4, 1e-3, 1e-2)).grid("relabel", 5),
             sweep_inputs["exact_forget_eval"],
-            epochs=1,
-            batch_size=32,
-            seed=5,
         )
         gaps = {row["lr"]: row["forget_gap"] for row in table}
         assert best["lr"] == min(gaps, key=gaps.get)
@@ -187,7 +181,7 @@ class TestSweep:
         model, _ = train_from_scratch(default_arch(), ds.subset(plan.train_ids), cfg, 3)
         exact, _ = train_from_scratch(default_arch(), ds.subset(plan_f.retain_ids), cfg, 4)
         exact_eval = evaluate(exact, ds.subset(plan_f.forget_ids), "forget")
-        grid = [{"lr": lr, "threshold": 1e-3} for lr in (1e-4, 5e-4, 1e-3, 5e-3)]
+        grid = tiny_config(unlearn_epochs=2, lr_grid=(1e-4, 5e-4, 1e-3, 5e-3)).grid("salun", 6)
         best, _, _, _ = sweep_hparams(
             model,
             ds.subset(plan_f.forget_ids),
@@ -196,9 +190,6 @@ class TestSweep:
             "salun",
             grid,
             exact_eval,
-            epochs=2,
-            batch_size=32,
-            seed=6,
         )
         assert best["forget_gap"] <= 0.03
 
@@ -212,7 +203,7 @@ class TestSweep:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(unlearn, name, counted)
-        grid = [{"lr": lr, "threshold": t} for lr in (1e-3, 5e-3) for t in (1e-4, 1e-3)]
+        grid = tiny_config(lr_grid=(1e-3, 5e-3), threshold_grid=(1e-4, 1e-3)).grid("salun", 5)
         _, _, table, _ = sweep_hparams(
             sweep_inputs["model"],
             sweep_inputs["forget"],
@@ -221,43 +212,46 @@ class TestSweep:
             "salun",
             grid,
             sweep_inputs["exact_forget_eval"],
-            epochs=1,
-            batch_size=32,
-            seed=5,
         )
         assert len(table) == len(grid)
         assert calls == {"forget_gradient": 1, "random_relabel": 1}
 
-    def test_bad_threshold_raises_instead_of_failing_its_point(self, sweep_inputs):
-        # As a bad lr does: a config error is not a diverging run.
-        with pytest.raises(ValueError, match=r"^threshold must be >= 0 and finite, got -1\.0$"):
-            sweep_hparams(
-                sweep_inputs["model"],
-                sweep_inputs["forget"],
-                sweep_inputs["retain"],
-                sweep_inputs["test"],
-                "salun",
-                [{"lr": 1e-3, "threshold": 1e-3}, {"lr": 1e-3, "threshold": -1.0}],
-                sweep_inputs["exact_forget_eval"],
-                epochs=1,
-                batch_size=32,
-                seed=5,
-            )
+    def test_bad_threshold_raises_instead_of_failing_its_point(self):
+        # A sweep runs UnlearnConfigs, so it cannot be handed a bad point: a
+        # config error is not a diverging run.
+        cfg = tiny_config(threshold_grid=(1e-3, -1.0))
+        with pytest.raises(ValueError, match=r"^salun grid: threshold must be >= 0 and finite, got -1\.0$"):
+            cfg.grid("salun", 5)
 
-    def test_bad_batch_size_raises_instead_of_failing_every_point(self, sweep_inputs):
-        # As a bad epoch count does: a config error is not a diverging run.
-        with pytest.raises(ValueError, match=r"^batch_size must be >= 1, got 0$"):
+    def test_bad_batch_size_raises_instead_of_failing_every_point(self):
+        cfg = tiny_config(unlearn_batch_size=0)
+        with pytest.raises(ValueError, match=r"^relabel grid: batch_size must be >= 1, got 0$"):
+            cfg.grid("relabel", 5)
+
+    @pytest.mark.parametrize("field,value", [("seed", 6), ("relabel_policy", "uniform")])
+    def test_grid_of_mixed_points_rejected(self, sweep_inputs, field, value):
+        grid = tiny_config().grid("relabel", 5)
+        with pytest.raises(ValueError, match="^a relabel sweep's grid points must share its algorithm, seed "):
             sweep_hparams(
                 sweep_inputs["model"],
                 sweep_inputs["forget"],
                 sweep_inputs["retain"],
                 sweep_inputs["test"],
                 "relabel",
-                [{"lr": 1e-3}, {"lr": 5e-3}],
+                [grid[0], replace(grid[1], **{field: value})],
                 sweep_inputs["exact_forget_eval"],
-                epochs=1,
-                batch_size=0,
-                seed=5,
+            )
+
+    def test_grid_of_another_algorithm_rejected(self, sweep_inputs):
+        with pytest.raises(ValueError, match="^a salun sweep's grid points must share its algorithm"):
+            sweep_hparams(
+                sweep_inputs["model"],
+                sweep_inputs["forget"],
+                sweep_inputs["retain"],
+                sweep_inputs["test"],
+                "salun",
+                tiny_config().grid("relabel", 5),
+                sweep_inputs["exact_forget_eval"],
             )
 
     def test_empty_grid_rejected(self, sweep_inputs):
@@ -270,9 +264,39 @@ class TestSweep:
                 "relabel",
                 [],
                 sweep_inputs["exact_forget_eval"],
-                epochs=1,
-                batch_size=32,
             )
+
+
+# Every value UnlearnConfig rejects, as (overrides, message) for each sweep
+# that runs it: each is a bad config, rejected when the config is loaded.
+BAD_UNLEARN_SETTINGS = [
+    (dict(overrides, algorithms=("exact", algorithm)), rf"^{algorithm} grid: {re.escape(message)}$")
+    for algorithm in ("relabel", "salun")
+    for overrides, message in [
+        (dict(unlearn_epochs=0), "epochs must be >= 1, got 0"),
+        (dict(unlearn_batch_size=0), "batch_size must be >= 1, got 0"),
+        (dict(unlearn_batch_size=-1), "batch_size must be >= 1, got -1"),
+        *((dict(lr_grid=(lr,)), f"lr must be positive and finite, got {lr}")
+          for lr in (0.0, -1.0, math.nan, math.inf)),
+        *((dict(threshold_grid=(t,)), f"threshold must be >= 0 and finite, got {t}")
+          for t in ((-1.0, math.nan, math.inf) if algorithm == "salun" else ())),
+    ]
+]
+
+
+class TestGrid:
+    def test_order_values_and_shared_fields(self):
+        cfg = tiny_config(lr_grid=(1, 5e-3), threshold_grid=(0, 4e-3), unlearn_epochs=3,
+                          unlearn_batch_size=16, relabel_policy="uniform")
+        salun, relabel = cfg.grid("salun", 9), cfg.grid("relabel", 9)
+        assert [(p.lr, p.threshold) for p in salun] == [(1.0, 0.0), (1.0, 4e-3), (5e-3, 0.0), (5e-3, 4e-3)]
+        assert [(p.lr, p.threshold) for p in relabel] == [(1.0, None), (5e-3, None)]
+        assert all(type(p.lr) is float and type(p.threshold) is float for p in salun)
+        assert all(type(p.lr) is float for p in relabel)
+        for algorithm, points in (("salun", salun), ("relabel", relabel)):
+            assert {(p.algorithm, p.seed, p.relabel_policy, p.epochs, p.batch_size) for p in points} == {
+                (algorithm, 9, "uniform", 3, 16)
+            }
 
 
 class TestConfigSerialization:
@@ -336,7 +360,7 @@ class TestConfigSerialization:
 
     @pytest.mark.parametrize(
         "section,message",
-        [("train", r"^epochs must be >= 1, got 0$"), ("unlearn", r"^unlearn_epochs must be >= 1$")],
+        [("train", r"^epochs must be >= 1, got 0$"), ("unlearn", r"^relabel grid: epochs must be >= 1, got 0$")],
     )
     def test_zero_epochs_rejected(self, section, message):
         doc = config_to_dict(tiny_config())
@@ -385,11 +409,11 @@ class TestConfigSerialization:
         "overrides,match",
         [
             (dict(forget_grouping="bogus"), "grouping"),
-            (dict(lr_grid=(-1e-3,)), "lr_grid"),
-            (dict(threshold_grid=(-1.0,)), "threshold_grid"),
+            (dict(lr_grid=(-1e-3,)), r"^relabel grid: lr must be positive and finite, got -0\.001$"),
+            (dict(threshold_grid=(-1.0,)), r"^salun grid: threshold must be >= 0 and finite, got -1\.0$"),
             (dict(split_fractions=(0.5, 0.2, 0.2)), "fractions"),
             (dict(dataset=replace(tiny_spec(), group_proportions=(0.4, 0.3, 0.3))), "group_names"),
-            (dict(unlearn_batch_size=0), "unlearn_batch_size must be >= 1, got 0"),
+            (dict(unlearn_batch_size=0), r"^relabel grid: batch_size must be >= 1, got 0$"),
             # Appended, so the cases above keep their ids.
             (dict(split_fractions=(0.6, 0.4, 0.0)), r"^split_fractions needs positive train and test"),
             (dict(split_fractions=(0.0, 0.4, 0.6)), r"^split_fractions needs positive train and test"),
@@ -401,10 +425,11 @@ class TestConfigSerialization:
             (dict(forget_fractions=()), r"^no forget fractions requested$"),
             (dict(relabel_policy="foo"), r"^unknown relabel_policy 'foo'$"),
             (dict(relabel_policy="bitwise_flip"), r"^bitwise_flip applies to multi-label datasets$"),
-            (dict(lr_grid=(1e-3, float("inf"))), r"^lr_grid values must be positive and finite"),
-            (dict(lr_grid=(float("nan"),)), r"^lr_grid values must be positive and finite"),
-            (dict(threshold_grid=(float("nan"),)), r"^threshold_grid values must be >= 0"),
-            (dict(threshold_grid=(1e-3, float("inf"))), r"^threshold_grid values must be >= 0 and finite"),
+            (dict(lr_grid=(1e-3, float("inf"))), r"^relabel grid: lr must be positive and finite, got inf$"),
+            (dict(lr_grid=(float("nan"),)), r"^relabel grid: lr must be positive and finite, got nan$"),
+            (dict(threshold_grid=(float("nan"),)), r"^salun grid: threshold must be >= 0 and finite, got nan$"),
+            (dict(threshold_grid=(1e-3, float("inf"))), r"^salun grid: threshold must be >= 0 and finite, got inf$"),
+            *BAD_UNLEARN_SETTINGS,
         ],
     )
     def test_bad_config_rejected_before_data(self, overrides, match, monkeypatch):
@@ -412,8 +437,11 @@ class TestConfigSerialization:
             raise AssertionError("data generated before validation")
 
         monkeypatch.setattr(harness, "generate_synthetic", no_data)
+        cfg = tiny_config(**overrides)
         with pytest.raises(ValueError, match=match):
-            run_experiment(tiny_config(**overrides))
+            config_from_dict(config_to_dict(cfg))
+        with pytest.raises(ValueError, match=match):
+            run_experiment(cfg)
 
     @pytest.mark.parametrize("lr0", [float("nan"), float("inf")])
     def test_non_finite_lr0_in_config_file_rejected(self, lr0):
@@ -425,7 +453,7 @@ class TestConfigSerialization:
     def test_infinite_threshold_in_config_file_rejected(self):
         doc = config_to_dict(tiny_config())
         doc["threshold_grid"] = json.loads("[0.001, Infinity]")
-        message = r"^threshold_grid values must be >= 0 and finite, got \(0\.001, inf\)$"
+        message = r"^salun grid: threshold must be >= 0 and finite, got inf$"
         with pytest.raises(ValueError, match=message):
             config_from_dict(doc)
 
@@ -522,9 +550,15 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             config_from_dict(doc)
 
-    def test_validation_catches_bad_fraction(self):
-        with pytest.raises(ValueError, match="fraction"):
-            tiny_config(forget_fractions=(1.5,)).validate()
+    @pytest.mark.parametrize("fraction", [0, 1, -0.1, 1.5, math.nan])
+    def test_forget_fraction_rejected_alike_by_config_and_split(self, fraction):
+        ds = generate_synthetic(tiny_spec())
+        plan = split_train_val_test(ds, (0.6, 0.1, 0.3), seed=1)
+        with pytest.raises(ValueError) as by_config:
+            tiny_config(forget_fractions=(fraction,)).validate()
+        with pytest.raises(ValueError) as by_split:
+            split_forget_retain(plan, fraction, "patient_level", 2, ds)
+        assert str(by_config.value) == str(by_split.value) == f"forget fraction must lie in (0, 1), got {fraction}"
 
     def test_validation_requires_grid(self):
         with pytest.raises(ValueError, match="lr_grid"):
@@ -601,6 +635,34 @@ class TestRunExperiment:
                 "test": evaluate(model, test, "test").to_dict(),
             }
             assert cells[algorithm]["evals"] == fresh
+
+    def test_cell_sweeps_its_configs_grid(self, monkeypatch):
+        handed = []
+        real = harness.sweep_hparams
+
+        def recording(*args, **kwargs):
+            handed.append((args[4], args[5]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sweep_hparams", recording)
+        cfg = tiny_config(repeats=1)
+        run_experiment(cfg)
+        assert handed == [
+            (a, cfg.grid(a, derive_seed(cfg.base_seed, "repeat", 0, "unlearn", a, "0.25")))
+            for a in ("relabel", "salun")
+        ]
+
+    def test_failed_sweep_text_in_report_json(self, tmp_path):
+        # Every point of both sweeps diverges; report.json names each point.
+        emit_report(run_experiment(tiny_config(lr_grid=(1e300,), repeats=1)), tmp_path)
+        incomplete = json.loads((tmp_path / "report.json").read_text())["incomplete"]
+        assert incomplete == [
+            {"repeat": 0, "fraction": 0.25, "algorithm": "relabel",
+             "error": "all grid points failed: [\"{'lr': 1e+300}: non-finite values after layer 4 (Dense)\"]"},
+            {"repeat": 0, "fraction": 0.25, "algorithm": "salun",
+             "error": "all grid points failed: [\"{'lr': 1e+300, 'threshold': 0.001}: "
+                      "non-finite values after layer 4 (Dense)\"]"},
+        ]
 
     def test_cell_timing_is_its_chosen_row(self, small_report):
         # The pins strip timing, so they do not cover it.
